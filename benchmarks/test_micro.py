@@ -280,6 +280,43 @@ def test_bus_publish_fastpath(benchmark):
     assert benchmark(run_publishes) == 100_000
 
 
+def test_observatory_request_done(benchmark):
+    """The per-request observability tax: ``workload.request.done``
+    publishes through the Observatory every campaign cell attaches.
+
+    Each publish builds one ``SimEvent`` and feeds the count-only
+    recorder, the stage detector, the latency probe (P² sketches) and
+    the attribution probe.  Latencies are exponential with a few
+    rejects and timeouts mixed in, like a fault-free steady state.
+    """
+    import random
+
+    from repro.obs.bus import EventBus, EventRecorder
+    from repro.obs.events import WORKLOAD_REQUEST_DONE
+    from repro.obs.observatory import Observatory
+
+    rng = random.Random(7)
+    done = [
+        ("ok" if rng.random() < 0.98 else "timeout", rng.expovariate(40.0))
+        for _ in range(20_000)
+    ]
+
+    def run_publishes():
+        bus = EventBus(Engine())
+        obs = Observatory(recorder=EventRecorder(keep_events=False)).attach(bus)
+        for req_id, (outcome, latency) in enumerate(done):
+            bus.publish(
+                WORKLOAD_REQUEST_DONE,
+                req_id=req_id,
+                client="c0",
+                outcome=outcome,
+                latency=latency,
+            )
+        return obs.latency.overall.count + obs.latency.outcomes.get("timeout", 0)
+
+    assert benchmark(run_publishes) == 20_000
+
+
 def test_cluster_simulation_rate(benchmark):
     """Simulated-seconds per wall-second for a fault-free PRESS cluster."""
     from repro.press.cluster import SMOKE_SCALE, PressCluster

@@ -87,6 +87,13 @@ class LatencyProbe:
     is the detector's classification at the instant the request
     *completed*; runs without a detector fall back to a single
     ``"normal"`` bucket.
+
+    While a run has seen a single stage (every fault-free run), the
+    per-stage sketch would receive exactly the overall sketch's samples,
+    so ``by_stage[stage]`` *is* ``overall`` and each latency is folded
+    once.  The second stage to appear splits them: the first stage gets
+    its own copy of the shared state, and from then on every sketch is
+    fed separately.
     """
 
     SUBSCRIBES = (WORKLOAD_REQUEST_DONE,)
@@ -108,12 +115,25 @@ class LatencyProbe:
         if outcome != "ok":
             return
         latency = f["latency"]
-        self.overall.observe(latency)
         stage = self.detector.stage if self.detector is not None else "normal"
         sketch = self.by_stage.get(stage)
         if sketch is None:
-            sketch = self.by_stage[stage] = QuantileSketch()
-        sketch.observe(latency)
+            sketch = self._add_stage(stage)
+        overall = self.overall
+        overall.observe(latency)
+        if sketch is not overall:
+            sketch.observe(latency)
+
+    def _add_stage(self, stage: str) -> QuantileSketch:
+        by_stage = self.by_stage
+        if not by_stage:
+            by_stage[stage] = self.overall
+            return self.overall
+        for name, sketch in by_stage.items():
+            if sketch is self.overall:
+                by_stage[name] = sketch.copy()
+        sketch = by_stage[stage] = QuantileSketch()
+        return sketch
 
     def summary(self) -> dict:
         """JSON-ready digest stored in cell payloads."""

@@ -14,21 +14,41 @@ the observer effect is zero by construction (guarded by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 Subscriber = Callable[["SimEvent"], None]
 
 
-@dataclass(frozen=True, slots=True)
-class SimEvent:
-    """One published event: what happened, where, and at what sim time."""
-
+class _SimEventRecord(NamedTuple):
     time: float
     seq: int
     name: str
-    node: str = ""
-    fields: dict = field(default_factory=dict)
+    node: str
+    fields: dict
+
+
+class SimEvent(_SimEventRecord):
+    """One published event: what happened, where, and at what sim time.
+
+    A read-only record.  It is a named tuple because the bus builds one
+    per delivered publish: :meth:`EventBus.publish` constructs it
+    positionally with ``tuple.__new__``, several times cheaper than a
+    frozen dataclass ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        time: float,
+        seq: int,
+        name: str,
+        node: str = "",
+        fields: Optional[dict] = None,
+    ) -> "SimEvent":
+        if fields is None:
+            fields = {}
+        return _new_event(cls, (time, seq, name, node, fields))
 
     def to_dict(self) -> dict:
         d = {"time": self.time, "seq": self.seq, "name": self.name}
@@ -49,6 +69,9 @@ class SimEvent:
         )
 
 
+_new_event = tuple.__new__
+
+
 class EventBus:
     """Publish/subscribe hub bound to one :class:`~repro.sim.engine.Engine`.
 
@@ -56,12 +79,17 @@ class EventBus:
     registered with a name list see only those names.  Delivery is
     synchronous and exception-isolated: a subscriber that raises is
     counted in ``subscriber_errors`` and the run continues.
+
+    Subscriber lists are tuples, replaced (never mutated) by
+    ``subscribe``/``unsubscribe``: a publish iterates the tuple it
+    started with, so a subscriber that (un)subscribes during dispatch
+    neither skips nor repeats anyone in that dispatch.
     """
 
     def __init__(self, engine) -> None:
         self.engine = engine
-        self._all: List[Subscriber] = []
-        self._by_name: Dict[str, List[Subscriber]] = {}
+        self._all: Tuple[Subscriber, ...] = ()
+        self._by_name: Dict[str, Tuple[Subscriber, ...]] = {}
         self._seq = 0
         self.published = 0
         self.subscriber_errors = 0
@@ -76,21 +104,20 @@ class EventBus:
     ) -> Subscriber:
         """Register ``fn`` for all events, or just the given names."""
         if names is None:
-            self._all.append(fn)
+            self._all += (fn,)
         else:
             for name in names:
-                self._by_name.setdefault(name, []).append(fn)
+                self._by_name[name] = self._by_name.get(name, ()) + (fn,)
         return fn
 
     def unsubscribe(self, fn: Subscriber) -> None:
         """Remove ``fn`` everywhere it is registered."""
-        if fn in self._all:
-            self._all.remove(fn)
+        self._all = _without(self._all, fn)
         for name in list(self._by_name):
-            subs = self._by_name[name]
-            if fn in subs:
-                subs.remove(fn)
-            if not subs:
+            subs = _without(self._by_name[name], fn)
+            if subs:
+                self._by_name[name] = subs
+            else:
                 del self._by_name[name]
 
     def publish(self, name: str, node: str = "", **fields) -> Optional[SimEvent]:
@@ -102,10 +129,8 @@ class EventBus:
         named = self._by_name.get(name)
         if not named and not self._all:
             return None
-        self._seq += 1
-        event = SimEvent(
-            time=self.engine.now, seq=self._seq, name=name, node=node, fields=fields
-        )
+        self._seq = seq = self._seq + 1
+        event = _new_event(SimEvent, (self.engine.now, seq, name, node, fields))
         self.published += 1
         for fn in self._all:
             try:
@@ -113,12 +138,22 @@ class EventBus:
             except Exception:
                 self.subscriber_errors += 1
         if named:
-            for fn in list(named):
+            for fn in named:
                 try:
                     fn(event)
                 except Exception:
                     self.subscriber_errors += 1
         return event
+
+
+def _without(
+    subs: Tuple[Subscriber, ...], fn: Subscriber
+) -> Tuple[Subscriber, ...]:
+    """``subs`` minus its first ``fn`` (the old ``list.remove`` semantics)."""
+    if fn not in subs:
+        return subs
+    i = subs.index(fn)
+    return subs[:i] + subs[i + 1 :]
 
 
 class EventRecorder:

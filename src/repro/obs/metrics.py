@@ -14,6 +14,7 @@ threaded) and no engine interaction (metrics can never perturb a run).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -76,8 +77,9 @@ DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
 class Histogram:
     """A fixed-bucket histogram with count/sum/min/max.
 
-    ``bounds`` are inclusive upper bucket edges; observations above the
-    last bound land in the implicit overflow bucket.
+    ``bounds`` are inclusive, ascending upper bucket edges; observations
+    above the last bound land in the implicit overflow bucket.  Values
+    must not be NaN (it has no bucket).
     """
 
     __slots__ = ("name", "labels", "bounds", "buckets", "count", "sum", "min", "max")
@@ -91,6 +93,8 @@ class Histogram:
         self.name = name
         self.labels = labels
         self.bounds = tuple(bounds)
+        if list(self.bounds) != sorted(self.bounds):
+            raise ValueError(f"histogram bounds must ascend, got {self.bounds}")
         self.buckets = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.sum = 0.0
@@ -104,11 +108,8 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.buckets[i] += 1
-                return
-        self.buckets[-1] += 1
+        # The first bound >= value; past the last bound, the overflow.
+        self.buckets[bisect_left(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:

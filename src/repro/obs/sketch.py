@@ -27,6 +27,7 @@ sketches with five or fewer samples report exact order statistics.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Sequence, Tuple
 
 #: The campaign's standard latency grid: median plus the tails the
@@ -35,7 +36,11 @@ DEFAULT_QUANTILES = (0.5, 0.95, 0.99, 0.999)
 
 
 class P2Quantile:
-    """One P² marker bank estimating a single quantile ``p``."""
+    """One P² marker bank estimating a single quantile ``p``.
+
+    A bank holds marker state only: :meth:`QuantileSketch.observe` folds
+    each sample into all of a sketch's banks in one pass (:func:`_fold`).
+    """
 
     __slots__ = ("p", "_q", "_n", "_np", "_dn", "count")
 
@@ -49,68 +54,6 @@ class P2Quantile:
         self._np: List[float] = []  # desired positions
         self._dn: List[float] = []  # desired position increments
 
-    def observe(self, x: float) -> None:
-        self.count += 1
-        q, n = self._q, self._n
-        if self.count <= 5:
-            q.append(x)
-            q.sort()
-            if self.count == 5:
-                p = self.p
-                self._n = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._np = [1.0, 1 + 2 * p, 1 + 4 * p, 3 + 2 * p, 5.0]
-                self._dn = [0.0, p / 2, p, (1 + p) / 2, 1.0]
-            return
-
-        # Locate the cell x falls in and bump the outer markers.
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = 0
-            while k < 3 and x >= q[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            n[i] += 1.0
-        np_, dn = self._np, self._dn
-        for i in range(5):
-            np_[i] += dn[i]
-
-        # Nudge the three middle markers toward their desired positions
-        # with the piecewise-parabolic (P²) interpolation, falling back
-        # to linear when the parabola would leave the bracketing cell.
-        for i in (1, 2, 3):
-            d = np_[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                d <= -1.0 and n[i - 1] - n[i] < -1.0
-            ):
-                s = 1.0 if d >= 0 else -1.0
-                qp = self._parabolic(i, s)
-                if q[i - 1] < qp < q[i + 1]:
-                    q[i] = qp
-                else:
-                    q[i] = self._linear(i, s)
-                n[i] += s
-
-    def _parabolic(self, i: int, s: float) -> float:
-        q, n = self._q, self._n
-        return q[i] + s / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + s)
-            * (q[i + 1] - q[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - s)
-            * (q[i] - q[i - 1])
-            / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, s: float) -> float:
-        q, n = self._q, self._n
-        j = i + int(s)
-        return q[i] + s * (q[j] - q[i]) / (n[j] - n[i])
-
     @property
     def value(self) -> float:
         """Current estimate (exact order statistic below six samples)."""
@@ -122,6 +65,98 @@ class P2Quantile:
             idx = max(0, min(len(q) - 1, round(self.p * (len(q) - 1))))
             return q[idx]
         return q[2]
+
+
+def _parabolic(q: List[float], n: List[float], i: int, s: float) -> float:
+    return q[i] + s / (n[i + 1] - n[i - 1]) * (
+        (n[i] - n[i - 1] + s)
+        * (q[i + 1] - q[i])
+        / (n[i + 1] - n[i])
+        + (n[i + 1] - n[i] - s)
+        * (q[i] - q[i - 1])
+        / (n[i] - n[i - 1])
+    )
+
+
+def _linear(q: List[float], n: List[float], i: int, s: float) -> float:
+    j = i + int(s)
+    return q[i] + s * (q[j] - q[i]) / (n[j] - n[i])
+
+
+def _adjust(q: List[float], n: List[float], i: int, s: float) -> None:
+    """Move middle marker ``i`` one position in direction ``s``.
+
+    Piecewise-parabolic (P²) height, falling back to linear when the
+    parabola would leave the bracketing cell.
+    """
+    qp = _parabolic(q, n, i, s)
+    if q[i - 1] < qp < q[i + 1]:
+        q[i] = qp
+    else:
+        q[i] = _linear(q, n, i, s)
+    n[i] += s
+
+
+def _fold(marks, x: float) -> None:
+    """Fold ``x`` into every marker bank of ``marks`` in one pass.
+
+    This is the per-request hot path, so the marker update is unrolled
+    over constant indices; every float operation happens in the order
+    of the textbook loop (``tests/obs/test_sketch.py`` keeps that loop
+    as the oracle and checks the two agree bit for bit).
+    """
+    for m in marks:
+        count = m.count + 1
+        m.count = count
+        q = m._q
+        if count <= 5:
+            q.append(x)
+            q.sort()
+            if count == 5:
+                p = m.p
+                m._n = [1.0, 2.0, 3.0, 4.0, 5.0]
+                m._np = [1.0, 1 + 2 * p, 1 + 4 * p, 3 + 2 * p, 5.0]
+                m._dn = [0.0, p / 2, p, (1 + p) / 2, 1.0]
+            continue
+        n = m._n
+
+        # Locate the cell x falls in, bump the outer markers and the
+        # positions of every marker above the cell.  ``not x >= q[k]``
+        # (rather than ``x < q[k]``) keeps the loop form's cell for NaN.
+        if x < q[0]:
+            q[0] = x
+            n[1] += 1.0
+            n[2] += 1.0
+            n[3] += 1.0
+        elif x >= q[4]:
+            q[4] = x
+        elif not x >= q[1]:
+            n[1] += 1.0
+            n[2] += 1.0
+            n[3] += 1.0
+        elif not x >= q[2]:
+            n[2] += 1.0
+            n[3] += 1.0
+        elif not x >= q[3]:
+            n[3] += 1.0
+        n[4] += 1.0
+        np_, dn = m._np, m._dn
+        # dn[0] is 0.0: the lowest marker's desired position never moves.
+        np_[1] += dn[1]
+        np_[2] += dn[2]
+        np_[3] += dn[3]
+        np_[4] += dn[4]
+
+        # Nudge the three middle markers toward their desired positions.
+        d = np_[1] - n[1]
+        if (d >= 1.0 and n[2] - n[1] > 1.0) or (d <= -1.0 and n[0] - n[1] < -1.0):
+            _adjust(q, n, 1, 1.0 if d >= 0 else -1.0)
+        d = np_[2] - n[2]
+        if (d >= 1.0 and n[3] - n[2] > 1.0) or (d <= -1.0 and n[1] - n[2] < -1.0):
+            _adjust(q, n, 2, 1.0 if d >= 0 else -1.0)
+        d = np_[3] - n[3]
+        if (d >= 1.0 and n[4] - n[3] > 1.0) or (d <= -1.0 and n[2] - n[3] < -1.0):
+            _adjust(q, n, 3, 1.0 if d >= 0 else -1.0)
 
 
 class QuantileSketch:
@@ -150,8 +185,11 @@ class QuantileSketch:
             self.min = x
         if x > self.max:
             self.max = x
-        for mark in self._marks:
-            mark.observe(x)
+        _fold(self._marks, x)
+
+    def copy(self) -> "QuantileSketch":
+        """An independent sketch in exactly this one's state."""
+        return copy.deepcopy(self)
 
     @property
     def mean(self) -> float:

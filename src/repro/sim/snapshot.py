@@ -87,7 +87,12 @@ from .engine import SimulationError
 #:     mirrors from the restored queues at the next ``run()``, so a v4
 #:     blob restored by v5 code would lack the slots those workers and
 #:     ``lp_stats()`` read.
-FORMAT_VERSION = 5
+#:
+#: v6: the event bus keeps its subscriber lists as tuples, ``SimEvent``
+#:     is a named tuple, ``FileSet`` keeps its Zipf CDF as an
+#:     ``array('d')``, and a latency probe's single-stage sketch is
+#:     shared with its overall sketch; v5 blobs hold the old types.
+FORMAT_VERSION = 6
 
 #: Protocol 4 is the newest protocol supported by every interpreter in
 #: the CI matrix; the digest pins the writer's Python anyway, this just

@@ -12,6 +12,8 @@ Zipf(``zipf_s``) popularity under a deterministic seeded stream.
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_left
 from typing import List
 
 import numpy as np
@@ -45,8 +47,12 @@ class FileSet:
         self.zipf_s = zipf_s
         ranks = np.arange(1, n_files + 1, dtype=np.float64)
         weights = ranks ** (-zipf_s)
-        self._cdf = np.cumsum(weights)
-        self._cdf /= self._cdf[-1]
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        # The per-request draw bisects this in C: a flat array of the
+        # same doubles skips numpy's per-call dispatch (~4x cheaper than
+        # ``np.searchsorted`` on one scalar) at the same footprint.
+        self._cdf = array("d", cdf.tobytes())
 
     def size(self, file_id: str) -> int:
         """Every file has the trace's uniform size (see module docstring)."""
@@ -57,8 +63,7 @@ class FileSet:
 
     def sample(self, rng: random.Random) -> str:
         """Draw a file id from the Zipf popularity distribution."""
-        u = rng.random()
-        index = int(np.searchsorted(self._cdf, u))
+        index = bisect_left(self._cdf, rng.random())
         return self.file_name(min(index, self.n_files - 1))
 
     def sample_many(self, rng: random.Random, count: int) -> List[str]:

@@ -89,6 +89,62 @@ def test_unsubscribe_restores_fast_path():
     assert seen == []
 
 
+def test_unsubscribe_during_dispatch_skips_no_catch_all_subscriber():
+    """A catch-all subscriber that unsubscribes itself mid-dispatch must
+    not make the next catch-all subscriber miss that event."""
+    _engine, bus = _bus()
+    seen = []
+
+    def once(_event):
+        bus.unsubscribe(once)
+
+    bus.subscribe(once)
+    bus.subscribe(seen.append)
+    first = bus.publish("a")
+    second = bus.publish("b")
+    assert seen == [first, second]
+
+
+def test_unsubscribe_during_dispatch_skips_no_named_subscriber():
+    _engine, bus = _bus()
+    seen = []
+
+    def once(_event):
+        bus.unsubscribe(once)
+
+    bus.subscribe(once, names=["n"])
+    bus.subscribe(seen.append, names=["n"])
+    first = bus.publish("n")
+    second = bus.publish("n")
+    assert seen == [first, second]
+    assert bus.publish("other") is None
+
+
+def test_subscribe_during_dispatch_takes_effect_from_the_next_publish():
+    _engine, bus = _bus()
+    late = []
+
+    def adder(_event):
+        if not late:
+            bus.subscribe(late.append)
+
+    bus.subscribe(adder)
+    bus.publish("a")
+    assert late == []
+    second = bus.publish("b")
+    assert late[0] is second
+
+
+def test_unsubscribe_removes_one_registration_at_a_time():
+    _engine, bus = _bus()
+    seen = []
+    bus.subscribe(seen.append)
+    bus.subscribe(seen.append)
+    bus.unsubscribe(seen.append)
+    bus.publish("x")
+    assert len(seen) == 1
+
+
 # ----------------------------------------------------------------------
 # Exception isolation
 # ----------------------------------------------------------------------
@@ -149,3 +205,22 @@ def test_recorder_without_event_storage_counts_only():
     assert rec.counts == {"a": 2}
     assert rec.events == []
     assert rec.total == 2
+
+
+def test_simevent_is_read_only_and_defaults_fresh_fields():
+    e = SimEvent(0.5, 3, "a")
+    with pytest.raises(AttributeError):
+        e.time = 1.0
+    assert e.node == "" and e.fields == {}
+    assert SimEvent(0.5, 3, "a").fields is not e.fields
+
+
+def test_published_event_equals_one_built_by_keyword():
+    engine, bus = _bus()
+    seen = []
+    bus.subscribe(seen.append)
+    engine.call_at(2.0, lambda: bus.publish("tick", node="n1", k=1))
+    engine.run(until=3.0)
+    assert seen == [SimEvent(time=2.0, seq=1, name="tick", node="n1",
+                             fields={"k": 1})]
+    assert type(seen[0]) is SimEvent

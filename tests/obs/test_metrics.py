@@ -2,6 +2,8 @@
 bound_counter bridge components use."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     Counter,
@@ -66,6 +68,48 @@ def test_histogram_buckets_and_stats():
     assert h.min == 0.005 and h.max == 5.0
     d = h.to_dict()
     assert d["count"] == 4 and d["buckets"] == [1, 1, 1, 1]
+
+
+def _loop_bucket(bounds, value):
+    """The bucket the first-fit scan over inclusive upper edges picks."""
+    for i, bound in enumerate(bounds):
+        if value <= bound:
+            return i
+    return len(bounds)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [-1.0, 0.0, 0.0005, 0.001, 0.003, 0.005, 0.0050001, 0.1, 1.0, 5.0,
+     5.0000001, 99.0, float("inf"), float("-inf")],
+)
+def test_histogram_bucket_matches_first_fit_scan(value):
+    h = Histogram("lat")
+    h.observe(value)
+    expected = [0] * (len(h.bounds) + 1)
+    expected[_loop_bucket(h.bounds, value)] += 1
+    assert h.buckets == expected
+
+
+@given(
+    st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8, unique=True),
+    st.lists(st.floats(-20.0, 20.0), max_size=40),
+)
+def test_histogram_bucket_parity_on_random_bounds(bounds, values):
+    bounds = sorted(bounds)
+    # Probe every bound exactly, plus a spread of values around them.
+    values = values + bounds
+    h = Histogram("x", bounds=bounds)
+    expected = [0] * (len(bounds) + 1)
+    for v in values:
+        h.observe(v)
+        expected[_loop_bucket(bounds, v)] += 1
+    assert h.buckets == expected
+
+
+def test_histogram_rejects_unordered_bounds():
+    with pytest.raises(ValueError):
+        Histogram("x", bounds=(1.0, 0.5))
 
 
 def test_bound_counter_uses_engine_registry_when_attached():

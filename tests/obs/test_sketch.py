@@ -161,3 +161,182 @@ def test_tail_ordering_on_a_smooth_distribution():
         <= sk.quantile(0.999)
         <= sk.max
     )
+
+
+# ----------------------------------------------------------------------
+# The fused kernel vs the textbook per-bank loop (bit-for-bit)
+# ----------------------------------------------------------------------
+
+
+class _LoopP2:
+    """The textbook P² update, one bank at a time: the oracle for the
+    fused :meth:`QuantileSketch.observe`.  It is the estimator the sketch
+    shipped with before the marker update was unrolled, kept verbatim so
+    any drift in the kernel's float operations shows up as a mismatch."""
+
+    def __init__(self, p):
+        self.p = p
+        self.count = 0
+        self._q, self._n, self._np, self._dn = [], [], [], []
+
+    def observe(self, x):
+        self.count += 1
+        q, n = self._q, self._n
+        if self.count <= 5:
+            q.append(x)
+            q.sort()
+            if self.count == 5:
+                p = self.p
+                self._n = [1.0, 2.0, 3.0, 4.0, 5.0]
+                self._np = [1.0, 1 + 2 * p, 1 + 4 * p, 3 + 2 * p, 5.0]
+                self._dn = [0.0, p / 2, p, (1 + p) / 2, 1.0]
+            return
+        if x < q[0]:
+            q[0] = x
+            k = 0
+        elif x >= q[4]:
+            q[4] = x
+            k = 3
+        else:
+            k = 0
+            while k < 3 and x >= q[k + 1]:
+                k += 1
+        for i in range(k + 1, 5):
+            n[i] += 1.0
+        np_, dn = self._np, self._dn
+        for i in range(5):
+            np_[i] += dn[i]
+        for i in (1, 2, 3):
+            d = np_[i] - n[i]
+            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
+                d <= -1.0 and n[i - 1] - n[i] < -1.0
+            ):
+                s = 1.0 if d >= 0 else -1.0
+                qp = self._parabolic(i, s)
+                if q[i - 1] < qp < q[i + 1]:
+                    q[i] = qp
+                else:
+                    q[i] = self._linear(i, s)
+                n[i] += s
+
+    def _parabolic(self, i, s):
+        q, n = self._q, self._n
+        return q[i] + s / (n[i + 1] - n[i - 1]) * (
+            (n[i] - n[i - 1] + s)
+            * (q[i + 1] - q[i])
+            / (n[i + 1] - n[i])
+            + (n[i + 1] - n[i] - s)
+            * (q[i] - q[i - 1])
+            / (n[i] - n[i - 1])
+        )
+
+    def _linear(self, i, s):
+        q, n = self._q, self._n
+        j = i + int(s)
+        return q[i] + s * (q[j] - q[i]) / (n[j] - n[i])
+
+
+class _LoopSketch:
+    """The sketch's exact statistics over a bank of :class:`_LoopP2`."""
+
+    def __init__(self, quantiles):
+        self.quantiles = tuple(quantiles)
+        self.banks = [_LoopP2(p) for p in self.quantiles]
+        self.count, self.sum = 0, 0.0
+        self.min, self.max = float("inf"), float("-inf")
+
+    def observe(self, x):
+        self.count += 1
+        self.sum += x
+        if x < self.min:
+            self.min = x
+        if x > self.max:
+            self.max = x
+        for bank in self.banks:
+            bank.observe(x)
+
+    def snapshot_state(self):
+        return {
+            "quantiles": list(self.quantiles),
+            "count": self.count,
+            "sum": self.sum,
+            "min": self.min,
+            "max": self.max,
+            "marks": [
+                {
+                    "q": list(b._q),
+                    "n": list(b._n),
+                    "np": list(b._np),
+                    "dn": list(b._dn),
+                    "count": b.count,
+                }
+                for b in self.banks
+            ],
+        }
+
+
+def _check(data, quantiles=DEFAULT_QUANTILES):
+    kernel, oracle = QuantileSketch(quantiles), _LoopSketch(quantiles)
+    for x in data:
+        kernel.observe(x)
+        oracle.observe(x)
+    # repr compares floats bit for bit (and NaN equal to NaN).
+    assert repr(kernel.snapshot_state()) == repr(oracle.snapshot_state())
+
+
+_finite = st.floats(-1e9, 1e9, allow_nan=False)
+
+
+@given(st.lists(_finite, max_size=5))
+def test_kernel_matches_loop_on_short_streams(data):
+    _check(data)
+
+
+@given(_finite, st.integers(min_value=1, max_value=300))
+def test_kernel_matches_loop_on_constant_streams(value, n):
+    _check([value] * n)
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.sampled_from([0.0, 0.001, 0.001, 0.25, 1.0, 1.0]), max_size=300)
+)
+def test_kernel_matches_loop_on_ties(data):
+    _check(data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=6, max_value=3000),
+    st.sampled_from([0.5, 1.0, 2.0]),
+)
+def test_kernel_matches_loop_on_heavy_tails(seed, n, alpha):
+    rng = random.Random(seed)
+    _check([rng.paretovariate(alpha) for _ in range(n)])
+
+
+_special = st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0])
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.one_of(st.floats(), _special), min_size=6, max_size=40),
+    st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4),
+)
+def test_kernel_matches_loop_on_arbitrary_floats(data, quantiles):
+    # NaN and infinities, as samples and (through the warmup sort and
+    # inf - inf) as marker heights, drive every comparison of the
+    # marker update with unordered operands.
+    _check(data, tuple(quantiles))
+
+
+def test_copy_is_independent_and_exact():
+    sk = QuantileSketch()
+    for x in range(1, 40):
+        sk.observe(x * 0.5)
+    twin = sk.copy()
+    assert repr(twin.snapshot_state()) == repr(sk.snapshot_state())
+    twin.observe(100.0)
+    assert twin.count == sk.count + 1
+    assert sk.max == 19.5

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,3 +91,41 @@ def test_property_coverage_is_a_cdf(n_files):
         assert 0.0 <= cur <= 1.0
         assert cur >= prev
         prev = cur
+
+
+# ----------------------------------------------------------------------
+# The bisect draw picks the index np.searchsorted would
+# ----------------------------------------------------------------------
+
+
+def _searchsorted_name(fs, u):
+    cdf = np.asarray(fs._cdf)
+    return fs.file_name(min(int(np.searchsorted(cdf, u)), fs.n_files - 1))
+
+
+class _FixedU:
+    """A stand-in RNG whose ``random()`` returns a chosen ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_draw_matches_searchsorted_at_every_cdf_entry():
+    fs = FileSet(n_files=3000, zipf_s=0.8)
+    for u in [0.0] + list(fs._cdf):
+        assert fs.sample(_FixedU(u)) == _searchsorted_name(fs, u)
+
+
+@settings(max_examples=30)
+@given(
+    st.integers(min_value=1, max_value=5000),
+    st.floats(min_value=0.1, max_value=2.0),
+    st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=50),
+)
+def test_draw_matches_searchsorted_for_random_u(n_files, zipf_s, us):
+    fs = FileSet(n_files=n_files, zipf_s=zipf_s)
+    for u in us:
+        assert fs.sample(_FixedU(u)) == _searchsorted_name(fs, u)
