@@ -14,9 +14,8 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_left
+from itertools import accumulate
 from typing import List
-
-import numpy as np
 
 #: Defaults sized against the testbed: 128 MB cache/node, 4 nodes hold
 #: ~51k files.  The paper chose the trace with the *largest working set*,
@@ -45,14 +44,14 @@ class FileSet:
         self.n_files = n_files
         self.file_bytes = file_bytes
         self.zipf_s = zipf_s
-        ranks = np.arange(1, n_files + 1, dtype=np.float64)
-        weights = ranks ** (-zipf_s)
-        cdf = np.cumsum(weights)
-        cdf /= cdf[-1]
-        # The per-request draw bisects this in C: a flat array of the
-        # same doubles skips numpy's per-call dispatch (~4x cheaper than
-        # ``np.searchsorted`` on one scalar) at the same footprint.
-        self._cdf = array("d", cdf.tobytes())
+        # A left-to-right running sum normalised by its total, so the
+        # last entry is exactly 1.0.  Changing the summation order moves
+        # CDF entries by ulps and, rarely, a draw: bump the snapshot
+        # FORMAT_VERSION and recheck the result fingerprints if you do.
+        # Held as a flat array of doubles that ``sample`` bisects in C.
+        cum = list(accumulate(rank ** -zipf_s for rank in range(1, n_files + 1)))
+        total = cum[-1]
+        self._cdf = array("d", [c / total for c in cum])
 
     def size(self, file_id: str) -> int:
         """Every file has the trace's uniform size (see module docstring)."""

@@ -1,8 +1,10 @@
 """Tests for the synthetic trace / file population."""
 
+import math
 import random
+import struct
+from array import array
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,11 +96,91 @@ def test_property_coverage_is_a_cdf(n_files):
 
 
 # ----------------------------------------------------------------------
+# numpy is a test-only oracle: the runtime builds the CDF and draws from
+# it with the standard library.
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def np():
+    return pytest.importorskip("numpy")
+
+
+# ----------------------------------------------------------------------
+# The pure-Python CDF is the numpy-built one to within 2 ulp
+# ----------------------------------------------------------------------
+
+
+def _numpy_cdf(np, n_files, zipf_s):
+    """The oracle: numpy's vectorised power, cumsum and in-place divide."""
+    ranks = np.arange(1, n_files + 1, dtype=np.float64)
+    cdf = np.cumsum(ranks ** (-zipf_s))
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _ordinal(x):
+    """Position of a non-negative double on the line of doubles."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+@pytest.mark.parametrize("zipf_s", [0.5, 0.8, 1.2])
+@pytest.mark.parametrize("n_files", [64, 300, 1000, 3000, 60_000])
+def test_cdf_within_two_ulp_of_numpy(np, n_files, zipf_s):
+    ours = FileSet(n_files=n_files, zipf_s=zipf_s)._cdf
+    theirs = _numpy_cdf(np, n_files, zipf_s).tolist()
+    assert len(ours) == len(theirs) == n_files
+    worst = max(abs(_ordinal(a) - _ordinal(b)) for a, b in zip(ours, theirs))
+    assert worst <= 2
+
+
+@pytest.mark.parametrize("zipf_s", [0.0, 0.5, 0.8, 1.2, 2.0])
+@pytest.mark.parametrize("n_files", [1, 2, 64, 60_000])
+def test_cdf_ends_at_exactly_one(n_files, zipf_s):
+    assert FileSet(n_files=n_files, zipf_s=zipf_s)._cdf[-1] == 1.0
+
+
+def _nudged(cdf):
+    """``cdf`` with every 20th entry but the last moved by 1 or 2 ulp,
+    alternately up and down."""
+    out = array("d", cdf)
+    for k, i in enumerate(range(0, len(out) - 1, 20)):
+        toward = 2.0 if k % 2 else 0.0
+        for _ in range(1 + (k // 2) % 2):
+            out[i] = math.nextafter(out[i], toward)
+    return out
+
+
+def test_full_scale_draw_stream_matches_numpy_cdf(np):
+    """Where two CDFs differ by <= 2 ulp a draw moves only when
+    ``rng.random()`` lands exactly on a moved boundary.
+
+    Whether the numpy-built CDF differs from ours at all depends on the
+    ``power`` routine numpy dispatches to on the CPU at hand, so the
+    stream is also checked against a copy of ours that is nudged by
+    1-2 ulp on every host.
+    """
+    fs = FileSet(n_files=60_000, zipf_s=0.8)
+    ours = fs.sample_many(random.Random(7), 200_000)
+
+    def stream(cdf):
+        other = FileSet(n_files=60_000, zipf_s=0.8)
+        other._cdf = cdf
+        return other.sample_many(random.Random(7), 200_000)
+
+    nudged = _nudged(fs._cdf)
+    worst = max(abs(_ordinal(a) - _ordinal(b)) for a, b in zip(nudged, fs._cdf))
+    assert worst == 2 and nudged[-1] == 1.0
+    assert stream(nudged) == ours
+    assert stream(array("d", _numpy_cdf(np, 60_000, 0.8).tobytes())) == ours
+
+
+# ----------------------------------------------------------------------
 # The bisect draw picks the index np.searchsorted would
 # ----------------------------------------------------------------------
 
 
-def _searchsorted_name(fs, u):
+def _searchsorted_name(np, fs, u):
     cdf = np.asarray(fs._cdf)
     return fs.file_name(min(int(np.searchsorted(cdf, u)), fs.n_files - 1))
 
@@ -113,10 +195,10 @@ class _FixedU:
         return self.u
 
 
-def test_draw_matches_searchsorted_at_every_cdf_entry():
+def test_draw_matches_searchsorted_at_every_cdf_entry(np):
     fs = FileSet(n_files=3000, zipf_s=0.8)
     for u in [0.0] + list(fs._cdf):
-        assert fs.sample(_FixedU(u)) == _searchsorted_name(fs, u)
+        assert fs.sample(_FixedU(u)) == _searchsorted_name(np, fs, u)
 
 
 @settings(max_examples=30)
@@ -125,7 +207,7 @@ def test_draw_matches_searchsorted_at_every_cdf_entry():
     st.floats(min_value=0.1, max_value=2.0),
     st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=50),
 )
-def test_draw_matches_searchsorted_for_random_u(n_files, zipf_s, us):
+def test_draw_matches_searchsorted_for_random_u(np, n_files, zipf_s, us):
     fs = FileSet(n_files=n_files, zipf_s=zipf_s)
     for u in us:
-        assert fs.sample(_FixedU(u)) == _searchsorted_name(fs, u)
+        assert fs.sample(_FixedU(u)) == _searchsorted_name(np, fs, u)
