@@ -13,11 +13,7 @@ baseline:
   speedup) must have ``recorded.cold_s / recorded.warm_s >= min_speedup``;
 * claims naming a live ``pair`` of benches are additionally re-measured:
   the cold bench's min over the warm bench's min must clear
-  ``min_speedup`` on this machine, not just in the committed record;
-* CPU-aware claims (the parallel LP backend bounds) carry a second
-  ``min_speedup_multicore`` branch, selected by ``recorded.cpus`` for
-  the arithmetic check and by ``os.cpu_count()`` for the live pair, so
-  the same baseline gates honestly on 1-core and multi-core runners.
+  ``min_speedup`` on this machine, not just in the committed record.
 
 ``--update`` refreshes the ``post_pr_s`` numbers from the current run
 (preserving the ``pre_pr_s`` reference column, which is only measured
@@ -86,21 +82,6 @@ def run_benchmarks(passes: int = 2) -> dict:
     return results
 
 
-def claim_threshold(claim: dict, cpus) -> float:
-    """The speedup a claim requires on a host with ``cpus`` cores.
-
-    CPU-aware claims (the parallel LP backends) carry two branches: on a
-    multi-core host ``min_speedup_multicore`` applies; on a single core —
-    where a parallel backend has no hardware to win with — the gate
-    degrades to the honest ``min_speedup`` overhead bound, so CI stays
-    meaningful on either runner class.
-    """
-    multicore = claim.get("min_speedup_multicore")
-    if multicore is not None and cpus is not None and cpus >= 2:
-        return float(multicore)
-    return float(claim.get("min_speedup", 2.0))
-
-
 def check_claims(baseline: dict) -> list:
     """Arithmetic re-check of the committed improvement claims."""
     failures = []
@@ -116,9 +97,7 @@ def check_claims(baseline: dict) -> list:
             )
     for name, claim in baseline.get("claims", {}).items():
         recorded = claim.get("recorded", {})
-        # The committed record was measured on recorded['cpus'] cores
-        # (absent = assume the claim is not CPU-dependent).
-        need = claim_threshold(claim, recorded.get("cpus"))
+        need = float(claim.get("min_speedup", 2.0))
         cold = recorded.get("cold_s")
         warm = recorded.get("warm_s")
         if not need or not cold or not warm or cold / warm < need:
@@ -138,9 +117,7 @@ def check_live_pairs(baseline: dict, measured: dict) -> list:
         if not pair:
             continue
         cold_name, warm_name = pair
-        # Live pairs run on THIS machine, so the branch is picked by the
-        # live core count, not the committed record's.
-        need = claim_threshold(claim, os.cpu_count())
+        need = float(claim.get("min_speedup", 2.0))
         cold = measured.get(cold_name)
         warm = measured.get(warm_name)
         if cold is None or warm is None:
@@ -151,14 +128,9 @@ def check_live_pairs(baseline: dict, measured: dict) -> list:
             continue
         ratio = cold / warm
         status = "ok" if ratio >= need else "FAIL"
-        branch = (
-            f" [{os.cpu_count()}-core branch]"
-            if claim.get("min_speedup_multicore") is not None
-            else ""
-        )
         print(
             f"bench-gate: claim {name}: live {cold * 1e3:.2f} ms / "
-            f"{warm * 1e3:.2f} ms = {ratio:.2f}x (need >={need}x){branch} {status}"
+            f"{warm * 1e3:.2f} ms = {ratio:.2f}x (need >={need}x) {status}"
         )
         if ratio < need:
             failures.append(

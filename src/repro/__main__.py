@@ -35,7 +35,6 @@ from .experiments.store import CACHE_DIR_ENV
 from .faults.spec import FaultKind
 from .obs.exporters import TRACE_FORMATS
 from .press.cluster import ExperimentScale
-from .sim.lpexec import BACKENDS
 
 
 def _repetition(args: argparse.Namespace):
@@ -67,8 +66,6 @@ def _settings(args: argparse.Namespace) -> Phase1Settings:
             replications=args.replications,
             fastpath=not args.no_fastpath,
             n_nodes=args.nodes,
-            shards=args.shards,
-            lp_backend=args.lp_backend,
             repetition=_repetition(args),
         )
     except ValueError as exc:
@@ -415,22 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--nodes", type=int, default=4,
-        help="cluster size (the paper's testbed is 4; scaling studies "
-        "use 16/64)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help="partition the event engine into N logical processes under "
-        "conservative synchronization (bit-identical results for every "
-        "value; capped at --nodes; see PERFORMANCE.md \"LP sharding\")",
-    )
-    parser.add_argument(
-        "--lp-backend", choices=list(BACKENDS), default="serial",
-        help="execution backend for the sharded engine: serial (exact "
-        "in-process merge, the default), threads (per-LP worker threads, "
-        "debug fallback), or processes (per-LP OS workers exchanging "
-        "EOT/null messages over pipes); byte-identical results for every "
-        "choice — see PERFORMANCE.md \"Parallel LP backend\"",
+        help="cluster size (the paper's testbed is 4; larger clusters "
+        "run in the same single event loop)",
     )
     parser.add_argument(
         "--trace-dir", default=None,
@@ -456,8 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile", action="store_true",
         help="attach the wall-clock flight recorder to every campaign "
-        "cell: per-layer self-time, fastpath/heap-churn counters, LP "
-        "shard balance — persisted to the store's perf/ namespace and "
+        "cell: per-layer self-time, fastpath/heap-churn counters — "
+        "persisted to the store's perf/ namespace and "
         "a BENCH_campaign.json ledger (results stay byte-identical; "
         "read back with perf-report; see OBSERVABILITY.md)",
     )
@@ -490,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf = sub.add_parser(
         "perf-report",
         help="where a profiled campaign's wall-clock went: per-layer "
-        "self-time, fastpath hit rate, heap churn, LP shard balance, "
-        "per-cell breakdown (needs a --profile campaign in the store)",
+        "self-time, fastpath hit rate, heap churn, per-cell breakdown "
+        "(needs a --profile campaign in the store)",
     )
     p_perf.add_argument("store", help="campaign cache dir (a DiskStore)")
     p_perf.add_argument(

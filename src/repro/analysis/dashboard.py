@@ -25,7 +25,7 @@ Sections:
   warmup, operator reset) each lost or SLO-slow request is charged to;
 * **performance** — the wall-clock flight recorder's view of the
   *simulator* (``--profile`` campaigns only): per-layer self-time,
-  fastpath hit rate, heap churn, and LP shard balance from the store's
+  fastpath hit rate and heap churn from the store's
   volatile ``perf/`` namespace and ``BENCH_campaign.json`` ledger.
 """
 
@@ -596,7 +596,6 @@ def _performance_section(
             "layers": profile.get("layers") or {},
             "counters": profile.get("counters") or {},
             "engine": profile.get("engine") or {},
-            "lp": profile.get("lp"),
             "cells": ledger.get("top_cells") or [],
         }
         totals = agg["totals"]
@@ -639,45 +638,6 @@ def _performance_section(
             f"{eng.get('freelist_reuse', 0)} freelist reuses, "
             f"{eng.get('compactions', 0)} heap compaction(s).</p>"
         )
-    lp = agg["lp"]
-    if lp and lp.get("shards"):
-        events = lp.get("lp_events") or []
-        per = ", ".join(f"lp{i}: {n}" for i, n in enumerate(events))
-        # Zero-event/zero-time LPs make the ratio undefined: render
-        # "n/a", never a division error or an inf.
-        imb = lp.get("imbalance")
-        imb_txt = f"{imb:.2f}x ideal" if imb is not None else "n/a"
-        out.append(
-            f"<p>LP shards: {lp['shards']} — load imbalance "
-            f"{imb_txt} "
-            f"({escape(per)}); {lp.get('nulls_sent', 0)} null messages "
-            f"sent, {lp.get('nulls_received', 0)} received, "
-            f"merge-loop idle {_fmt(lp.get('merge_idle_s'), 4)}s.</p>"
-        )
-        worker_exec = lp.get("worker_exec_s") or []
-        if any(worker_exec):
-            wimb = lp.get("worker_imbalance")
-            wimb_txt = f"{wimb:.2f}x ideal" if wimb is not None else "n/a"
-            idle = lp.get("worker_idle_s") or []
-            blocked = lp.get("worker_blocked_s") or []
-            out.append(
-                f"<p>LP workers ({escape(str(lp.get('backend') or '?'))}): "
-                f"load imbalance {wimb_txt} over real per-worker wall "
-                "clocks.</p>"
-            )
-            out.append(
-                "<table><tr><th class='label'>worker</th><th>exec (s)</th>"
-                "<th>idle (s)</th><th>blocked-on-null (s)</th></tr>"
-            )
-            for i, ex in enumerate(worker_exec):
-                idl = idle[i] if i < len(idle) else 0.0
-                blk = blocked[i] if i < len(blocked) else 0.0
-                out.append(
-                    f"<tr><td class='label'>lp{i}</td>"
-                    f"<td>{_fmt(ex, 4)}</td><td>{_fmt(idl, 4)}</td>"
-                    f"<td>{_fmt(blk, 4)}</td></tr>"
-                )
-            out.append("</table>")
     if agg["cells"]:
         out.append(
             "<table><tr><th class='label'>cell</th><th>execute (s)</th>"

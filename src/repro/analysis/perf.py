@@ -6,7 +6,7 @@ behind a ``--profile`` campaign:
 * one JSON record per executed cell in the store's volatile ``perf/``
   namespace — the wall-clock breakdown (execute / warm-restore /
   serialize / snapshot) plus the profiler digest (per-layer self-time,
-  fastpath counters, engine heap churn, LP shard balance);
+  fastpath counters, engine heap churn);
 * one consolidated ``BENCH_campaign.json`` **ledger** in the cache dir —
   the campaign-level rollup of those records joined with the report's
   wall-clock, warm-start traffic, and replication budget.
@@ -46,60 +46,6 @@ def _cell_label(row: dict) -> str:
     return label
 
 
-def _merge_lp(agg: Optional[dict], lp: dict) -> dict:
-    """Fold one cell's LP stats into the campaign aggregate."""
-    if agg is None:
-        agg = {
-            "shards": 0,
-            "backend": None,
-            "bursts": 0,
-            "nulls_sent": 0,
-            "nulls_received": 0,
-            "eot_advances": 0,
-            "lp_events": [],
-            "lp_exec_s": [],
-            "worker_exec_s": [],
-            "worker_idle_s": [],
-            "worker_blocked_s": [],
-            "merge_idle_s": 0.0,
-        }
-    agg["shards"] = max(agg["shards"], int(lp.get("shards", 0)))
-    backend = lp.get("backend")
-    if backend:
-        prev = agg.get("backend")
-        agg["backend"] = backend if prev in (None, backend) else "mixed"
-    for key in ("bursts", "nulls_sent", "nulls_received", "eot_advances"):
-        agg[key] += int(lp.get(key, 0))
-    agg["merge_idle_s"] += float(lp.get("merge_idle_s", 0.0))
-    for key in (
-        "lp_events",
-        "lp_exec_s",
-        "worker_exec_s",
-        "worker_idle_s",
-        "worker_blocked_s",
-    ):
-        values = lp.get(key) or []
-        dst = agg[key]
-        while len(dst) < len(values):
-            dst.append(0 if key == "lp_events" else 0.0)
-        for i, v in enumerate(values):
-            dst[i] += v
-    return agg
-
-
-def _imbalance(shares: List[float]) -> Optional[float]:
-    """Load-imbalance index: max LP share over the ideal equal share.
-
-    ``None`` (rendered ``n/a``) when nothing ran — a share of zero work
-    is undefined, not perfectly balanced, and must never divide by zero
-    or read as ``inf``.
-    """
-    total = sum(shares)
-    if not shares or total <= 0:
-        return None
-    return max(shares) * len(shares) / total
-
-
 def aggregate_perf(rows: Iterable[dict]) -> dict:
     """Campaign-wide rollup of per-cell perf records.
 
@@ -126,7 +72,6 @@ def aggregate_perf(rows: Iterable[dict]) -> dict:
         "freelist_reuse": 0,
         "compactions": 0,
     }
-    lp: Optional[dict] = None
     cells: List[dict] = []
     for row in rows:
         if not isinstance(row, dict):
@@ -146,8 +91,6 @@ def aggregate_perf(rows: Iterable[dict]) -> dict:
         eng = profile.get("engine") or {}
         for key in engine:
             engine[key] += int(eng.get(key) or 0)
-        if profile.get("lp"):
-            lp = _merge_lp(lp, profile["lp"])
         cells.append(
             {
                 "cell": _cell_label(row),
@@ -159,9 +102,6 @@ def aggregate_perf(rows: Iterable[dict]) -> dict:
                 "warm_status": row.get("warm_status"),
             }
         )
-    if lp is not None:
-        lp["imbalance"] = _imbalance(lp["lp_events"])
-        lp["worker_imbalance"] = _imbalance(lp.get("worker_exec_s") or [])
     # Stable label order (not wall-clock order) so the aggregate — and
     # the ledger rows built from it — byte-diffs cleanly across runs
     # with identical structure; display views re-sort by cost locally.
@@ -171,7 +111,6 @@ def aggregate_perf(rows: Iterable[dict]) -> dict:
         "layers": {k: layers[k] for k in sorted(layers)},
         "counters": {k: counters[k] for k in sorted(counters)},
         "engine": engine,
-        "lp": lp,
         "cells": cells,
     }
 
@@ -223,7 +162,6 @@ def campaign_ledger(report, settings=None) -> dict:
             "layers": agg["layers"],
             "counters": agg["counters"],
             "engine": agg["engine"],
-            "lp": agg["lp"],
         },
         # Top 10 by execute time, then label-sorted so the committed
         # ledger is byte-stable whenever the same rows make the cut.
@@ -241,8 +179,6 @@ def campaign_ledger(report, settings=None) -> dict:
             ),
             "seed": getattr(settings, "seed", None),
             "n_nodes": getattr(settings, "n_nodes", None),
-            "shards": getattr(settings, "shards", None),
-            "lp_backend": getattr(settings, "lp_backend", None),
             "fastpath": getattr(settings, "fastpath", None),
             "replications": getattr(settings, "replications", None),
         }
@@ -319,54 +255,6 @@ def _fastpath_lines(counters: Dict[str, int]) -> List[str]:
     ]
 
 
-def _ratio(value: Optional[float]) -> str:
-    """Render an imbalance index, or ``n/a`` for the undefined case."""
-    return f"{value:.2f}x ideal" if value is not None else "n/a"
-
-
-def _lp_lines(lp: Optional[dict]) -> List[str]:
-    if not lp or not lp.get("shards"):
-        return []
-    events = lp.get("lp_events") or []
-    exec_s = lp.get("lp_exec_s") or []
-    lines = [
-        f"lp shards: {lp['shards']} — load imbalance "
-        f"{_ratio(lp.get('imbalance'))}, "
-        f"{lp.get('nulls_sent', 0)} null msgs sent, "
-        f"{lp.get('nulls_received', 0)} received, "
-        f"{lp.get('eot_advances', 0)} EOT advances, "
-        f"merge-loop idle {lp.get('merge_idle_s', 0.0):.4f}s",
-    ]
-    if events:
-        per = " ".join(
-            f"lp{i}:{n}"
-            + (f"({exec_s[i]:.3f}s)" if i < len(exec_s) and exec_s[i] else "")
-            for i, n in enumerate(events)
-        )
-        lines.append(f"  events per LP: {per}")
-    worker_exec = lp.get("worker_exec_s") or []
-    if any(worker_exec):
-        backend = lp.get("backend") or "?"
-        idle = lp.get("worker_idle_s") or []
-        blocked = lp.get("worker_blocked_s") or []
-        lines.append(
-            f"lp workers ({backend}): load imbalance "
-            f"{_ratio(lp.get('worker_imbalance'))} over real per-worker "
-            "wall clocks"
-        )
-        lines.append(
-            f"  {'worker':8s} {'exec_s':>10s} {'idle_s':>10s}"
-            f" {'blocked_on_null_s':>18s}"
-        )
-        for i, ex in enumerate(worker_exec):
-            idl = idle[i] if i < len(idle) else 0.0
-            blk = blocked[i] if i < len(blocked) else 0.0
-            lines.append(
-                f"  lp{i:<6d} {ex:10.4f} {idl:10.4f} {blk:18.4f}"
-            )
-    return lines
-
-
 def _cell_lines(cells: List[dict], top: int = 15) -> List[str]:
     lines = [
         f"  {'cell':38s} {'execute':>9s} {'restore':>9s}"
@@ -441,7 +329,6 @@ def render_perf_report(
             "layers": profile.get("layers") or {},
             "counters": profile.get("counters") or {},
             "engine": profile.get("engine") or {},
-            "lp": profile.get("lp"),
             "cells": ledger.get("top_cells") or [],
         }
         totals = agg["totals"]
@@ -465,7 +352,6 @@ def render_perf_report(
             f"(freelist reuse {reuse_pct}), "
             f"{eng.get('compactions', 0)} heap compaction(s)"
         )
-    lines += _lp_lines(agg["lp"])
     if agg["cells"]:
         lines.append("per-cell wall-clock breakdown (top by execute time):")
         lines += _cell_lines(agg["cells"])
@@ -575,14 +461,6 @@ def perf_compare(dir_a, dir_b) -> Tuple[str, bool]:
                     unit=" ",
                 )
             )
-    imb_a = (agg_a["lp"] or {}).get("imbalance")
-    imb_b = (agg_b["lp"] or {}).get("imbalance")
-    if imb_a is not None or imb_b is not None:
-        lines.append(
-            _delta_line(
-                "lp.imbalance", imb_a or 0.0, imb_b or 0.0, unit="x"
-            )
-        )
     return "\n".join(lines), True
 
 
@@ -666,10 +544,6 @@ def perf_compare_json(dir_a, dir_b) -> Tuple[str, bool]:
             for name in sorted(
                 set(agg_a["counters"]) | set(agg_b["counters"])
             )
-        },
-        "lp_imbalance": {
-            "a": (agg_a["lp"] or {}).get("imbalance"),
-            "b": (agg_b["lp"] or {}).get("imbalance"),
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True), has_a and has_b

@@ -49,8 +49,6 @@ def build_cluster(config: PressConfig, settings: Phase1Settings) -> PressCluster
         restart_delay=settings.restart_delay,
         reboot_time=settings.reboot_time,
         fastpath=settings.fastpath,
-        shards=settings.shards,
-        lp_backend=settings.lp_backend,
     )
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -625,27 +624,6 @@ class CampaignRunner:
         self.settings = settings
         self.store = store if store is not None else MemoryStore()
         self.jobs = max(1, int(jobs))
-        #: oversubscription guard: under --lp-backend processes every
-        #: cell spawns `shards` worker processes *besides* its pool
-        #: worker, so an unchecked --jobs J runs J*(shards+1) processes.
-        #: Cap the pool so cells x per-cell workers stays within the
-        #: host (never below 1; noted on the report when it bites).
-        self._jobs_notice: Optional[str] = None
-        if settings.lp_backend == "processes" and self.jobs > 1:
-            per_cell = 1 + max(
-                1, min(settings.shards, settings.n_nodes)
-            )
-            cap = max(1, (os.cpu_count() or 1) // per_cell)
-            if self.jobs > cap:
-                self._jobs_notice = (
-                    f"campaign pool capped at {cap} job(s) (asked "
-                    f"{self.jobs}): --lp-backend processes runs "
-                    f"{per_cell - 1} LP worker(s) per cell, and "
-                    f"{self.jobs} cells x {per_cell} processes would "
-                    f"oversubscribe {os.cpu_count() or 1} CPU(s) — see "
-                    "PERFORMANCE.md \"Parallel LP backend\""
-                )
-                self.jobs = cap
         self.use_cache = use_cache
         self.on_cell = on_cell
         self.trace_dir = str(trace_dir) if trace_dir is not None else None
@@ -1034,8 +1012,6 @@ class CampaignRunner:
             policy=policy.rule,
             reps_ceiling_per_stream=rule.max_reps,
         )
-        if self._jobs_notice:
-            report.notices.append(self._jobs_notice)
         started = time.perf_counter()
 
         # Streams: the baseline and every fault of each version

@@ -134,19 +134,9 @@ class Phase1Settings:
     # ``False`` is the reference mode (`--no-fastpath`) that schedules
     # every per-hop event explicitly.
     fastpath: bool = True
-    # Cluster size.  The paper's testbed is fixed at 4; scaling studies
-    # (ROADMAP item 1) raise this to 16/64.
+    # Cluster size (`--nodes`).  The paper's testbed has 4 nodes; larger
+    # clusters run in the same single event loop.
     n_nodes: int = 4
-    # Logical-process sharding of the event engine (repro.sim.lp).
-    # Like ``fastpath``, results are bit-identical for every value
-    # (enforced by the equivalence tests); >1 partitions the engine into
-    # per-node-group queues under conservative synchronization.
-    shards: int = 1
-    # Execution backend of the sharded engine (repro.sim.lpexec):
-    # "serial" (in-process exact merge), "threads", or "processes".
-    # Like shards, byte-identical results for every value — and like
-    # shards, keyed so a verification run actually runs.
-    lp_backend: str = "serial"
     # Replication policy.  ``None`` means "fixed at ``replications``" —
     # the legacy mode; an adaptive :class:`RepetitionPolicy` makes the
     # campaign runner extend each stream until its stopping rule fires.
@@ -163,17 +153,6 @@ class Phase1Settings:
             raise ValueError(
                 f"n_nodes must be an integer >= 2 (got {self.n_nodes!r}); "
                 "PRESS needs at least one peer to forward to"
-            )
-        if not isinstance(self.shards, int) or self.shards < 1:
-            raise ValueError(
-                f"shards must be a positive integer (got {self.shards!r})"
-            )
-        from ..sim.lpexec import BACKENDS
-
-        if self.lp_backend not in BACKENDS:
-            raise ValueError(
-                f"lp_backend must be one of {BACKENDS}, "
-                f"got {self.lp_backend!r}"
             )
 
     def repetition_policy(self) -> RepetitionPolicy:
@@ -213,12 +192,6 @@ class Phase1Settings:
             # hit a cache entry produced by the mode it is checking.
             self.fastpath,
             self.n_nodes,
-            # Same rationale as fastpath: a `--shards N` verification
-            # run must not be satisfied from another mode's cache.
-            self.shards,
-            # And again for `--lp-backend`: byte-identity across
-            # backends is checked by running each one for real.
-            self.lp_backend,
         )
 
     def cache_key(self) -> tuple:

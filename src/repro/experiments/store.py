@@ -62,16 +62,19 @@ from typing import Dict, Optional, Tuple, Union
 #:   v7 — cluster scale and LP sharding become settings: the settings
 #:        key gains ``n_nodes`` (cluster size, previously fixed at the
 #:        paper's 4) and ``shards`` (logical-process partitioning of the
-#:        engine, repro.sim.lp).  Payloads are byte-identical for every
+#:        engine).  Payloads are byte-identical for every
 #:        ``shards`` value — it is keyed, like ``fastpath``, only so a
 #:        verification run cannot be satisfied from another mode's
 #:        cache.
-#:   v8 — parallel LP execution: the settings key gains ``lp_backend``
-#:        (serial / threads / processes execution of the sharded
-#:        engine, repro.sim.lpexec).  Same contract as ``shards``:
+#:   v8 — parallel LP execution: the settings key gains the LP
+#:        backend (serial / threads / processes execution of the
+#:        sharded engine).  Same contract as ``shards``:
 #:        payloads are byte-identical for every backend, keyed only so
 #:        a verification run actually runs.
-SCHEMA_VERSION = 8
+#:   v9 — LP sharding and the parallel LP backends are removed: the
+#:        settings key loses the shard count and the LP backend.
+#:        Payloads are unchanged; only the key shape differs.
+SCHEMA_VERSION = 9
 
 #: Environment variable consulted by the CLI for a default cache dir.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

@@ -174,11 +174,6 @@ class Fabric:
             loss_fn=loss_fn,
         )
         link._fabric = self
-        # On a sharded engine (repro.sim.lp), remember the owner node's
-        # LP so delivery events can be pinned to the receiver's queue.
-        shard_of = getattr(self.engine, "shard_of", None)
-        if shard_of is not None:
-            link._lp = shard_of(node_id)
         nic = Nic(self.engine, node_id, link, reports_errors=reports_errors)
         nic._fabric = self
         self.links[node_id] = link
@@ -392,17 +387,7 @@ class Fabric:
         flight.end_d = end = start + wire / dst_link.bandwidth
         flight.t3 = t3 = end + dst_link.latency
         resv.append(flight)
-        # The closed-form delivery time doubles as the CMB lookahead
-        # fast-forward: pinning the event to the destination's LP tells
-        # that queue its next cross-channel event up front, at submit
-        # time, instead of hop by hop.
-        lp = dst_link._lp
-        if lp is not None:
-            prev = engine.pin(lp)
-            flight.timer = engine.call_at(t3, self._fast_deliver, flight, dst_link)
-            engine.pin(prev)
-        else:
-            flight.timer = engine.call_at(t3, self._fast_deliver, flight, dst_link)
+        flight.timer = engine.call_at(t3, self._fast_deliver, flight, dst_link)
         self._flights[flight] = None
 
     def _reserve(self, dst_link: Link, flight: _FastFlight) -> None:
@@ -431,25 +416,19 @@ class Fabric:
         engine = self.engine
         bandwidth = dst_link.bandwidth
         latency = dst_link.latency
-        lp = dst_link._lp
-        pinned = engine.pin(lp) if lp is not None else None
-        try:
-            for i in range(pos, len(resv)):
-                fl = resv[i]
-                start = max(fl.exit, prev_end)
-                end = start + fl.wire / bandwidth
-                if fl.timer is not None and start == fl.start_d and end == fl.end_d:
-                    return
-                fl.start_d = start
-                fl.end_d = end
-                fl.t3 = t3 = end + latency
-                if fl.timer is not None:
-                    fl.timer.cancel()
-                fl.timer = engine.call_at(t3, self._fast_deliver, fl, dst_link)
-                prev_end = end
-        finally:
-            if pinned is not None:
-                engine.pin(pinned)
+        for i in range(pos, len(resv)):
+            fl = resv[i]
+            start = max(fl.exit, prev_end)
+            end = start + fl.wire / bandwidth
+            if fl.timer is not None and start == fl.start_d and end == fl.end_d:
+                return
+            fl.start_d = start
+            fl.end_d = end
+            fl.t3 = t3 = end + latency
+            if fl.timer is not None:
+                fl.timer.cancel()
+            fl.timer = engine.call_at(t3, self._fast_deliver, fl, dst_link)
+            prev_end = end
 
     def _fast_deliver(self, flight: _FastFlight, dst_link: Link) -> None:
         """The single fast-path event: the frame reaches its NIC.
@@ -506,17 +485,6 @@ class Fabric:
                 fl.dst_final = True
             del resv[:i]
 
-    def _call_pinned(self, lp: Optional[int], time: float, fn, *args) -> None:
-        """Schedule ``fn`` at ``time`` on LP ``lp`` (or with inherited
-        affinity when the engine is not sharded)."""
-        engine = self.engine
-        if lp is not None:
-            prev = engine.pin(lp)
-            engine.call_at(time, fn, *args)
-            engine.pin(prev)
-        else:
-            engine.call_at(time, fn, *args)
-
     # -- materialization on topology transitions ----------------------------
     def _fastpath_transition(self) -> None:
         """A fail-stop state changed somewhere: re-expand in-flight fast
@@ -567,8 +535,7 @@ class Fabric:
                 busy = dst_link._busy_until
                 if fl.end_d > busy["b2a"]:
                     busy["b2a"] = fl.end_d
-                self._call_pinned(
-                    dst_link._lp,
+                self.engine.call_at(
                     fl.t3,
                     dst_link._arrive,
                     frame.kind,
@@ -577,8 +544,7 @@ class Fabric:
             elif fl.arrive1 >= now:
                 # Not yet at the switch: re-enter at the source-link
                 # arrival, stock machinery from there.
-                self._call_pinned(
-                    src_link._lp,
+                self.engine.call_at(
                     fl.arrive1,
                     src_link._arrive,
                     frame.kind,
@@ -592,8 +558,7 @@ class Fabric:
                         arrive_switch=fl.arrive1,
                     )
                 switch.frames_forwarded += 1
-                self._call_pinned(
-                    self.links[frame.dst]._lp,
+                self.engine.call_at(
                     fl.exit,
                     self._switch_exit,
                     frame,
@@ -634,20 +599,9 @@ class Fabric:
         dst_link = self.links[frame.dst]
         if dst_link._resv:
             self._interleave_slow(dst_link, seq)
-        lp = dst_link._lp
-        if lp is not None:
-            # Slow-path delivery is the LP hand-off point: the arrival
-            # event (and everything the receiver schedules from it) must
-            # live on the receiver's queue.
-            prev = self.engine.pin(lp)
-            sent = dst_link.transmit(
-                "b2a", wire_size, frame.kind, _DeliverCb(self, frame)
-            )
-            self.engine.pin(prev)
-        else:
-            sent = dst_link.transmit(
-                "b2a", wire_size, frame.kind, _DeliverCb(self, frame)
-            )
+        sent = dst_link.transmit(
+            "b2a", wire_size, frame.kind, _DeliverCb(self, frame)
+        )
         if dst_link._resv:
             self._resequence(dst_link, 0)
         if not sent:

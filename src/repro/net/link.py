@@ -69,11 +69,6 @@ class Link:
         self._down_filter: Optional[Callable[[str], bool]] = None
         self._busy_until = {"a2b": 0.0, "b2a": 0.0}
         self._fabric = None  # set by Fabric.attach
-        # Logical-process affinity of the attached node (repro.sim.lp):
-        # the fabric pins this LP around frame-delivery scheduling so the
-        # receiver's events land on the receiver's queue.  None on a
-        # plain single-loop engine.
-        self._lp: Optional[int] = None
         self._resv: list = []  # fast-path b2a reservations (see Fabric)
         self._frames_carried = bound_counter(
             engine, "net.link.frames_carried", link=name

@@ -3,9 +3,8 @@
 Every other observability layer (bus, spans, sketches, attribution)
 explains the *simulated* system.  This one explains the simulator: which
 layer's callbacks burn the wall-clock, how often the fabric fast path
-actually engages, how much the engine's heap churns — the data the
-scaling work (ROADMAP items 1 and 4) needs before picking what to
-optimize next.
+actually engages, how much the engine's heap churns — the data a
+performance change needs before picking what to optimize next.
 
 Like the bus and the span collector, the recorder is an *attach point*
 on the engine (``engine.profiler``), and every instrumentation site
@@ -32,22 +31,6 @@ and the CI ``perf-smoke`` job.  Its output is wall-clock and therefore
 ``perf/`` namespace (beside ``warmstart/`` and ``repetition/``), never
 in the cell payload, so cache keys, payload fingerprints, and
 ``store-diff`` are untouched by nondeterministic timings.
-
-Per-worker flight-recorder merging
-----------------------------------
-Under a parallel LP backend (``--lp-backend threads|processes``, see
-:mod:`repro.sim.lpexec`) each worker measures its *own* wall clock —
-time spent executing, idling on an empty queue, and blocked waiting on
-a null-message bound — with the same ``perf_counter`` the recorder
-uses.  Those per-worker clocks are merged into the engine when the
-worker fleet is reaped at the end of ``run()``, and ``digest()`` picks
-them up through ``lp_stats()`` (``worker_exec_s`` / ``worker_idle_s`` /
-``worker_blocked_s`` and the ``worker_imbalance`` index), so
-``perf-report`` shows load imbalance computed from real per-worker
-wall clocks rather than the coordinator's view.  Unlike callback
-self-time, worker clocks are always on — they live inside the worker
-loops, not on the serial hot path, so the zero-overhead guard contract
-above is untouched.
 
 Self-time attribution
 ---------------------
@@ -174,8 +157,7 @@ class FlightRecorder:
         """JSON-ready summary for the per-cell perf record.
 
         ``engine`` (optional) contributes its scheduling/heap-churn
-        counters; an :class:`~repro.sim.lp.ShardedEngine` additionally
-        contributes its LP statistics under ``"lp"``.
+        counters.
         """
         total_events = sum(c for c, _ in self._sites.values())
         total_s = sum(s for _, s in self._sites.values())
@@ -202,9 +184,6 @@ class FlightRecorder:
                 "freelist_reuse": engine._seq - engine._timer_allocs,
                 "compactions": engine._compactions,
             }
-            lp_stats = getattr(engine, "lp_stats", None)
-            if lp_stats is not None:
-                out["lp"] = lp_stats()
         return out
 
 

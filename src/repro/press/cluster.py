@@ -25,7 +25,6 @@ from ..obs.bus import EventBus
 from ..obs.metrics import MetricsRegistry
 from ..osim.node import DEFAULT_DISK_ACCESS_TIME, Node
 from ..sim.engine import Engine
-from ..sim.lp import ShardedEngine, partition_nodes
 from ..sim.monitor import Annotations, ThroughputMonitor
 from ..sim.rng import RngRegistry
 from ..transports.base import Transport
@@ -157,26 +156,11 @@ class PressCluster:
         tcp_params=None,
         via_params=None,
         fastpath: bool = True,
-        shards: int = 1,
-        lp_backend: str = "serial",
     ):
         self.config_base = config
         self.scale = scale
         self.config = config.scaled(scale.cpu_factor)
-        # LP sharding (repro.sim.lp): a performance knob that must be
-        # invisible in every observable output.  More shards than nodes
-        # would leave empty queues in every scheduling round, so cap.
-        self.shards = max(1, min(int(shards), n_nodes))
-        # Execution backend (repro.sim.lpexec): same invisibility
-        # contract.  A parallel backend needs the sharded engine even at
-        # one shard, so the worker protocol has a queue to mirror.
-        self.lp_backend = lp_backend
-        if self.shards > 1 or lp_backend != "serial":
-            self.engine = ShardedEngine(
-                shards=self.shards, backend=lp_backend
-            )
-        else:
-            self.engine = Engine()
+        self.engine = Engine()
         # Attach the observability substrate before any component is
         # built, so construction-time counter registration and the
         # Annotations bus routing see it.
@@ -190,14 +174,6 @@ class PressCluster:
         self.annotations = Annotations(self.engine, bus=self.bus)
         self.monitor = ThroughputMonitor(self.engine, bucket_width=bucket_width)
         self.node_ids = [f"node{i}" for i in range(n_nodes)]
-        if self.shards > 1:
-            # The partition must be recorded before any NIC is attached:
-            # Fabric.attach captures each node's LP on its link so frame
-            # deliveries can be pinned to the receiver's queue.
-            for name, lp in partition_nodes(self.node_ids, self.shards).items():
-                self.engine.assign_shard(name, lp)
-            for i in range(n_clients):
-                self.engine.assign_shard(f"client{i}", i % self.shards)
         self.utilization = utilization
         self._tcp_params = scale.tcp_params(tcp_params)
         self._via_params = scale.via_params(via_params)
@@ -209,16 +185,7 @@ class PressCluster:
         self.nodes: Dict[str, Node] = {}
         self.transports: Dict[str, Transport] = {}
         self.servers: Dict[str, PressServer] = {}
-        sharded = self.shards > 1
         for node_id in self.node_ids:
-            # Build each node under its own LP affinity so any timer the
-            # node/transport/server creates at construction time lands on
-            # the node's queue.
-            pinned = (
-                self.engine.pin(self.engine.shard_of(node_id))
-                if sharded
-                else None
-            )
             nic = self.fabric.attach(node_id)
             node = Node(
                 self.engine,
@@ -243,8 +210,6 @@ class PressCluster:
                 all_server_ids=self.node_ids,
                 annotations=self.annotations,
             )
-            if pinned is not None:
-                self.engine.pin(pinned)
 
         self.workload = Workload(
             engine=self.engine,
@@ -303,18 +268,8 @@ class PressCluster:
         if self._started:
             raise RuntimeError("cluster already started")
         self._started = True
-        sharded = self.shards > 1
-        for node_id, node in self.nodes.items():
-            # Boot each node on its own LP: the process start chain (and
-            # the membership/heartbeat timers it arms) inherit from here.
-            pinned = (
-                self.engine.pin(self.engine.shard_of(node_id))
-                if sharded
-                else None
-            )
+        for node in self.nodes.values():
             node.process.start()
-            if pinned is not None:
-                self.engine.pin(pinned)
         if prewarm:
             self.prewarm()
         self.workload.start()

@@ -72,7 +72,7 @@ from .engine import SimulationError
 #:     (``repro.sim.ids``) alongside the (cluster, observatory) pair, and
 #:     ``Frame`` grew a ``trace_id`` slot for request-scoped tracing.
 #:
-#: v3: the engine may be a :class:`repro.sim.lp.ShardedEngine` (per-LP
+#: v3: the engine may be the sharded logical-process engine (per-LP
 #:     event queues + shard map + channel clocks in the pickled layout),
 #:     and ``Link`` carries its owner's LP affinity.
 #:
@@ -98,7 +98,10 @@ from .engine import SimulationError
 #:     ``pow`` (seen on an AVX-512 host), entries at 3,000 files and
 #:     more (s=0.8) differ from the numpy-built ones by up to 2 ulp, so
 #:     a v6 blob could restore a CDF that a cold cell no longer builds.
-FORMAT_VERSION = 7
+#:
+#: v8: the sharded engine is removed and ``Link`` no longer carries an
+#:     LP affinity slot; v7 blobs pickle the old ``Link`` layout.
+FORMAT_VERSION = 8
 
 #: Protocol 4 is the newest protocol supported by every interpreter in
 #: the CI matrix; the digest pins the writer's Python anyway, this just

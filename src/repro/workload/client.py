@@ -78,16 +78,7 @@ class ClientMachine:
     # ------------------------------------------------------------------
     def start(self) -> None:
         self._running = True
-        # Anchor the arrival chain on this client's logical process (when
-        # the engine is sharded): _fire re-schedules itself, so the whole
-        # open-loop process inherits the LP of this first schedule.
-        lp = self.nic.link._lp
-        if lp is not None:
-            prev = self.engine.pin(lp)
-            self._schedule_next()
-            self.engine.pin(prev)
-        else:
-            self._schedule_next()
+        self._schedule_next()
 
     def stop(self) -> None:
         self._running = False

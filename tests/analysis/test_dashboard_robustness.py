@@ -7,11 +7,18 @@ must degrade to a visible notice, never a KeyError/TypeError.
 """
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.dashboard import dashboard_from_store, render_dashboard
 from repro.analysis.perf import perf_compare, perf_report_from_store
+
+#: A schema-v8 store written by a profiled ``shards=2`` campaign before
+#: LP sharding was removed: one baseline cell, its perf record, and the
+#: ledger, each still carrying the retired ``"lp"`` section.
+LEGACY_LP_STORE = Path(__file__).parent / "legacy_lp_store"
 
 
 def test_dashboard_from_store_rejects_non_directories(tmp_path):
@@ -91,7 +98,6 @@ def test_render_dashboard_from_ledger_only():
             "layers": {"net": {"events": 10, "self_s": 1.0}},
             "counters": {"fabric.fast_cached": 5, "fabric.slow": 1},
             "engine": {"events_processed": 10},
-            "lp": {"shards": 2, "lp_events": [6, 4], "imbalance": 1.2},
         },
         "top_cells": [{"cell": "V/f#r0", "execute_s": 1.5, "events": 10}],
     }
@@ -132,3 +138,21 @@ def test_perf_compare_of_two_empty_dirs_is_not_comparable(tmp_path):
     text, comparable = perf_compare(a, b)
     assert not comparable
     assert "no flight-recorder data" in text
+
+
+def test_perf_report_renders_a_legacy_lp_store_without_an_lp_line():
+    text = perf_report_from_store(LEGACY_LP_STORE)
+    assert "self-time by layer" in text
+    assert "TCP-PRESS/baseline" in text
+    assert "lp shards" not in text
+    assert "lp workers" not in text
+
+
+def test_dashboard_renders_a_legacy_lp_store_without_an_lp_panel(tmp_path):
+    store = tmp_path / "legacy"
+    shutil.copytree(LEGACY_LP_STORE, store)
+    html = dashboard_from_store(store).read_text(encoding="utf-8")
+    assert "<h2>performance (flight recorder)</h2>" in html
+    assert "TCP-PRESS/baseline" in html
+    assert "LP shards" not in html
+    assert "LP workers" not in html

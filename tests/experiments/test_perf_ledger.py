@@ -7,9 +7,11 @@ split (``speedup`` vs ``parallelism``), and both CLI views.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main
 from repro.analysis.perf import (
     LEDGER_NAME,
     aggregate_perf,
@@ -33,7 +35,13 @@ FAST = Phase1Settings(
     post_recovery=60.0,
     tail=40.0,
     replications=1,
-    shards=4,
+)
+
+#: Store written before LP sharding was removed (see the dashboard
+#: robustness tests); its perf record and ledger carry an ``"lp"``
+#: section the current code no longer reads.
+LEGACY_LP_STORE = (
+    Path(__file__).parent.parent / "analysis" / "legacy_lp_store"
 )
 
 VERSIONS = ["TCP-PRESS"]
@@ -72,7 +80,7 @@ def test_every_executed_cell_gets_a_perf_record(profiled):
         assert digest["self_s"] > 0.0
         assert digest["layers"]
         assert digest["engine"]["events_processed"] > 0
-        assert digest["lp"]["shards"] == 4
+        assert "lp" not in digest
 
 
 def test_report_splits_execute_from_warm_restore(profiled):
@@ -95,8 +103,9 @@ def test_ledger_written_beside_the_store(profiled):
         report.execute_seconds
     )
     assert ledger["profile"]["layers"]
-    assert ledger["profile"]["lp"]["shards"] == 4
-    assert ledger["settings"]["shards"] == 4
+    assert "lp" not in ledger["profile"]
+    assert "shards" not in ledger["settings"]
+    assert ledger["settings"]["n_nodes"] == 4
     assert any("flight recorder" in n for n in report.notices)
     # JSON round-trips exactly (no non-serializable leftovers).
     json.loads((path / LEDGER_NAME).read_text())
@@ -117,8 +126,7 @@ def test_perf_report_prints_the_acceptance_surface(profiled):
     text = perf_report_from_store(path)
     assert "self-time by layer" in text
     assert "per-cell wall-clock breakdown" in text
-    assert "lp shards: 4" in text
-    assert "load imbalance" in text
+    assert "lp shards" not in text
     assert "TCP-PRESS/link-down" in text
     assert "fabric fastpath" in text
 
@@ -139,6 +147,16 @@ def test_perf_compare_flags_an_unprofiled_side(profiled, tmp_path):
     text, comparable = perf_compare(path, tmp_path)
     assert not comparable
     assert "no flight-recorder data" in text
+
+
+def test_perf_compare_of_a_legacy_lp_ledger_against_a_new_one(profiled):
+    """A pre-removal store still compares: the CLI exits 0."""
+    path, _report = profiled
+    text, comparable = perf_compare(LEGACY_LP_STORE, path)
+    assert comparable
+    assert "lp." not in text
+    main(["perf-compare", str(LEGACY_LP_STORE), str(path)])
+    main(["perf-compare", "--json", str(LEGACY_LP_STORE), str(path)])
 
 
 def test_memory_store_campaign_still_reports_perf():
@@ -173,6 +191,7 @@ def test_aggregate_perf_tolerates_partial_records():
             {},
             {"execute_s": 1.0},
             {"profile": {"layers": {"net": {"events": 3, "self_s": 0.5}}}},
+            # A pre-removal record: its "lp" section is ignored.
             {"profile": {"lp": {"shards": 2, "lp_events": [4, 6]}}},
             "not-a-dict",
         ]
@@ -180,5 +199,4 @@ def test_aggregate_perf_tolerates_partial_records():
     assert agg["totals"]["cells"] == 4
     assert agg["totals"]["execute_s"] == 1.0
     assert agg["layers"]["net"]["events"] == 3
-    assert agg["lp"]["shards"] == 2
-    assert agg["lp"]["imbalance"] == pytest.approx(1.2)
+    assert "lp" not in agg

@@ -1,16 +1,13 @@
 """Unit contract of the wall-clock flight recorder.
 
 The recorder's accounting rules — site identity, layer grouping, named
-counters, the engine/LP digest — independent of any campaign.  The
+counters, the engine digest — independent of any campaign.  The
 observer-effect and byte-identity contracts live in
 ``test_profiler_determinism.py``.
 """
 
-import pickle
-
 from repro.obs.profiler import FlightRecorder, layer_of
 from repro.sim.engine import Engine
-from repro.sim.lp import ShardedEngine
 
 
 class _Component:
@@ -97,33 +94,6 @@ def test_engine_run_dispatches_to_the_profiled_loop():
     assert eng["timer_allocs"] + eng["freelist_reuse"] == eng["scheduled"]
 
 
-def test_sharded_engine_digest_carries_lp_stats():
-    e = ShardedEngine(shards=3)
-    e.profiler = rec = FlightRecorder()
-    fired = []
-
-    def tick(i):
-        fired.append(i)
-        if len(fired) < 30:
-            # Rotate affinity so every LP sees events (and the schedule
-            # crosses LP boundaries, exercising the null-message path).
-            prev = e.pin(len(fired) % 3)
-            e.call_after(0.5, tick, len(fired))
-            e.pin(prev)
-
-    e.call_after(0.5, tick, 0)
-    e.run()
-    digest = rec.digest(e)
-    lp = digest["lp"]
-    assert lp["shards"] == 3
-    assert sum(lp["lp_events"]) == e.events_processed
-    assert lp["imbalance"] >= 1.0
-    assert lp["eot_advances"] > 0
-    # Wall-clock columns only advance under the profiled loop.
-    assert lp["merge_idle_s"] >= 0.0
-    assert len(lp["lp_exec_s"]) == 3
-
-
 def test_recorder_never_survives_pickling():
     """Warm checkpoints must not embed host wall-clock state."""
     e = Engine()
@@ -131,23 +101,6 @@ def test_recorder_never_survives_pickling():
     e.call_after(1.0, lambda: None)
     state = e.__getstate__()
     assert state["profiler"] is None
-
-
-def test_sharded_engine_zeroes_wall_clock_in_snapshots():
-    e = ShardedEngine(shards=2)
-    e.profiler = FlightRecorder()
-    e.call_after(1.0, lambda: None)
-    e.run()
-    e._merge_s = 1.25
-    e._exec_s = [0.5, 0.75]
-    clone = pickle.loads(pickle.dumps(e))
-    assert clone.profiler is None
-    assert clone._merge_s == 0.0
-    assert clone._exec_s == [0.0, 0.0]
-    # Deterministic counters DO travel: they are pure functions of the
-    # event stream, identical profiled or not.
-    assert clone._lp_exec == e._lp_exec
-    assert clone._eot_advances == e._eot_advances
 
 
 def test_digest_is_json_ready():

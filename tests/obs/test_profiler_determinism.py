@@ -4,7 +4,7 @@ The load-bearing contract of ``--profile``: attaching a FlightRecorder
 reads wall-clock and increments counters but never schedules events,
 mutates component state, or perturbs iteration order, so every
 simulation output is byte-identical with and without it — across the
-fabric fast path, LP shard counts, and the campaign cache.  The perf
+fabric fast path and the campaign cache.  The perf
 records themselves land in the store's volatile ``perf/`` namespace,
 which ``store-diff`` and payload fingerprints ignore.
 """
@@ -97,37 +97,6 @@ def test_profiled_matches_plain_in_both_fabric_modes(fastpath):
     else:
         assert counters.get("fabric.fast_cached", 0) == 0
         assert counters.get("fabric.fast_checked", 0) == 0
-
-
-@pytest.mark.parametrize("shards", [1, 2, 4])
-def test_profiled_runs_identical_across_shard_counts(shards):
-    """LP burst/EOT accounting never changes the merge order."""
-    version, kind = GOLDEN_CASES[0]
-    settings = dataclasses.replace(GOLDEN_SETTINGS, shards=shards)
-    plain = _measure(version, kind, settings)
-    rec = FlightRecorder()
-    profiled = _measure(version, kind, settings, profiler=rec)
-    assert profiled.to_dict() == plain.to_dict()
-    digest = rec.digest()
-    assert digest["events"] > 0
-
-
-def test_event_stream_is_shard_invariant_under_profiling():
-    """The recorder sees the *same* event totals for every shard count."""
-    version, kind = GOLDEN_CASES[0]
-    totals = []
-    for shards in (1, 4):
-        settings = dataclasses.replace(GOLDEN_SETTINGS, shards=shards)
-        rec = FlightRecorder()
-        _measure(version, kind, settings, profiler=rec)
-        digest = rec.digest()
-        totals.append(
-            (
-                digest["events"],
-                {k: v["events"] for k, v in digest["layers"].items()},
-            )
-        )
-    assert totals[0] == totals[1]
 
 
 def _campaign(tmp, profile):
