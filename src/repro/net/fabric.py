@@ -20,6 +20,15 @@ switch up and not in drop mode, the destination NIC powered — every hop
 time is a pure function of the serializer clocks, so the fabric computes
 them in closed form at submit time and schedules a single delivery event.
 
+Eligibility is memoized per source NIC: ``Nic._routes`` maps a
+destination to its ``(src_link, dst_link)`` once :meth:`Fabric._check_fast`
+has found the path clean, and every fault entry point (and ``attach``)
+empties every NIC's routes.  A send over a cached route is one call,
+``Nic.send`` -> :meth:`Fabric._fast_send`; a send without one takes the
+checked path, :meth:`Fabric.transmit`, which refills the route when the
+path is clean.  At the far end :meth:`Fabric._fast_deliver` hands the
+frame straight to the destination NIC's kind handler.
+
 The arithmetic replicates the slow path operation-for-operation (same
 ``max``, same addition order), so timestamps are bit-identical.  Because
 in-flight frames must still die mid-flight when a fault lands, every
@@ -102,13 +111,14 @@ class Fabric:
         self._frame_ids = itertools.count(1)
         self._submit_seq = 0
         self._flights: Dict[_FastFlight, None] = {}  # insertion-ordered set
-        # Eligibility cache: (src, dst) -> (epoch, src_link, dst_link).
-        # Valid while _topo_epoch is unchanged; every eligibility input is
-        # either fixed at construction (fastpath, loss_fn, drop_mode) or
-        # mutated only through the fault entry points, all of which call
-        # _fastpath_transition and hence bump the epoch.
+        # Counts topology transitions (reported by snapshot_state).  The
+        # eligibility memo itself lives on each source NIC as
+        # ``Nic._routes`` (dst -> (src_link, dst_link)): every eligibility
+        # input is either fixed at construction (fastpath, loss_fn,
+        # drop_mode) or mutated only through the fault entry points, all
+        # of which call _fastpath_transition and hence empty every NIC's
+        # routes.
         self._topo_epoch = 0
-        self._fast_cache: Dict[tuple, tuple] = {}
         self._frames_delivered = bound_counter(engine, "net.fabric.frames_delivered")
         self._frames_lost = bound_counter(engine, "net.fabric.frames_lost")
 
@@ -165,7 +175,7 @@ class Fabric:
         """Create a NIC + link for ``node_id`` and wire them to the switch."""
         if node_id in self.nics:
             raise ValueError(f"node {node_id!r} already attached")
-        self._topo_epoch += 1
+        self._invalidate_routes()
         link = Link(
             self.engine,
             name=f"link-{node_id}",
@@ -210,13 +220,18 @@ class Fabric:
         trigger a synchronous error report, so batching cannot diverge
         from per-frame submission.
         """
-        cached = self._fast_cache.get((src, dst))
-        if cached is not None and cached[0] == self._topo_epoch:
+        src_nic = self.nics.get(src)
+        if src_nic is not None and dst in src_nic._routes:
             return True
         return self._check_fast(src, dst) is not None
 
     def _check_fast(self, src: str, dst: str):
-        """Full eligibility check; caches and returns the entry on success."""
+        """Full eligibility check.
+
+        On success returns the route ``(src_link, dst_link)`` and files it
+        in the source NIC's ``_routes``, where it stays until the next
+        topology transition empties every NIC's routes.
+        """
         switch = self.switch
         if not (self.fastpath and switch.up and not switch.drop_mode):
             return None
@@ -233,9 +248,15 @@ class Fabric:
         dst_link = self.links[dst]
         if dst_link._down_filter is not None or dst_link.loss_fn is not None:
             return None
-        entry = (self._topo_epoch, src_link, dst_link)
-        self._fast_cache[(src, dst)] = entry
-        return entry
+        route = (src_link, dst_link)
+        self.nics[src]._routes[dst] = route
+        return route
+
+    def _invalidate_routes(self) -> None:
+        """Empty every NIC's route cache (eligibility inputs changed)."""
+        self._topo_epoch += 1
+        for nic in self.nics.values():
+            nic._routes.clear()
 
     # -- data path ---------------------------------------------------------
     def transmit(self, src_nic: Nic, frame: Frame) -> bool:
@@ -244,40 +265,21 @@ class Fabric:
         Returns True when the frame made it onto the first link.  Loss at
         later hops is reported to SAN senders via ``report_error`` but is
         invisible to LAN senders.
-        """
-        cached = self._fast_cache.get((frame.src, frame.dst))
-        if cached is not None and cached[0] == self._topo_epoch:
-            # A clean path implies reachability, so the SAN pre-check
-            # below cannot fire — skip straight to the fast submit.
-            frame.frame_id = next(self._frame_ids)
-            spans = self.engine.spans
-            if spans is not None and frame.trace_id:
-                self._span_open(spans, frame)
-            profiler = self.engine.profiler
-            if profiler is not None:
-                profiler.count("fabric.fast_cached")
-            self._submit_seq = seq = self._submit_seq + 1
-            self._fast_submit(
-                frame, frame.size + WIRE_OVERHEAD_BYTES, seq, cached[1], cached[2]
-            )
-            return True
 
+        This is the checked path: a NIC with a cached route to
+        ``frame.dst`` calls :meth:`_fast_send` directly instead.
+        """
         if self.nics.get(frame.dst) is None:
             raise KeyError(f"unknown destination {frame.dst!r}")
+        route = self._check_fast(frame.src, frame.dst)
+        if route is not None:
+            self._fast_send(frame, route, "fabric.fast_checked")
+            return True
         frame.frame_id = next(self._frame_ids)
         spans = self.engine.spans
         if spans is not None and frame.trace_id:
             self._span_open(spans, frame)
-        wire_size = frame.size + WIRE_OVERHEAD_BYTES
-
-        entry = self._check_fast(frame.src, frame.dst)
         profiler = self.engine.profiler
-        if entry is not None:
-            if profiler is not None:
-                profiler.count("fabric.fast_checked")
-            self._submit_seq = seq = self._submit_seq + 1
-            self._fast_submit(frame, wire_size, seq, entry[1], entry[2])
-            return True
         if profiler is not None:
             profiler.count("fabric.slow")
 
@@ -291,6 +293,7 @@ class Fabric:
             return False
 
         self._submit_seq = seq = self._submit_seq + 1
+        wire_size = frame.size + WIRE_OVERHEAD_BYTES
         sent = self.links[frame.src].transmit(
             "a2b",
             wire_size,
@@ -316,47 +319,51 @@ class Fabric:
             return 0
         src = frames[0].src
         dst = frames[0].dst
-        cached = self._fast_cache.get((src, dst))
-        if cached is None or cached[0] != self._topo_epoch:
+        route = src_nic._routes.get(dst)
+        if route is None:
             if self.nics.get(dst) is None:
                 raise KeyError(f"unknown destination {dst!r}")
-            cached = self._check_fast(src, dst)
-        if cached is None:
+            route = self._check_fast(src, dst)
+        if route is None:
             return sum(1 for frame in frames if self.transmit(src_nic, frame))
         # A clean path implies reachability, so no SAN pre-check is needed;
         # no simulated time passes between the per-frame submits, so the
         # path state cannot change mid-train either.
-        src_link = cached[1]
-        dst_link = cached[2]
-        frame_ids = self._frame_ids
-        fast_submit = self._fast_submit
-        spans = self.engine.spans
         profiler = self.engine.profiler
         if profiler is not None:
             profiler.count("fabric.fast_train", len(frames))
-        seq = self._submit_seq
+        fast_send = self._fast_send
         for frame in frames:
-            frame.frame_id = next(frame_ids)
-            if spans is not None and frame.trace_id:
-                self._span_open(spans, frame)
-            seq += 1
-            fast_submit(frame, frame.size + WIRE_OVERHEAD_BYTES, seq,
-                        src_link, dst_link)
-        self._submit_seq = seq
+            fast_send(frame, route, None)
         return len(frames)
 
     # -- fast path ---------------------------------------------------------
-    def _fast_submit(
-        self, frame: Frame, wire: int, seq: int, src_link: Link, dst_link: Link
+    def _fast_send(
+        self, frame: Frame, route: tuple, count: Optional[str] = "fabric.fast_cached"
     ) -> None:
-        """Precompute the whole trajectory; schedule only the delivery.
+        """Submit ``frame`` over the clean ``route``; schedule only its
+        delivery.
 
-        Every float operation matches the slow path exactly: source
-        serialization as in ``Link.transmit``, switch exit as in
-        ``Engine.call_after`` from the arrival timestamp, destination
-        serialization as in ``Link.transmit`` evaluated at exit time.
+        Numbers the frame, opens its transit span and precomputes the
+        whole trajectory.  Every float operation matches the slow path
+        exactly: source serialization as in ``Link.transmit``, switch
+        exit as in ``Engine.call_after`` from the arrival timestamp,
+        destination serialization as in ``Link.transmit`` evaluated at
+        exit time.  ``count`` names the flight-recorder counter this
+        submission bumps (None: the caller counted it).
         """
         engine = self.engine
+        frame.frame_id = next(self._frame_ids)
+        spans = engine.spans
+        if spans is not None and frame.trace_id:
+            self._span_open(spans, frame)
+        if count is not None:
+            profiler = engine.profiler
+            if profiler is not None:
+                profiler.count(count)
+        self._submit_seq = seq = self._submit_seq + 1
+        src_link, dst_link = route
+        wire = frame.size + WIRE_OVERHEAD_BYTES
         busy_s = src_link._busy_until
         start_s = max(engine.now, busy_s["a2b"])
         done_s = start_s + wire / src_link.bandwidth
@@ -435,6 +442,9 @@ class Fabric:
 
         Hop counters the slow path would have incremented mid-flight are
         applied here (totals are what's observable; see module docstring).
+        The hand-off to the NIC's handler is :meth:`_deliver` and
+        :meth:`Nic.deliver` inlined, with the same checks, counters and
+        order.
         """
         flight.timer = None
         del self._flights[flight]
@@ -446,17 +456,30 @@ class Fabric:
             busy["b2a"] = flight.end_d
         self.switch.frames_forwarded += 1
         dst_link._frames_carried.value += 1
+        frame = flight.frame
         spans = self.engine.spans
-        if spans is not None and flight.frame.trace_id:
+        if spans is not None and frame.trace_id:
             # The precomputed hop times are bit-identical to what the
             # slow path stamps at its per-hop events, so fast and slow
             # runs export the same annotations.
             spans.note(
-                spans.find(("net", flight.frame.frame_id)),
+                spans.find(("net", frame.frame_id)),
                 arrive_switch=flight.arrive1,
                 exit_switch=flight.exit,
             )
-        self._deliver(flight.frame)
+        dst_nic = self.nics[frame.dst]
+        if not dst_nic.powered:
+            self._deliver(frame)  # loses the frame and reports it
+            return
+        self._frames_delivered.value += 1
+        if spans is not None and frame.trace_id:
+            spans.end_key(("net", frame.frame_id), self.engine.now)
+        handler = dst_nic._kind_handlers.get(frame.kind, dst_nic.rx_handler)
+        if handler is None:
+            dst_nic._frames_dropped_rx.inc()
+            return
+        dst_nic._frames_received.value += 1
+        handler(frame)
 
     # -- fast/slow interleaving on a shared destination link ----------------
     def _interleave_slow(self, dst_link: Link, seq: int) -> None:
@@ -495,7 +518,7 @@ class Fabric:
         instant re-enter the stock slow-path machinery, which applies the
         degraded topology checks with the exact slow-path semantics.
         """
-        self._topo_epoch += 1  # invalidate every cached eligibility entry
+        self._invalidate_routes()
         if not self._flights:
             return
         now = self.engine.now
@@ -633,8 +656,9 @@ class Fabric:
 
         Covers the frame/submit counters and every serializer clock, so
         a restored fabric whose next frame would be numbered or timed
-        differently yields a different digest.  The eligibility cache is
-        deliberately absent: it is a pure memo over state counted here.
+        differently yields a different digest.  The NICs' route caches
+        are deliberately absent: they are a pure memo over state counted
+        here.
         """
         return {
             "submit_seq": self._submit_seq,

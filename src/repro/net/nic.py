@@ -52,6 +52,11 @@ class Nic:
             engine, "net.nic.frames_dropped_rx", node=node_id
         )
         self._fabric = None  # set by Fabric.attach
+        # Fast-path route cache, owned by the fabric: dst -> (src_link,
+        # dst_link) for every destination whose path was found clean
+        # since the last topology transition (see Fabric._check_fast).
+        # It serves the frames this NIC sources.
+        self._routes: dict = {}
 
     @property
     def frames_sent(self) -> int:
@@ -105,6 +110,12 @@ class Nic:
         """
         if not self.powered:
             return False
+        route = self._routes.get(frame.dst)
+        if route is not None:
+            # Clean path known: a fast submit cannot fail.
+            self._fabric._fast_send(frame, route)
+            self._frames_sent.value += 1
+            return True
         if self._fabric is None:
             raise RuntimeError(f"NIC {self.node_id} not attached to a fabric")
         accepted = self._fabric.transmit(self, frame)
@@ -115,12 +126,12 @@ class Nic:
     def fast_path_clear(self, dst: str) -> bool:
         """True when frames to ``dst`` would take the fabric fast path now
         (so a pre-collected train is safe; see :meth:`send_train`)."""
+        if not self.powered:
+            return False
+        if dst in self._routes:
+            return True
         fabric = self._fabric
-        return (
-            self.powered
-            and fabric is not None
-            and fabric.fast_eligible(self.node_id, dst)
-        )
+        return fabric is not None and fabric.fast_eligible(self.node_id, dst)
 
     def send_train(self, frames: list) -> bool:
         """Submit a burst of same-destination frames in one fabric call.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Frame:
     """One unit on the wire.
 
@@ -32,19 +32,39 @@ class Frame:
             the span collector can attribute fabric transit to the
             request; transport-internal frames stay at 0 (their message
             already carries the trace).
+
+    The ``__init__`` is written by hand (one is built per frame on the
+    hot path); the dataclass still provides equality, ``replace`` and
+    the slot layout.
     """
 
     src: str
     dst: str
     size: int
     kind: str
-    payload: Any = None
-    frame_id: int = 0
-    trace_id: int = 0
+    payload: Any
+    frame_id: int
+    trace_id: int
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"frame size must be >= 0, got {self.size}")
+    def __init__(
+        self,
+        src: str,
+        dst: str,
+        size: int,
+        kind: str,
+        payload: Any = None,
+        frame_id: int = 0,
+        trace_id: int = 0,
+    ) -> None:
+        if size < 0:
+            raise ValueError(f"frame size must be >= 0, got {size}")
+        self.src = src
+        self.dst = dst
+        self.size = size
+        self.kind = kind
+        self.payload = payload
+        self.frame_id = frame_id
+        self.trace_id = trace_id
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -73,8 +73,18 @@ class WorkQueue:
         """
         if self._dead:
             return
-        self._items.append((cost, fn, args))
-        self._maybe_start()
+        items = self._items
+        items.append((cost, fn, args))
+        if self._busy or self._frozen or self._block_event is not None:
+            return
+        # _maybe_start inlined.  It starts the head, not the new item: a
+        # work item's fn runs with the queue idle, so older items may
+        # still be waiting in front.
+        item = items.popleft()
+        self._busy = True
+        self._current = item
+        self.busy_time += item[0]
+        self._completion = self.engine.call_after(item[0], self._complete, item)
 
     def submit_front(self, cost: float, fn: Callable, *args) -> None:
         """Queue at the head (priority work such as error handling)."""
@@ -92,8 +102,16 @@ class WorkQueue:
         """
         if self._dead or cost <= 0:
             return
-        self._items.appendleft((cost, _noop, _NO_ARGS))
-        self._maybe_start()
+        if self._busy or self._frozen or self._block_event is not None:
+            self._items.appendleft((cost, _noop, _NO_ARGS))
+            return
+        # Idle: the charge goes to the head of the queue, so it is the item
+        # _maybe_start would start right away.
+        item = (cost, _noop, _NO_ARGS)
+        self._busy = True
+        self._current = item
+        self.busy_time += cost
+        self._completion = self.engine.call_after(cost, self._complete, item)
 
     # -- blocking ------------------------------------------------------------
     def block_on(self, event: Event) -> None:
@@ -157,6 +175,12 @@ class WorkQueue:
 
     # -- execution ----------------------------------------------------------
     def _maybe_start(self) -> None:
+        """Start the head item if the queue may run now.
+
+        ``submit``, ``charge`` and ``_complete`` carry inlined copies of
+        this (same guards, same ``call_after``) for speed; keep them in
+        step.
+        """
         if (
             self._busy
             or self._frozen
@@ -186,7 +210,20 @@ class WorkQueue:
         self._busy = False
         self.items_executed += 1
         item[1](*item[2])  # fn may block the queue or submit more work
-        self._maybe_start()
+        # _maybe_start inlined.
+        if (
+            self._busy
+            or self._frozen
+            or self._dead
+            or self._block_event is not None
+            or not self._items
+        ):
+            return
+        item = self._items.popleft()
+        self._busy = True
+        self._current = item
+        self.busy_time += item[0]
+        self._completion = self.engine.call_after(item[0], self._complete, item)
 
     def snapshot_state(self) -> dict:
         """Deterministic-state digest input (see repro.sim.snapshot)."""

@@ -101,7 +101,11 @@ from .engine import SimulationError
 #:
 #: v8: the sharded engine is removed and ``Link`` no longer carries an
 #:     LP affinity slot; v7 blobs pickle the old ``Link`` layout.
-FORMAT_VERSION = 8
+#:
+#: v9: the fabric's epoch-checked ``_fast_cache`` is gone and each
+#:     ``Nic`` carries its own fast-path route cache (``_routes``); v8
+#:     blobs pickle the old ``Fabric`` and ``Nic`` layouts.
+FORMAT_VERSION = 9
 
 #: Protocol 4 is the newest protocol supported by every interpreter in
 #: the CI matrix; the digest pins the writer's Python anyway, this just

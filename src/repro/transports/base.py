@@ -27,7 +27,7 @@ mechanism.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..sim.engine import Engine, Event
@@ -64,7 +64,7 @@ class CorruptionKind(enum.Enum):
     OFF_BY_N_SIZE = "off-by-n-size"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Message:
     """An application-level message between cluster nodes.
 
@@ -72,18 +72,40 @@ class Message:
     (0 = none) — the PRESS server stamps it on forwards, file-data
     replies, and the cache-update broadcasts a traced request tipped,
     so transport spans land in the right request tree.
+
+    ``msg_id`` defaults to the next id of the process-wide message
+    counter.  The ``__init__`` is written by hand (messages are built
+    per request); the dataclass still provides equality, ``replace``
+    and the slot layout.
     """
 
     msg_type: str
     size: int
-    payload: Any = None
-    corruption: CorruptionKind = CorruptionKind.NONE
-    skew: int = 0  # byte skew for OFF_BY_N_SIZE faults
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
-    trace_id: int = 0
+    payload: Any
+    corruption: CorruptionKind
+    skew: int  # byte skew for OFF_BY_N_SIZE faults
+    msg_id: int
+    trace_id: int
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
+    def __init__(
+        self,
+        msg_type: str,
+        size: int,
+        payload: Any = None,
+        corruption: CorruptionKind = CorruptionKind.NONE,
+        skew: int = 0,
+        msg_id: Optional[int] = None,
+        trace_id: int = 0,
+    ) -> None:
+        self.msg_type = msg_type
+        self.size = size
+        self.payload = payload
+        self.corruption = corruption
+        self.skew = skew
+        # Drawn before the size check, as the generated __init__ did.
+        self.msg_id = next(_message_ids) if msg_id is None else msg_id
+        self.trace_id = trace_id
+        if size < 0:
             raise ValueError("message size must be >= 0")
 
 
@@ -94,7 +116,7 @@ class SendStatus(enum.Enum):
     BROKEN = "broken"  # channel already broken; message dropped
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class SendResult:
     status: SendStatus
     error: Optional[CommError] = None
@@ -103,6 +125,11 @@ class SendResult:
     @property
     def ok(self) -> bool:
         return self.status in (SendStatus.SENT, SendStatus.BLOCKED)
+
+
+#: The result of every plain successful send (results are immutable, so
+#: one instance serves them all).
+SENT = SendResult(SendStatus.SENT)
 
 
 class Channel:

@@ -20,7 +20,7 @@ format:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, List, Optional
 
 from ...net.packet import Frame
@@ -29,6 +29,7 @@ from ...obs.metrics import bound_counter
 from ...sim.engine import Engine, Event, Timer
 from ...sim.ids import IdSource
 from ..base import (
+    SENT,
     Channel,
     CorruptionKind,
     Message,
@@ -46,14 +47,31 @@ def next_generation() -> int:
     return next(_conn_gens)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class SegPayload:
-    """Payload of a ``tcp-seg`` frame."""
+    """Payload of a ``tcp-seg`` frame.
+
+    ``completed`` lists the stream records whose last byte this segment
+    carries (a fresh list per payload when omitted).  The ``__init__``
+    is written by hand: one is built per segment.
+    """
 
     gen: int
     seq: int
     length: int
-    completed: List["StreamRecord"] = field(default_factory=list)
+    completed: List["StreamRecord"]
+
+    def __init__(
+        self,
+        gen: int,
+        seq: int,
+        length: int,
+        completed: Optional[List["StreamRecord"]] = None,
+    ) -> None:
+        self.gen = gen
+        self.seq = seq
+        self.length = length
+        self.completed = [] if completed is None else completed
 
 
 @dataclass(slots=True)
@@ -75,7 +93,8 @@ class StreamRecord:
 
     ``declared`` is the length written in the framing header; ``actual``
     is how many body bytes the (possibly corrupted) send call really
-    produced.  A mismatch shifts every subsequent header — the stream
+    produced, i.e. the record's bytes on the stream.  A mismatch
+    (``actual - declared``) shifts every subsequent header — the stream
     skew.
     """
 
@@ -83,14 +102,6 @@ class StreamRecord:
     declared: int
     actual: int
     end_seq: int = 0  # stream offset one past this record's last byte
-
-    @property
-    def wire_bytes(self) -> int:
-        return self.actual
-
-    @property
-    def skew(self) -> int:
-        return self.actual - self.declared
 
 
 class FramingViolation(Exception):
@@ -149,8 +160,10 @@ class TcpEndpoint(Channel):
         if self.broken:
             return SendResult(SendStatus.BROKEN)
 
-        msg = self.transport._apply_interposers(msg)
-        self.transport._charge_cpu(self.transport.costs.send_cost(msg))
+        transport = self.transport
+        if transport.send_interposers:
+            msg = transport._apply_interposers(msg)
+        transport.node.cpu.charge(transport.costs.send_cost(msg))
 
         if msg.corruption is CorruptionKind.NULL_POINTER:
             return SendResult(
@@ -171,10 +184,9 @@ class TcpEndpoint(Channel):
             actual = max(0, declared + msg.skew)
         else:
             actual = declared
-        record = StreamRecord(msg=msg, declared=declared, actual=actual)
-        self.stream_len += record.wire_bytes
-        record.end_seq = self.stream_len
-        self.sndbuf_used += record.wire_bytes
+        self.stream_len = end_seq = self.stream_len + actual
+        record = StreamRecord(msg, declared, actual, end_seq)
+        self.sndbuf_used += actual
         self._unacked.append(record)
         self._pending_boundaries.append(record)
         spans = self.engine.spans
@@ -196,7 +208,7 @@ class TcpEndpoint(Channel):
             waiter = self.engine.event()
             self._blocked_waiters.append(waiter)
             return SendResult(SendStatus.BLOCKED, unblock_event=waiter)
-        return SendResult(SendStatus.SENT)
+        return SENT
 
     # ------------------------------------------------------------------
     # Segment pump (kernel TX path)
@@ -218,7 +230,7 @@ class TcpEndpoint(Channel):
         window = params.window_bytes
         seg_size = params.segment_size
         acked = self.acked_seq
-        probe = transport.kernel_memory.probe
+        probe = transport.node.kernel_memory.probe
         nic_send = transport.nic.send
         local = self.local
         peer = self.peer
@@ -251,14 +263,11 @@ class TcpEndpoint(Channel):
             completed: List[StreamRecord] = []
             while boundaries and boundaries[0].end_seq <= end:
                 completed.append(boundaries.popleft())
+            # Positional arguments: a keyword call costs about twice as
+            # much, and this runs once per segment.
             frame = Frame(
-                src=local,
-                dst=peer,
-                size=seg_len,
-                kind="tcp-seg",
-                payload=SegPayload(
-                    gen=gen, seq=sent, length=seg_len, completed=completed
-                ),
+                local, peer, seg_len, "tcp-seg",
+                SegPayload(gen, sent, seg_len, completed),
             )
             if train is None:
                 nic_send(frame)  # silent loss: TCP learns via RTO
@@ -383,7 +392,7 @@ class TcpEndpoint(Channel):
     # ------------------------------------------------------------------
     def handle_segment(self, payload: SegPayload) -> None:
         length = payload.length
-        if not self.transport.kernel_memory.probe(length):
+        if not self.transport.node.kernel_memory.probe(length):
             return  # inbound packet dropped: no skbuf at the faulty node
         if payload.seq != self.expected_seq:
             if payload.seq < self.expected_seq:
@@ -402,15 +411,12 @@ class TcpEndpoint(Channel):
     def _send_ack(self) -> None:
         transport = self.transport
         ack_bytes = self.params.ack_bytes
-        if not transport.kernel_memory.probe(ack_bytes):
+        if not transport.node.kernel_memory.probe(ack_bytes):
             return  # even ACKs need buffers; the faulty node goes mute
         transport.nic.send(
             Frame(
-                src=self.local,
-                dst=self.peer,
-                size=ack_bytes,
-                kind="tcp-ack",
-                payload=AckPayload(gen=self.gen, ack_seq=self.expected_seq),
+                self.local, self.peer, ack_bytes, "tcp-ack",
+                AckPayload(self.gen, self.expected_seq),
             )
         )
 
@@ -422,7 +428,7 @@ class TcpEndpoint(Channel):
             # corrupted message is detected (length check) and dropped;
             # the connection and the process survive.
             if (
-                record.skew != 0
+                record.actual != record.declared
                 or msg.corruption is CorruptionKind.OFF_BY_N_POINTER
             ):
                 self.transport._record_framing_error(self)
@@ -436,12 +442,12 @@ class TcpEndpoint(Channel):
             # validation.  The byte stream is garbage from here on.
             self.transport._framing_violation(self, record)
             return
-        self.rx_skew += record.skew
+        self.rx_skew += record.actual - record.declared
         self.transport._deliver_record(self, record)
 
     def consume(self, record: StreamRecord) -> None:
         """The application took delivery; free the receive-buffer bytes."""
-        self.rcvbuf_used = max(0, self.rcvbuf_used - record.wire_bytes)
+        self.rcvbuf_used = max(0, self.rcvbuf_used - record.actual)
 
     def handle_ack(self, payload: AckPayload) -> None:
         if payload.ack_seq <= self.acked_seq:
@@ -449,7 +455,7 @@ class TcpEndpoint(Channel):
         self.acked_seq = min(payload.ack_seq, self.stream_len)
         while self._unacked and self._unacked[0].end_seq <= self.acked_seq:
             record = self._unacked.popleft()
-            self.sndbuf_used -= record.wire_bytes
+            self.sndbuf_used -= record.actual
         # Forward progress: reset backoff and the stall clock.  Disarm the
         # RTO logically only — the physical timer re-arms itself (see
         # :meth:`_arm_rto`).
@@ -458,7 +464,8 @@ class TcpEndpoint(Channel):
         self._rto_deadline = None
         if self.sent_seq < self.acked_seq:
             self.sent_seq = self.acked_seq
-        self._maybe_unblock()
+        if self._blocked_waiters:
+            self._maybe_unblock()
         self._pump()
 
     def _maybe_unblock(self) -> None:

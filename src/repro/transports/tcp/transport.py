@@ -315,23 +315,25 @@ class TcpTransport(Transport):
         the bytes stay in the kernel receive buffer, ACKs stop once it
         fills, and the sender stalls (the hang-fault behaviour).
         """
-        if self.node.process.running:
-            self._read_out(ep, record)
+        node = self.node
+        if node.process.running:
+            # Read it out: free the receive-buffer bytes, queue the work.
+            ep.rcvbuf_used = max(0, ep.rcvbuf_used - record.actual)
+            msg = record.msg
+            node.cpu.submit(self.costs.recv_cost(msg), self._deliver_up, ep.peer, msg)
         else:
             ep.frozen_records.append(record)
-
-    def _read_out(self, ep: TcpEndpoint, record: StreamRecord) -> None:
-        ep.consume(record)
-        msg = record.msg
-        self.node.cpu.submit(
-            self.costs.recv_cost(msg), self._deliver_up, ep.peer, msg
-        )
 
     def _on_process_cont(self) -> None:
         """SIGCONT: the receive thread catches up on buffered records."""
         for ep in list(self.endpoints.values()):
             while ep.frozen_records and not ep.broken:
-                self._read_out(ep, ep.frozen_records.popleft())
+                record = ep.frozen_records.popleft()
+                ep.consume(record)
+                self.node.cpu.submit(
+                    self.costs.recv_cost(record.msg), self._deliver_up,
+                    ep.peer, record.msg,
+                )
 
     def _framing_violation(self, ep: TcpEndpoint, record: StreamRecord) -> None:
         """Garbage framing header: the byte stream is unrecoverable."""

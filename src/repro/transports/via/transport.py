@@ -28,6 +28,7 @@ from ...osim.node import Node
 from ...sim.engine import Engine
 from ...sim.ids import IdSource
 from ..base import (
+    SENT,
     CorruptionKind,
     FatalTransportError,
     Message,
@@ -375,10 +376,8 @@ class ViaTransport(Transport):
     # ------------------------------------------------------------------
     def _handle_corrupted_post(self, channel: ViaChannel, msg: Message):
         """Stock VIA: accept the post, report the error asynchronously."""
-        from ..base import SendResult, SendStatus
-
         self._descriptor_error(channel, msg)
-        return SendResult(SendStatus.SENT)
+        return SENT
 
     def _descriptor_error(self, channel: ViaChannel, msg: Message) -> None:
         """Route a corrupted descriptor to the right endpoint(s).

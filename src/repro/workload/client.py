@@ -119,14 +119,10 @@ class ClientMachine:
                 target=target,
             )
         self.nic.send(
-            Frame(
-                src=self.client_id,
-                dst=target,
-                size=300,
-                kind="http-req",
-                payload=req,
-                trace_id=req.req_id,
-            )
+            # Positional (a keyword call costs about twice as much): the
+            # 0 is the frame id the fabric assigns, the last argument the
+            # trace id.
+            Frame(self.client_id, target, 300, "http-req", req, 0, req.req_id)
         )
 
     # ------------------------------------------------------------------

@@ -7,16 +7,19 @@ payloads and the campaign report, so the properties that matter are:
   estimates (campaign parity depends on it);
 * exactness in the regimes where exactness is structural — five or
   fewer samples, constant streams, min/max/mean/count;
-* a bounded *rank* error against exact percentiles on synthetic
-  distributions — the P² accuracy envelope, checked the robust way
-  (where the estimate falls in the sorted sample, not how close its
-  value is — value error is unbounded on heavy tails by design).
+* a bounded typical *rank* error against exact percentiles on a fixed
+  corpus of synthetic streams — the P² accuracy envelope, checked the
+  robust way (where the estimate falls in the sorted sample, not how
+  close its value is — value error is unbounded on heavy tails by
+  design).
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import random
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -122,29 +125,56 @@ def _rank_error(data, value, p):
     return max(0.0, lo - target, target - hi)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.sampled_from(sorted(_DISTRIBUTIONS)),
-    st.integers(min_value=0, max_value=2**31),
-    st.integers(min_value=1000, max_value=4000),
-)
-def test_rank_error_bounded_on_synthetic_distributions(dist, seed, n):
-    rng = random.Random(seed)
+#: The fixed corpus: this many seeded streams per distribution, each of
+#: 1,000-4,000 samples.
+_CORPUS_STREAMS = 40
+#: The accuracy envelope, as rank error over n (see the test below).
+_MEDIAN_BOUND = 0.004
+_Q90_BOUND = 0.01
+
+
+def _corpus_rank_errors(dist):
+    """Rank error over n of every tracked quantile, per corpus stream."""
     draw = _DISTRIBUTIONS[dist]
-    data = [draw(rng) for _ in range(n)]
-    sk = QuantileSketch()
-    for x in data:
-        sk.observe(x)
-    # Empirically the worst rank error over these distributions is
-    # ~0.7% of n; 2% (with an absolute floor for small n) never trips
-    # on correct code but catches marker-update mistakes immediately.
-    slack = max(25.0, 0.02 * n)
-    for p in DEFAULT_QUANTILES:
-        err = _rank_error(data, sk.quantile(p), p)
-        assert err <= slack, (
-            f"{dist} n={n} p={p}: estimate {sk.quantile(p)} misses the "
-            f"exact percentile by {err:.0f} ranks (> {slack:.0f})"
-        )
+    errors = {p: [] for p in DEFAULT_QUANTILES}
+    for i in range(_CORPUS_STREAMS):
+        rng = random.Random(f"{dist}:{i}")
+        n = rng.randint(1000, 4000)
+        data = [draw(rng) for _ in range(n)]
+        sk = QuantileSketch()
+        for x in data:
+            sk.observe(x)
+        for p in DEFAULT_QUANTILES:
+            errors[p].append(_rank_error(data, sk.quantile(p), p) / n)
+    return errors
+
+
+def test_rank_error_bounded_on_synthetic_distributions():
+    """P² accuracy as a statistical claim over a fixed seeded corpus.
+
+    P² has no worst-case rank guarantee, so no per-stream bound holds:
+    over 1,200 seeded streams single estimates miss by up to 2.5% of n
+    (pareto, p=0.5 and p=0.99), and exponential/gauss reach 1.2-1.3% of
+    n at p=0.95.  What does hold is the typical error: for every
+    distribution and tracked p, the median rank error over the corpus
+    is at most 0.4% of n and its 90th percentile at most 1% of n.  On
+    this corpus the correct sketch peaks at 0.27% (median) and 0.74%
+    (90th percentile), both pareto at p=0.5.  A marker-update bug (a
+    wrong desired-position increment, a half-step marker move, a
+    flipped linear fallback or parabolic term) breaks the envelope.
+    """
+    failures = []
+    for dist in sorted(_DISTRIBUTIONS):
+        for p, errs in _corpus_rank_errors(dist).items():
+            errs.sort()
+            median = statistics.median(errs)
+            q90 = errs[math.ceil(0.9 * len(errs)) - 1]
+            if median > _MEDIAN_BOUND or q90 > _Q90_BOUND:
+                failures.append(
+                    f"{dist} p={p}: median {median:.3%}, 90th percentile"
+                    f" {q90:.3%} of n"
+                )
+    assert not failures, "; ".join(failures)
 
 
 def test_tail_ordering_on_a_smooth_distribution():
