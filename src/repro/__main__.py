@@ -438,8 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="attach the wall-clock flight recorder to every campaign "
-        "cell: per-layer self-time, fastpath/heap-churn counters — "
+        help="run every campaign cell under the wall-clock layer "
+        "profiler: per-layer calls and self time, fabric frame and "
+        "heap-churn counts — "
         "persisted to the store's perf/ namespace and "
         "a BENCH_campaign.json ledger (results stay byte-identical; "
         "read back with perf-report; see OBSERVABILITY.md)",
@@ -473,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf = sub.add_parser(
         "perf-report",
         help="where a profiled campaign's wall-clock went: per-layer "
-        "self-time, fastpath hit rate, heap churn, per-cell breakdown "
+        "calls and self time, top sites, fabric paths, heap churn, "
+        "per-cell breakdown "
         "(needs a --profile campaign in the store)",
     )
     p_perf.add_argument("store", help="campaign cache dir (a DiskStore)")
@@ -485,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pcmp = sub.add_parser(
         "perf-compare",
-        help="diff the flight-recorder ledgers of two campaign cache "
+        help="diff the profiler ledgers of two campaign cache "
         "dirs (non-zero exit when either side has no perf data)",
     )
     p_pcmp.add_argument("store_a", help="first profiled cache dir")

@@ -23,10 +23,10 @@ Sections:
 * **attribution** — the per-mechanism availability-cost table: which
   mechanism (fail-fast, retransmit stall, reconfiguration window, cache
   warmup, operator reset) each lost or SLO-slow request is charged to;
-* **performance** — the wall-clock flight recorder's view of the
-  *simulator* (``--profile`` campaigns only): per-layer self-time,
-  fastpath hit rate and heap churn from the store's
-  volatile ``perf/`` namespace and ``BENCH_campaign.json`` ledger.
+* **performance** — the wall-clock layer profiler's view of the
+  *simulator* (``--profile`` campaigns only): per-layer calls and self
+  time, fabric frame paths and heap churn from the store's volatile
+  ``perf/`` namespace and ``BENCH_campaign.json`` ledger.
 """
 
 from __future__ import annotations
@@ -556,8 +556,8 @@ def _attribution_section(cells: List[_Cell]) -> List[str]:
 def _performance_section(
     perf: Iterable[Tuple[dict, dict]], ledger: Optional[dict]
 ) -> List[str]:
-    """Flight-recorder rollup (``--profile`` campaigns only)."""
-    from .perf import aggregate_perf
+    """Layer-profiler rollup (``--profile`` campaigns only)."""
+    from .perf import perf_view
 
     rows = []
     for key, record in perf:
@@ -569,10 +569,9 @@ def _performance_section(
         rows.append(merged)
     if not rows and not ledger:
         return [
-            "<p class='cellnote'>no flight-recorder data stored (run the "
+            "<p class='cellnote'>no profiler data stored (run the "
             "campaign with --profile to collect wall-clock profiles)</p>"
         ]
-    agg = aggregate_perf(rows)
     out: List[str] = []
     if ledger:
         timing = ledger.get("timing") or {}
@@ -584,59 +583,39 @@ def _performance_section(
             f"(speedup {_fmt(timing.get('speedup'), 2)}x, parallelism "
             f"{_fmt(timing.get('parallelism'), 2)}x).</p>"
         )
-    totals = agg["totals"]
-    if not rows and ledger:
-        profile = ledger.get("profile") or {}
-        agg = {
-            "totals": dict(
-                totals,
-                events=int(profile.get("events") or 0),
-                self_s=float(profile.get("self_s") or 0.0),
-            ),
-            "layers": profile.get("layers") or {},
-            "counters": profile.get("counters") or {},
-            "engine": profile.get("engine") or {},
-            "cells": ledger.get("top_cells") or [],
-        }
-        totals = agg["totals"]
+    agg = perf_view(rows, ledger)
     if agg["layers"]:
-        total_s = float(totals.get("self_s") or 0.0)
+        total_s = agg["totals"]["self_s"]
         out.append(
-            "<table><tr><th class='label'>layer</th><th>events</th>"
-            "<th>self-time (s)</th><th>share %</th></tr>"
+            "<table><tr><th class='label'>layer</th><th>calls</th>"
+            "<th>self time (s)</th><th>share %</th></tr>"
         )
         ordered = sorted(
-            agg["layers"].items(),
-            key=lambda kv: (-float(kv[1].get("self_s") or 0.0), kv[0]),
+            agg["layers"].items(), key=lambda kv: (-kv[1]["self_s"], kv[0])
         )
         for layer, stats in ordered:
-            self_s = float(stats.get("self_s") or 0.0)
+            self_s = stats["self_s"]
             share = f"{100.0 * self_s / total_s:.1f}" if total_s else "—"
             out.append(
                 f"<tr><td class='label'>{escape(layer)}</td>"
-                f"<td>{int(stats.get('events') or 0)}</td>"
+                f"<td>{stats['calls']}</td>"
                 f"<td>{self_s:.4f}</td><td>{share}</td></tr>"
             )
         out.append("</table>")
-    counters = agg["counters"]
-    fast = counters.get("fabric.fast_cached", 0) + counters.get(
-        "fabric.fast_checked", 0
-    )
-    slow = counters.get("fabric.slow", 0)
-    if fast or slow:
-        rate = f"{100.0 * fast / (fast + slow):.1f}%" if fast + slow else "—"
+    fast = agg["fabric"]["fast_frames"]
+    ref = agg["fabric"]["reference_frames"]
+    if fast or ref:
         out.append(
-            f"<p>fabric fastpath: {fast} fast sends, {slow} slow "
-            f"(hit rate {rate}); "
-            f"{counters.get('fabric.fast_train', 0)} train frames.</p>"
+            f"<p>fabric fastpath: {fast} frames, {ref} reference-path "
+            f"frames (fastpath share {100.0 * fast / (fast + ref):.1f}%).</p>"
         )
     eng = agg["engine"]
-    if eng and any(eng.values()):
+    if any(eng.values()):
         out.append(
-            f"<p>engine: {eng.get('events_processed', 0)} events "
-            f"processed, {eng.get('timer_allocs', 0)} timer allocations, "
-            f"{eng.get('freelist_reuse', 0)} freelist reuses, "
-            f"{eng.get('compactions', 0)} heap compaction(s).</p>"
+            f"<p>engine: {eng['events_processed']} events "
+            f"processed, {eng['timer_allocs']} timer allocations, "
+            f"{eng['freelist_reuse']} freelist reuses, "
+            f"{eng['compactions']} heap compaction(s).</p>"
         )
     if agg["cells"]:
         out.append(
@@ -663,7 +642,7 @@ def _performance_section(
         out.append("</table>")
     if not out:
         out.append(
-            "<p class='cellnote'>flight-recorder records are present but "
+            "<p class='cellnote'>profiler records are present but "
             "empty (stale perf schema?)</p>"
         )
     return out
@@ -722,7 +701,7 @@ def render_dashboard(
         *_attribution_section(kept),
     ]
     body += [
-        "<h2>performance (flight recorder)</h2>",
+        "<h2>performance (layer profiler)</h2>",
         *_performance_section(perf, ledger),
     ]
     return (

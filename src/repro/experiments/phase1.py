@@ -91,7 +91,6 @@ def run_warm(
     settings: Phase1Settings = DEFAULT_SETTINGS,
     recorder=None,
     spans=None,
-    profiler=None,
 ) -> PressCluster:
     """Build, start, and run a cluster to :func:`warm_point`.
 
@@ -100,9 +99,6 @@ def run_warm(
     continuations both pick up from exactly here.  ``spans`` (a
     :class:`~repro.obs.spans.SpanCollector`) attaches before the first
     event, so every request the run ever issues is trace-complete.
-    ``profiler`` (a :class:`~repro.obs.profiler.FlightRecorder`) attaches
-    the wall-clock flight recorder; unlike spans it observes host time
-    only, so it composes freely with warm restores.
 
     Global id counters rewind first, so the request/message/span ids a
     run draws — and embeds in exported traces — depend on the run alone,
@@ -114,8 +110,6 @@ def run_warm(
         recorder.attach(cluster.bus)
     if spans is not None:
         cluster.engine.spans = spans
-    if profiler is not None:
-        cluster.engine.profiler = profiler
     cluster.start()
     cluster.run_until(warm_point(settings))
     return cluster
@@ -127,7 +121,6 @@ def run_baseline(
     recorder=None,
     warm_cluster: Optional[PressCluster] = None,
     spans=None,
-    profiler=None,
 ) -> Tuple[float, PressCluster]:
     """Fault-free run; returns (Tn in paper units, cluster).
 
@@ -139,19 +132,15 @@ def run_baseline(
     arguments are mutually exclusive.  ``spans`` requires a cold run: a
     checkpoint restored mid-stream has no spans for its in-flight
     requests, which would violate the trace-completeness invariant.
-    ``profiler`` observes wall-clock only, so it attaches to cold and
-    warm-restored clusters alike (checkpoints never carry one).
     """
     if warm_cluster is None:
-        cluster = run_warm(config, settings, recorder, spans, profiler)
+        cluster = run_warm(config, settings, recorder, spans)
     elif recorder is not None:
         raise ValueError("warm_cluster already carries its recorder")
     elif spans is not None:
         raise ValueError("span collection requires a cold run")
     else:
         cluster = warm_cluster
-        if profiler is not None:
-            cluster.engine.profiler = profiler
     end = settings.warm + settings.fault_at
     cluster.run_until(end)
     tn = cluster.measured_rate(settings.warm, end)
@@ -167,7 +156,6 @@ def run_single_fault(
     recorder=None,
     warm_cluster: Optional[PressCluster] = None,
     spans=None,
-    profiler=None,
 ) -> Tuple[ExperimentRecord, PressCluster]:
     """Inject ``kind`` into a running cluster and record the response.
 
@@ -175,18 +163,16 @@ def run_single_fault(
     injection instant, so the pre-injection simulation is byte-identical
     whether the warm segment was simulated here (cold) or restored from a
     checkpoint (``warm_cluster``).  ``spans`` requires a cold run (see
-    :func:`run_baseline`); ``profiler`` attaches either way.
+    :func:`run_baseline`).
     """
     if warm_cluster is None:
-        cluster = run_warm(config, settings, recorder, spans, profiler)
+        cluster = run_warm(config, settings, recorder, spans)
     elif recorder is not None:
         raise ValueError("warm_cluster already carries its recorder")
     elif spans is not None:
         raise ValueError("span collection requires a cold run")
     else:
         cluster = warm_cluster
-        if profiler is not None:
-            cluster.engine.profiler = profiler
 
     duration = settings.fault_duration if kind in DURATION_FAULTS else 0.0
     spec = FaultSpec(

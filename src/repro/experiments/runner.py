@@ -157,40 +157,38 @@ def _make_spans(spans: Optional[tuple]):
     return SpanCollector(sample_every=spans[2])
 
 
-def _make_profiler(profile: bool):
-    """A fresh :class:`~repro.obs.profiler.FlightRecorder`, or None."""
-    if not profile:
-        return None
-    from ..obs.profiler import FlightRecorder
+def _profiled_cell(worker: Callable[..., dict], *args) -> dict:
+    """Run one cell worker under the layer profiler.
 
-    return FlightRecorder()
-
-
-def _perf_record(
-    recorder, cluster, payload: dict, restore_s: float, execute_s: float,
-    warm_prov: dict,
-) -> dict:
-    """One cell's wall-clock breakdown + flight-recorder digest.
-
-    Built *after* the payload so the store-serialize cost can be
-    measured on the exact bytes the store will write; the record itself
-    never enters the payload the runner persists (it is popped into the
-    store's volatile ``perf/`` namespace).
+    The profiler's hooks exist only for the duration of the call (see
+    :mod:`repro.obs.profiler`).  The returned payload carries the cell's
+    wall-clock breakdown and profile digest under ``"perf"``; the runner
+    strips it into the store's volatile ``perf/`` namespace, so it never
+    enters the persisted payload.  The store-serialize cost is measured
+    on the exact bytes the store will write.
     """
+    from ..obs.profiler import LayerProfiler
+
+    profiler = LayerProfiler()
+    payload = profiler.run(worker, *args)
     ser0 = time.perf_counter()
     json.dumps(payload)
     serialize_s = time.perf_counter() - ser0
-    return {
+    warm = payload.get("warm_start") or {}
+    elapsed = float(payload.get("elapsed", 0.0))
+    restore_s = float(payload.get("restore_elapsed", 0.0))
+    payload["perf"] = {
         "restore_s": restore_s,
-        "execute_s": execute_s,
+        "execute_s": elapsed - restore_s,
         "serialize_s": serialize_s,
         # Warm-segment simulate+capture cost, paid by the group's first
         # cell on a checkpoint miss (0.0 on hits and cold cells).
-        "snapshot_s": float(warm_prov.get("capture_s") or 0.0),
-        "elapsed_s": float(payload.get("elapsed", 0.0)),
-        "warm_status": warm_prov.get("status"),
-        "profile": recorder.digest(cluster.engine),
+        "snapshot_s": float(warm.get("capture_s") or 0.0),
+        "elapsed_s": elapsed,
+        "warm_status": warm.get("status"),
+        "profile": profiler.digest(),
     }
+    return payload
 
 
 def _baseline_cell(
@@ -200,7 +198,6 @@ def _baseline_cell(
     trace: Optional[tuple] = None,
     spans: Optional[tuple] = None,
     warm: Optional[WarmSpec] = None,
-    profile: bool = False,
 ) -> dict:
     from ..obs.exporters import telemetry_summary
     from .phase1 import run_baseline
@@ -212,17 +209,13 @@ def _baseline_cell(
     )
     restore_s = time.perf_counter() - start
     collector = _make_spans(spans)
-    recorder = _make_profiler(profile)
-    run_at = time.perf_counter()
     tn, cluster = run_baseline(
         ALL_VERSIONS_EXTENDED[version],
         cell_settings,
         recorder=None if cluster is not None else obs,
         warm_cluster=cluster,
         spans=collector,
-        profiler=recorder,
     )
-    execute_s = time.perf_counter() - run_at
     obs.finish(cluster)
     _export_cell_spans(
         collector, spans, cluster, version=version, fault=None, seed=seed
@@ -248,10 +241,6 @@ def _baseline_cell(
             tn,
         ),
     }
-    if recorder is not None:
-        payload["perf"] = _perf_record(
-            recorder, cluster, payload, restore_s, execute_s, warm_prov
-        )
     _export_cell_trace(
         obs.recorder, trace, version=version, fault=None, seed=seed
     )
@@ -266,7 +255,6 @@ def _fault_cell(
     trace: Optional[tuple] = None,
     spans: Optional[tuple] = None,
     warm: Optional[WarmSpec] = None,
-    profile: bool = False,
 ) -> dict:
     from ..core.divergence import divergence_report
     from ..core.extract import extract_profile
@@ -281,8 +269,6 @@ def _fault_cell(
     )
     restore_s = time.perf_counter() - start
     collector = _make_spans(spans)
-    recorder = _make_profiler(profile)
-    run_at = time.perf_counter()
     # The cell measures its *own* pre-injection throughput as Tn.  The
     # extraction thresholds (impact/recovery, a few percent of Tn) need
     # Tn correlated with the run they judge; with per-group seeds that
@@ -296,9 +282,7 @@ def _fault_cell(
         recorder=None if cluster is not None else obs,
         warm_cluster=cluster,
         spans=collector,
-        profiler=recorder,
     )
-    execute_s = time.perf_counter() - run_at
     obs.finish(cluster)
     _export_cell_spans(
         collector, spans, cluster, version=version, fault=fault_value, seed=seed
@@ -326,10 +310,6 @@ def _fault_cell(
             record.normal_throughput,
         ),
     }
-    if recorder is not None:
-        payload["perf"] = _perf_record(
-            recorder, cluster, payload, restore_s, execute_s, warm_prov
-        )
     _export_cell_trace(
         obs.recorder, trace, version=version, fault=fault_value, seed=seed
     )
@@ -404,7 +384,7 @@ class CellRecord:
     elapsed: float  # simulation wall-clock (0.0 for cache hits)
     cached: bool
     #: wall-clock spent restoring the warm checkpoint (contained in
-    #: ``elapsed``; 0.0 for cache hits and pre-flight-recorder payloads)
+    #: ``elapsed``; 0.0 for cache hits and payloads that predate it)
     restore_s: float = 0.0
     #: per-cell run telemetry (event counts + metrics snapshot); None
     #: for cells loaded from a pre-telemetry (schema v1) payload
@@ -481,8 +461,8 @@ class CampaignReport:
     #: (a rep every stream of the version ran) — the samples the CI
     #: bands on AT/AA/P are computed from
     replicates: Dict[str, List[ProfileSet]] = field(default_factory=dict)
-    #: per-cell flight-recorder records (profiled campaigns only): the
-    #: cell identity plus the wall-clock breakdown and profiler digest
+    #: per-cell profiler records (profiled campaigns only): the
+    #: cell identity plus the wall-clock breakdown and profile digest
     #: that also land in the store's volatile ``perf/`` namespace
     perf: List[dict] = field(default_factory=list)
 
@@ -630,7 +610,7 @@ class CampaignRunner:
         self.trace_format = trace_format
         self.spans_dir = str(spans_dir) if spans_dir is not None else None
         self.span_sample = max(1, int(span_sample))
-        #: attach a wall-clock flight recorder to every executed cell.
+        #: run every executed cell under the wall-clock layer profiler.
         #: Deliberately NOT part of the settings key: profiling observes
         #: only host time, so profiled and unprofiled campaigns share one
         #: cache universe and byte-identical payloads.
@@ -718,19 +698,21 @@ class CampaignRunner:
     ) -> Dict[_Cell, dict]:
         """Run every missed cell, through the pool when one is available."""
         results: Dict[_Cell, dict] = {}
+        calls = []
+        for cell, args in misses:
+            worker = _baseline_cell if cell.fault is None else _fault_cell
+            if self.profile:
+                worker, args = _profiled_cell, (worker,) + args
+            calls.append((cell, worker, args))
         pool = self._pool() if len(misses) > 1 else None
         try:
             if pool is None:
-                for cell, args in misses:
-                    worker = _baseline_cell if cell.fault is None else _fault_cell
+                for cell, worker, args in calls:
                     results[cell] = worker(*args)
             else:
                 futures = {
-                    pool.submit(
-                        _baseline_cell if cell.fault is None else _fault_cell,
-                        *args,
-                    ): cell
-                    for cell, args in misses
+                    pool.submit(worker, *args): cell
+                    for cell, worker, args in calls
                 }
                 for future, cell in futures.items():
                     results[cell] = future.result()
@@ -738,7 +720,7 @@ class CampaignRunner:
             if pool is not None:
                 pool.shutdown()
         for cell, payload in results.items():
-            # The flight-recorder record travels back on the payload but
+            # The profiler's perf record travels back on the payload but
             # never *in* it: it is volatile wall-clock, so it is stripped
             # into the store's perf/ namespace before the payload is
             # persisted or fingerprinted.
@@ -922,10 +904,7 @@ class CampaignRunner:
             if warm_spec is not None:
                 self._warm_wave(misses, warm_spec)
             executed = self._execute_wave(
-                [
-                    (cell, args + (warm_spec, self.profile))
-                    for cell, args in misses
-                ],
+                [(cell, args + (warm_spec,)) for cell, args in misses],
                 report,
             )
             payloads.update(executed)
@@ -1175,13 +1154,13 @@ class CampaignRunner:
                 encoding="utf-8",
             )
             report.notices.append(
-                f"flight recorder: {len(report.perf)} cell record(s) in "
+                f"profiler: {len(report.perf)} cell record(s) in "
                 f"perf/, campaign ledger at {path} — "
                 "read with `python -m repro perf-report`"
             )
         else:
             report.notices.append(
-                f"flight recorder: {len(report.perf)} cell record(s) "
+                f"profiler: {len(report.perf)} cell record(s) "
                 "profiled (in-memory store; use --cache-dir to persist "
                 "a campaign ledger)"
             )

@@ -84,7 +84,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 SUMMARY_DIR = "repetition"
 
 #: Subdirectory of a DiskStore holding per-cell wall-clock perf records
-#: (the flight-recorder digests; see repro.obs.profiler).  Like
+#: (the layer-profiler digests; see repro.obs.profiler).  Like
 #: ``warmstart/`` and ``repetition/``, it sits beside the two-hex-char
 #: cell shards, so ``iter_cells`` and ``store-diff`` never see it.  No
 #: schema bump accompanies it: perf records are volatile host timings,
@@ -94,7 +94,7 @@ PERF_DIR = "perf"
 
 #: Payload keys that legitimately differ between two executions of the
 #: *same* cell: host wall-clock (total / warm-restore split), warm-start
-#: checkpoint provenance, and the in-flight flight-recorder record (the
+#: checkpoint provenance, and the in-flight profiler record (the
 #: runner strips "perf" into the PERF_DIR namespace before put(), this
 #: entry is defense in depth).  Everything else is simulation output and
 #: must be bit-identical run to run — that is the contract
@@ -210,7 +210,7 @@ class ResultStore:
     def put_summary(self, key: SummaryKey, payload: dict) -> None:
         pass
 
-    # -- volatile perf records (flight recorder) ----------------------
+    # -- volatile perf records (--profile) ---------------------------
     def get_perf(self, key: CellKey) -> Optional[dict]:
         return None
 
@@ -368,7 +368,7 @@ class DiskStore(ResultStore):
                 continue
             yield data["summary_key"], data["payload"]
 
-    # -- volatile perf records (flight recorder) ----------------------
+    # -- volatile perf records (--profile) ---------------------------
     def _perf_path(self, key: CellKey) -> Path:
         return self.cache_dir / PERF_DIR / f"{key.digest()}.json"
 

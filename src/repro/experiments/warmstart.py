@@ -210,7 +210,7 @@ class WarmStartCache:
             "digest": digest[:16],
             "bytes": len(blob),
             # Wall-clock spent simulating+capturing the warm segment on a
-            # miss (0.0 on a hit); feeds the flight recorder's per-cell
+            # miss (0.0 on a hit); feeds the profiler's per-cell
             # snapshot column.  Lives under the volatile "warm_start"
             # payload key, so determinism checks never see it.
             "capture_s": capture_s,

@@ -273,15 +273,12 @@ class Fabric:
             raise KeyError(f"unknown destination {frame.dst!r}")
         route = self._check_fast(frame.src, frame.dst)
         if route is not None:
-            self._fast_send(frame, route, "fabric.fast_checked")
+            self._fast_send(frame, route)
             return True
         frame.frame_id = next(self._frame_ids)
         spans = self.engine.spans
         if spans is not None and frame.trace_id:
             self._span_open(spans, frame)
-        profiler = self.engine.profiler
-        if profiler is not None:
-            profiler.count("fabric.slow")
 
         # SAN hardware detects unreachable peers at send time: a dead link
         # or a powered-off remote NIC yields an immediate error report.
@@ -329,18 +326,13 @@ class Fabric:
         # A clean path implies reachability, so no SAN pre-check is needed;
         # no simulated time passes between the per-frame submits, so the
         # path state cannot change mid-train either.
-        profiler = self.engine.profiler
-        if profiler is not None:
-            profiler.count("fabric.fast_train", len(frames))
         fast_send = self._fast_send
         for frame in frames:
-            fast_send(frame, route, None)
+            fast_send(frame, route)
         return len(frames)
 
     # -- fast path ---------------------------------------------------------
-    def _fast_send(
-        self, frame: Frame, route: tuple, count: Optional[str] = "fabric.fast_cached"
-    ) -> None:
+    def _fast_send(self, frame: Frame, route: tuple) -> None:
         """Submit ``frame`` over the clean ``route``; schedule only its
         delivery.
 
@@ -349,18 +341,13 @@ class Fabric:
         exactly: source serialization as in ``Link.transmit``, switch
         exit as in ``Engine.call_after`` from the arrival timestamp,
         destination serialization as in ``Link.transmit`` evaluated at
-        exit time.  ``count`` names the flight-recorder counter this
-        submission bumps (None: the caller counted it).
+        exit time.
         """
         engine = self.engine
         frame.frame_id = next(self._frame_ids)
         spans = engine.spans
         if spans is not None and frame.trace_id:
             self._span_open(spans, frame)
-        if count is not None:
-            profiler = engine.profiler
-            if profiler is not None:
-                profiler.count(count)
         self._submit_seq = seq = self._submit_seq + 1
         src_link, dst_link = route
         wire = frame.size + WIRE_OVERHEAD_BYTES

@@ -183,8 +183,9 @@ class Engine:
         self._live: int = 0  # scheduled, neither fired nor cancelled
         self._tombstones: int = 0  # cancelled entries still queued
         self._freelist: list = []
-        # Heap-churn counters for the flight recorder: Timer objects
-        # actually allocated (vs recycled) and tombstone compactions.
+        # Heap-churn counters (read by repro.obs.profiler): Timer
+        # objects actually allocated (vs recycled) and tombstone
+        # compactions.
         self._timer_allocs: int = 0
         self._compactions: int = 0
         # Observability attach points (see repro.obs).  Components guard
@@ -195,11 +196,6 @@ class Engine:
         #: request-scoped span collector (repro.obs.spans), same
         #: zero-subscriber discipline: ``if engine.spans is not None``.
         self.spans: Optional[Any] = None
-        #: wall-clock flight recorder (repro.obs.profiler), same
-        #: one-attribute-load guard; ``run`` checks it once per call and
-        #: dispatches to the instrumented loop, so the unprofiled hot
-        #: loop is untouched.
-        self.profiler: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -394,8 +390,6 @@ class Engine:
         drains earlier, so back-to-back ``run`` calls observe a continuous
         timeline.
         """
-        if self.profiler is not None:
-            return self._run_profiled(until)
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
@@ -444,67 +438,6 @@ class Engine:
             self._live -= processed
             self._running = False
 
-    def _run_profiled(self, until: float = math.inf) -> None:
-        """Flight-recorder variant of :meth:`run` (``profiler`` attached).
-
-        Mirrors the unprofiled loop exactly — same dispatch order, same
-        freelist recycling, same counter batching — and additionally
-        brackets every callback with ``perf_counter`` reads, charging
-        the measured interval to the callback's site.  The loop is flat
-        (a callback runs to completion before the next event fires), so
-        the interval *is* the event's self-time.  The callback and args
-        are captured before firing because the fired handle may be
-        recycled and rearmed by code the callback itself runs.
-        """
-        from repro.obs.profiler import perf_counter
-
-        if self._running:
-            raise SimulationError("engine is not reentrant")
-        self._running = True
-        heap = self._heap
-        freelist = self._freelist
-        record = self.profiler.record
-        processed = 0
-        try:
-            while True:
-                nxt = self._next
-                if nxt is None:
-                    if not heap:
-                        break
-                    nxt = heappop(heap)
-                timer = nxt[2]
-                if timer.cancelled:
-                    self._next = None
-                    self._tombstones -= 1
-                    if len(freelist) < _FREELIST_MAX:
-                        freelist.append(timer)
-                    continue
-                time = nxt[0]
-                if time > until:
-                    self._next = nxt
-                    break
-                self._next = None
-                self.now = time
-                processed += 1
-                timer.fired = True
-                fn = timer.fn
-                args = timer.args
-                start = perf_counter()
-                try:
-                    fn(*args)
-                except StopSimulation:
-                    record(fn, perf_counter() - start)
-                    return
-                record(fn, perf_counter() - start)
-                if not timer.cancelled and len(freelist) < _FREELIST_MAX:
-                    freelist.append(timer)
-            if until is not math.inf and until > self.now:
-                self.now = until
-        finally:
-            self._events_processed += processed
-            self._live -= processed
-            self._running = False
-
     # ------------------------------------------------------------------
     # Snapshot support (see repro.sim.snapshot)
     # ------------------------------------------------------------------
@@ -522,10 +455,6 @@ class Engine:
             raise SimulationError("cannot snapshot a running engine")
         state = self.__dict__.copy()
         state["_freelist"] = []
-        # The flight recorder holds wall-clock accumulations — host
-        # noise, not simulation state — so it never enters a blob; the
-        # runner re-attaches a fresh recorder after restore.
-        state["profiler"] = None
         return state
 
     def snapshot_state(self) -> dict:

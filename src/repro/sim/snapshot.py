@@ -105,7 +105,11 @@ from .engine import SimulationError
 #: v9: the fabric's epoch-checked ``_fast_cache`` is gone and each
 #:     ``Nic`` carries its own fast-path route cache (``_routes``); v8
 #:     blobs pickle the old ``Fabric`` and ``Nic`` layouts.
-FORMAT_VERSION = 9
+#:
+#: v10: the pickled ``Engine`` no longer carries a ``profiler`` attach
+#:     point (``--profile`` wraps layer entry points instead); v9 blobs
+#:     pickle the old ``Engine`` layout.
+FORMAT_VERSION = 10
 
 #: Protocol 4 is the newest protocol supported by every interpreter in
 #: the CI matrix; the digest pins the writer's Python anyway, this just

@@ -38,7 +38,7 @@ def test_render_dashboard_with_no_cells_shows_notices():
         "no fault cells in the store",
         "no divergence reports stored",
         "no health telemetry stored",
-        "no flight-recorder data stored",
+        "no profiler data stored",
     ):
         assert note in html, note
 
@@ -78,7 +78,7 @@ def test_render_dashboard_with_malformed_perf_rows():
         ({"version": "V"}, None),  # unreadable record half
     ]
     html = render_dashboard([], perf=perf)
-    assert "<h2>performance (flight recorder)</h2>" in html
+    assert "<h2>performance (layer profiler)</h2>" in html
 
 
 def test_render_dashboard_from_ledger_only():
@@ -109,7 +109,7 @@ def test_render_dashboard_from_ledger_only():
 
 def test_perf_report_on_unprofiled_store_prints_a_notice(tmp_path):
     text = perf_report_from_store(tmp_path)
-    assert "no flight-recorder data found" in text
+    assert "no profiler data found" in text
     assert "--profile" in text
 
 
@@ -137,7 +137,7 @@ def test_perf_compare_of_two_empty_dirs_is_not_comparable(tmp_path):
     b.mkdir()
     text, comparable = perf_compare(a, b)
     assert not comparable
-    assert "no flight-recorder data" in text
+    assert "no profiler data" in text
 
 
 def test_perf_report_renders_a_legacy_lp_store_without_an_lp_line():
@@ -152,7 +152,7 @@ def test_dashboard_renders_a_legacy_lp_store_without_an_lp_panel(tmp_path):
     store = tmp_path / "legacy"
     shutil.copytree(LEGACY_LP_STORE, store)
     html = dashboard_from_store(store).read_text(encoding="utf-8")
-    assert "<h2>performance (flight recorder)</h2>" in html
+    assert "<h2>performance (layer profiler)</h2>" in html
     assert "TCP-PRESS/baseline" in html
     assert "LP shards" not in html
     assert "LP workers" not in html

@@ -106,7 +106,7 @@ def test_ledger_written_beside_the_store(profiled):
     assert "lp" not in ledger["profile"]
     assert "shards" not in ledger["settings"]
     assert ledger["settings"]["n_nodes"] == 4
-    assert any("flight recorder" in n for n in report.notices)
+    assert any(n.startswith("profiler:") for n in report.notices)
     # JSON round-trips exactly (no non-serializable leftovers).
     json.loads((path / LEDGER_NAME).read_text())
 
@@ -146,7 +146,7 @@ def test_perf_compare_flags_an_unprofiled_side(profiled, tmp_path):
     )
     text, comparable = perf_compare(path, tmp_path)
     assert not comparable
-    assert "no flight-recorder data" in text
+    assert "no profiler data" in text
 
 
 def test_perf_compare_of_a_legacy_lp_ledger_against_a_new_one(profiled):
@@ -169,7 +169,7 @@ def test_memory_store_campaign_still_reports_perf():
         profile=True,
     )
     assert report.perf
-    assert any("flight recorder" in n for n in report.notices)
+    assert any(n.startswith("profiler:") for n in report.notices)
     ledger = campaign_ledger(report, settings=FAST)
     assert ledger["cells"]["profiled"] == len(report.perf)
 
@@ -198,5 +198,5 @@ def test_aggregate_perf_tolerates_partial_records():
     )
     assert agg["totals"]["cells"] == 4
     assert agg["totals"]["execute_s"] == 1.0
-    assert agg["layers"]["net"]["events"] == 3
+    assert agg["layers"]["net"]["calls"] == 3
     assert "lp" not in agg

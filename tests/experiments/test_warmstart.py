@@ -29,6 +29,7 @@ from repro.experiments.warmstart import (
     STATUS_MISS,
     WarmSpec,
     WarmStartCache,
+    _header,
     warm_digest,
 )
 from repro.faults.spec import FaultKind
@@ -289,6 +290,15 @@ def test_header_mismatch_reports_invalidated_not_miss(tmp_path):
     (tmp_path / f"{digest}.ckpt").write_bytes(
         b"repro-warmstart format=0 python=0.0 marshal=0\nnot a real snapshot"
     )
+    blob, status = cache._load(digest)
+    assert blob is None and status == STATUS_INVALIDATED
+    # A v9 checkpoint from this very interpreter: its pickled Engine
+    # still carries the removed ``profiler`` attach point.
+    v9 = _header().replace(
+        f"format={snapshot.FORMAT_VERSION} ".encode(), b"format=9 "
+    )
+    assert snapshot.FORMAT_VERSION == 10 and v9 != _header()
+    (tmp_path / f"{digest}.ckpt").write_bytes(v9 + b"not a real snapshot")
     blob, status = cache._load(digest)
     assert blob is None and status == STATUS_INVALIDATED
     missing = warm_digest("VIA-PRESS-5", SETTINGS, False)

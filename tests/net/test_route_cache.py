@@ -59,10 +59,10 @@ class Spy:
             finally:
                 self._in_checked = False
 
-        def fast_send(frame, route, *count):
+        def fast_send(frame, route):
             if not self._in_checked:
                 self.calls.append("cached")
-            return fast(frame, route, *count)
+            return fast(frame, route)
 
         fabric.transmit = transmit
         fabric._fast_send = fast_send

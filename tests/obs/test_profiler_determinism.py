@@ -1,10 +1,11 @@
-"""The flight recorder is pure observation: profiled == unprofiled.
+"""The layer profiler is pure observation: profiled == unprofiled.
 
-The load-bearing contract of ``--profile``: attaching a FlightRecorder
-reads wall-clock and increments counters but never schedules events,
+The load-bearing contract of ``--profile``: wrapping every layer's entry
+points reads wall-clock and counts calls but never schedules events,
 mutates component state, or perturbs iteration order, so every
 simulation output is byte-identical with and without it — across the
-fabric fast path and the campaign cache.  The perf
+fabric fast path, warm-start checkpoints captured or restored on either
+side of the wrapping, pool workers, and the campaign cache.  The perf
 records themselves land in the store's volatile ``perf/`` namespace,
 which ``store-diff`` and payload fingerprints ignore.
 """
@@ -18,11 +19,17 @@ import pytest
 from repro.core.extract import extract_profile
 from repro.core.stages import STAGES, SevenStageProfile
 from repro.experiments.phase1 import run_single_fault
-from repro.experiments.runner import run_campaign
+from repro.experiments.runner import (
+    _baseline_cell,
+    _fault_cell,
+    _profiled_cell,
+    run_campaign,
+)
 from repro.experiments.settings import FAULT_MTTR, Phase1Settings
 from repro.experiments.store import DiskStore, payload_fingerprint
+from repro.experiments.warmstart import STATUS_HIT, STATUS_MISS, WarmSpec
 from repro.faults.spec import FaultKind
-from repro.obs.profiler import FlightRecorder
+from repro.obs.profiler import LayerProfiler
 from repro.press.cluster import SMOKE_SCALE
 from repro.press.config import ALL_VERSIONS_EXTENDED
 
@@ -47,9 +54,13 @@ GOLDEN_CASES = (
 
 
 def _measure(version, kind, settings=GOLDEN_SETTINGS, profiler=None):
-    record, cluster = run_single_fault(
-        ALL_VERSIONS_EXTENDED[version], kind, settings, profiler=profiler
-    )
+    def cell():
+        record, _cluster = run_single_fault(
+            ALL_VERSIONS_EXTENDED[version], kind, settings
+        )
+        return record
+
+    record = cell() if profiler is None else profiler.run(cell)
     return extract_profile(
         record, mttr=FAULT_MTTR[kind], env=settings.environment
     )
@@ -57,12 +68,12 @@ def _measure(version, kind, settings=GOLDEN_SETTINGS, profiler=None):
 
 @pytest.mark.parametrize("version,kind", GOLDEN_CASES)
 def test_profiled_run_matches_golden_fixture(version, kind):
-    """Profiling every event still reproduces the golden profiles."""
+    """Profiling every layer still reproduces the golden profiles."""
     path = GOLDEN_DIR / f"{version}_{kind.value}.json"
     golden = SevenStageProfile.from_dict(json.loads(path.read_text()))
-    rec = FlightRecorder()
-    measured = _measure(version, kind, profiler=rec)
-    assert rec.digest()["events"] > 0, "recorder saw no events — it's dead"
+    profiler = LayerProfiler()
+    measured = _measure(version, kind, profiler=profiler)
+    assert profiler.digest()["events"] > 0, "profiler saw no events — dead"
     assert measured.normal_throughput == pytest.approx(
         golden.normal_throughput, rel=1e-6
     )
@@ -78,51 +89,110 @@ def test_profiled_run_matches_golden_fixture(version, kind):
 @pytest.mark.parametrize("version,kind", GOLDEN_CASES)
 def test_profiled_and_plain_runs_are_bit_identical(version, kind):
     plain = _measure(version, kind)
-    profiled = _measure(version, kind, profiler=FlightRecorder())
+    profiled = _measure(version, kind, profiler=LayerProfiler())
     assert profiled.to_dict() == plain.to_dict()
 
 
 @pytest.mark.parametrize("fastpath", [True, False], ids=["fast", "slow"])
 def test_profiled_matches_plain_in_both_fabric_modes(fastpath):
-    """The profiler's fastpath counters observe, never steer."""
+    """The profiler's frame counts observe, never steer."""
     version, kind = GOLDEN_CASES[0]
     settings = dataclasses.replace(GOLDEN_SETTINGS, fastpath=fastpath)
     plain = _measure(version, kind, settings)
-    rec = FlightRecorder()
-    profiled = _measure(version, kind, settings, profiler=rec)
+    profiler = LayerProfiler()
+    profiled = _measure(version, kind, settings, profiler=profiler)
     assert profiled.to_dict() == plain.to_dict()
-    counters = rec.counters
+    fabric = profiler.digest()["fabric"]
+    assert fabric["reference_frames"] > 0  # the link fault forces it
     if fastpath:
-        assert counters.get("fabric.fast_cached", 0) > 0
+        assert fabric["fast_frames"] > 0
     else:
-        assert counters.get("fabric.fast_cached", 0) == 0
-        assert counters.get("fabric.fast_checked", 0) == 0
+        assert fabric["fast_frames"] == 0
 
 
-def _campaign(tmp, profile):
+# ----------------------------------------------------------------------
+# One cell, profiled and plain, on each side of a warm-start checkpoint
+# ----------------------------------------------------------------------
+
+CELL_VERSION, CELL_FAULT = "VIA-PRESS-5", FaultKind.LINK_DOWN
+
+
+def _cell(warm=None, profiled=False):
+    args = (CELL_VERSION, CELL_FAULT.value, GOLDEN_SETTINGS, 1234, None, None,
+            warm)
+    if profiled:
+        payload = _profiled_cell(_fault_cell, *args)
+        assert payload.pop("perf")["profile"]["events"] > 0
+        return payload
+    return _fault_cell(*args)
+
+
+def test_cold_cell_payload_is_identical_when_profiled():
+    plain = _cell()
+    profiled = _cell(profiled=True)
+    assert payload_fingerprint(profiled) == payload_fingerprint(plain)
+
+
+def test_warm_checkpoints_cross_the_profiler_boundary(tmp_path):
+    """A checkpoint captured while wrapped (warm miss) restores in a
+    plain cell (warm hit), and both payloads match a cold plain cell."""
+    cold = payload_fingerprint(_cell())
+    warm = WarmSpec(dir=str(tmp_path))
+    miss = _cell(warm, profiled=True)
+    assert miss["warm_start"]["status"] == STATUS_MISS
+    assert payload_fingerprint(miss) == cold
+    hit = _cell(warm)
+    assert hit["warm_start"]["status"] == STATUS_HIT
+    assert payload_fingerprint(hit) == cold
+
+
+def test_profiled_baseline_cell_restores_a_plain_checkpoint(tmp_path):
+    warm = WarmSpec(dir=str(tmp_path))
+    args = ("TCP-PRESS", GOLDEN_SETTINGS, 1234, None, None, warm)
+    plain = _baseline_cell(*args)
+    assert plain["warm_start"]["status"] == STATUS_MISS
+    profiled = _profiled_cell(_baseline_cell, *args)
+    assert profiled.pop("perf")["warm_status"] == STATUS_HIT
+    assert payload_fingerprint(profiled) == payload_fingerprint(plain)
+
+
+def _campaign(tmp, profile, jobs=1):
     return run_campaign(
         GOLDEN_SETTINGS,
         versions=["TCP-PRESS"],
         faults=[FaultKind.LINK_DOWN],
         store=DiskStore(tmp),
         profile=profile,
+        jobs=jobs,
     )
+
+
+def _fingerprints(path):
+    return {
+        (k["version"], k["fault"], k["seed"]): payload_fingerprint(p)
+        for k, p in DiskStore(path).iter_cells()
+    }
+
+
+def _check_profiled_campaign(tmp_path, jobs):
+    _sets_a, _rep_a = _campaign(tmp_path / "plain", False)
+    _sets_b, rep_b = _campaign(tmp_path / "profiled", True, jobs=jobs)
+    assert rep_b.jobs == jobs
+    assert len(rep_b.perf) == len(rep_b.cells) == 2
+    for row in rep_b.perf:
+        assert row["profile"]["events"] > 0
+    plain = _fingerprints(tmp_path / "plain")
+    assert plain and plain == _fingerprints(tmp_path / "profiled")
 
 
 def test_profiled_campaign_payloads_match_plain(tmp_path):
     """Cell-for-cell, a --profile store fingerprints like a plain one."""
-    _sets_a, _rep_a = _campaign(tmp_path / "plain", False)
-    _sets_b, rep_b = _campaign(tmp_path / "profiled", True)
-    assert rep_b.perf, "profiled campaign recorded no perf records"
-    plain = {
-        (k["version"], k["fault"], k["seed"]): payload_fingerprint(p)
-        for k, p in DiskStore(tmp_path / "plain").iter_cells()
-    }
-    profiled = {
-        (k["version"], k["fault"], k["seed"]): payload_fingerprint(p)
-        for k, p in DiskStore(tmp_path / "profiled").iter_cells()
-    }
-    assert plain and plain == profiled
+    _check_profiled_campaign(tmp_path, jobs=1)
+
+
+def test_profiled_pool_campaign_payloads_match_plain(tmp_path):
+    """Pool workers install the profiler themselves; same payloads."""
+    _check_profiled_campaign(tmp_path, jobs=2)
 
 
 def test_perf_namespace_never_reaches_cell_payloads(tmp_path):
