@@ -65,7 +65,7 @@ def test_engine_event_stream(benchmark):
 def test_engine_event_stream_span_guard(benchmark):
     """The deliver/cancel/re-arm stream with the span guard per delivery.
 
-    Request-scoped tracing put a ``spans = engine.spans; if spans is not
+    Request-scoped tracing put a ``spans = bus.spans; if spans is not
     None`` probe at every hot event site (fabric hop, TCP segment, VIA
     descriptor, HTTP serve).  With collection off — every campaign run
     unless ``--spans`` is passed — that probe is the *whole* cost of the
@@ -84,7 +84,7 @@ def test_engine_event_stream_span_guard(benchmark):
             pending[0] = None
 
         def deliver():
-            spans = e.spans
+            spans = e.bus.spans
             if spans is not None:  # collection is off in this bench
                 spans.start(count[0], "net.frame", e.now)
             count[0] += 1
@@ -223,12 +223,10 @@ def test_bus_publish_fastpath(benchmark):
     completion path too; this bench keeps it an attribute load plus a
     set probe, not an event construction.
     """
-    from repro.obs.bus import EventBus
     from repro.obs.events import CACHE_HIT
 
     def run_publishes():
-        e = Engine()
-        bus = EventBus(e)
+        bus = Engine().bus
         n = 0
         for _ in range(100_000):
             bus.publish(CACHE_HIT, file="f0")
@@ -249,7 +247,7 @@ def test_observatory_request_done(benchmark):
     """
     import random
 
-    from repro.obs.bus import EventBus, EventRecorder
+    from repro.obs.bus import EventRecorder
     from repro.obs.events import WORKLOAD_REQUEST_DONE
     from repro.obs.observatory import Observatory
 
@@ -260,7 +258,7 @@ def test_observatory_request_done(benchmark):
     ]
 
     def run_publishes():
-        bus = EventBus(Engine())
+        bus = Engine().bus
         obs = Observatory(recorder=EventRecorder(keep_events=False)).attach(bus)
         for req_id, (outcome, latency) in enumerate(done):
             bus.publish(

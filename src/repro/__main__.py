@@ -33,7 +33,6 @@ from .experiments.settings import (
 )
 from .experiments.store import CACHE_DIR_ENV
 from .faults.spec import FaultKind
-from .obs.exporters import TRACE_FORMATS
 from .press.cluster import ExperimentScale
 
 
@@ -145,7 +144,6 @@ def cmd_timeline(args) -> None:
             recorder.events,
             args.trace_dir,
             label,
-            args.trace_format,
             meta={"version": args.version, "fault": kind.value,
                   "seed": args.seed},
         )
@@ -160,7 +158,6 @@ def cmd_timeline(args) -> None:
             spans,
             args.spans_dir,
             label,
-            args.trace_format,
             meta={"version": args.version, "fault": kind.value,
                   "seed": args.seed},
         )
@@ -418,12 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace-dir", default=None,
         help="emit one structured trace per run/cell into this directory "
-        "(campaign cells always execute when tracing)",
-    )
-    parser.add_argument(
-        "--trace-format", choices=list(TRACE_FORMATS), default="both",
-        help="trace file flavour: JSONL events, Chrome trace_event "
-        "(load in Perfetto), or both (default)",
+        "(*.jsonl + Perfetto *.trace.json; campaign cells always execute "
+        "when tracing)",
     )
     parser.add_argument(
         "--spans", default=None, metavar="DIR", dest="spans_dir",
@@ -542,7 +535,6 @@ def _configure_campaign(args) -> None:
         store=store,
         jobs=args.jobs,
         trace_dir=args.trace_dir,
-        trace_format=args.trace_format,
         warm_start=not args.no_warm_start,
         spans_dir=args.spans_dir,
         span_sample=args.span_sample,

@@ -30,7 +30,6 @@ from .store import MemoryStore, ResultStore
 _default_store: ResultStore = MemoryStore()
 _default_jobs: int = 1
 _default_trace_dir: Optional[str] = None
-_default_trace_format: str = "both"
 _default_warm_start: bool = True
 _default_spans_dir: Optional[str] = None
 _default_span_sample: int = 1
@@ -41,7 +40,6 @@ def configure(
     store: Optional[ResultStore] = None,
     jobs: Optional[int] = None,
     trace_dir: Optional[str] = None,
-    trace_format: Optional[str] = None,
     warm_start: Optional[bool] = None,
     spans_dir: Optional[str] = None,
     span_sample: Optional[int] = None,
@@ -50,7 +48,7 @@ def configure(
     """Set the store/parallelism/tracing every campaign uses unless
     overridden."""
     global _default_store, _default_jobs, _default_trace_dir
-    global _default_trace_format, _default_warm_start
+    global _default_warm_start
     global _default_spans_dir, _default_span_sample, _default_profile
     if store is not None:
         _default_store = store
@@ -58,8 +56,6 @@ def configure(
         _default_jobs = max(1, int(jobs))
     if trace_dir is not None:
         _default_trace_dir = str(trace_dir)
-    if trace_format is not None:
-        _default_trace_format = trace_format
     if warm_start is not None:
         _default_warm_start = bool(warm_start)
     if spans_dir is not None:
@@ -95,7 +91,6 @@ def measure_profile_set(
         store=store if store is not None else _default_store,
         use_cache=use_cache,
         trace_dir=_default_trace_dir,
-        trace_format=_default_trace_format,
         warm_start=_default_warm_start,
         spans_dir=_default_spans_dir,
         span_sample=_default_span_sample,
@@ -137,7 +132,6 @@ def full_campaign_with_report(
         store=store if store is not None else _default_store,
         use_cache=use_cache,
         trace_dir=_default_trace_dir,
-        trace_format=_default_trace_format,
         warm_start=_default_warm_start,
         spans_dir=_default_spans_dir,
         span_sample=_default_span_sample,

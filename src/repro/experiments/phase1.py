@@ -109,7 +109,7 @@ def run_warm(
     if recorder is not None:
         recorder.attach(cluster.bus)
     if spans is not None:
-        cluster.engine.spans = spans
+        spans.attach(cluster.bus)
     cluster.start()
     cluster.run_until(warm_point(settings))
     return cluster

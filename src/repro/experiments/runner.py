@@ -149,12 +149,12 @@ def _start_cell(
 
 
 def _make_spans(spans: Optional[tuple]):
-    """Build a collector for ``spans`` = (dir, fmt, sample, label)."""
+    """Build a collector for ``spans`` = (dir, sample, label)."""
     if spans is None:
         return None
     from ..obs.spans import SpanCollector
 
-    return SpanCollector(sample_every=spans[2])
+    return SpanCollector(sample_every=spans[1])
 
 
 def _profiled_cell(worker: Callable[..., dict], *args) -> dict:
@@ -321,19 +321,18 @@ def _export_cell_trace(
 ) -> None:
     """Write one cell's recorded events when tracing is on.
 
-    ``trace`` is ``(trace_dir, trace_format, label)`` as packed by
+    ``trace`` is ``(trace_dir, label)`` as packed by
     :class:`CampaignRunner`, or ``None`` when tracing is off.
     """
     if trace is None:
         return
     from ..obs.exporters import export_run
 
-    trace_dir, fmt, label = trace
+    trace_dir, label = trace
     export_run(
         recorder.events,
         trace_dir,
         label,
-        fmt,
         meta={"version": version, "fault": fault, "seed": seed},
     )
 
@@ -348,7 +347,7 @@ def _export_cell_spans(
 ) -> None:
     """Finish and write one cell's span files when span tracing is on.
 
-    ``spans`` is ``(spans_dir, fmt, sample_every, label)`` as packed by
+    ``spans`` is ``(spans_dir, sample_every, label)`` as packed by
     :class:`CampaignRunner`, or ``None`` when spans are off.  Spans
     never enter the cell payload: the stored result stays byte-identical
     to a span-disabled run, which is the determinism contract.
@@ -358,12 +357,11 @@ def _export_cell_spans(
     from ..obs.exporters import export_spans
 
     collector.finish(cluster.engine.now)
-    spans_dir, fmt, _sample, label = spans
+    spans_dir, _sample, label = spans
     export_spans(
         collector,
         spans_dir,
         label,
-        fmt,
         meta={"version": version, "fault": fault, "seed": seed},
     )
 
@@ -595,7 +593,6 @@ class CampaignRunner:
         use_cache: bool = True,
         on_cell: Optional[Callable[[CellRecord], None]] = None,
         trace_dir: Optional[str] = None,
-        trace_format: str = "both",
         spans_dir: Optional[str] = None,
         span_sample: int = 1,
         warm_start: bool = True,
@@ -607,7 +604,6 @@ class CampaignRunner:
         self.use_cache = use_cache
         self.on_cell = on_cell
         self.trace_dir = str(trace_dir) if trace_dir is not None else None
-        self.trace_format = trace_format
         self.spans_dir = str(spans_dir) if spans_dir is not None else None
         self.span_sample = max(1, int(span_sample))
         #: run every executed cell under the wall-clock layer profiler.
@@ -654,17 +650,12 @@ class CampaignRunner:
     def _trace_arg(self, cell: _Cell) -> Optional[tuple]:
         if self.trace_dir is None:
             return None
-        return (self.trace_dir, self.trace_format, self._label(cell))
+        return (self.trace_dir, self._label(cell))
 
     def _spans_arg(self, cell: _Cell) -> Optional[tuple]:
         if self.spans_dir is None:
             return None
-        return (
-            self.spans_dir,
-            self.trace_format,
-            self.span_sample,
-            self._label(cell),
-        )
+        return (self.spans_dir, self.span_sample, self._label(cell))
 
     def _record(
         self, report: CampaignReport, cell: _Cell, payload: dict, cached: bool
@@ -1175,7 +1166,6 @@ def run_campaign(
     use_cache: bool = True,
     on_cell: Optional[Callable[[CellRecord], None]] = None,
     trace_dir: Optional[str] = None,
-    trace_format: str = "both",
     spans_dir: Optional[str] = None,
     span_sample: int = 1,
     warm_start: bool = True,
@@ -1189,7 +1179,6 @@ def run_campaign(
         use_cache=use_cache,
         on_cell=on_cell,
         trace_dir=trace_dir,
-        trace_format=trace_format,
         spans_dir=spans_dir,
         span_sample=span_sample,
         warm_start=warm_start,

@@ -74,15 +74,13 @@ class Mendosus:
         self.annotations.mark("fault-cleared", spec.label())
 
     def _publish(self, name: str, spec: FaultSpec) -> None:
-        bus = self.engine.bus
-        if bus is not None:
-            bus.publish(
-                name,
-                node=spec.target or "",
-                fault=spec.label(),
-                kind=spec.kind.value,
-                target=spec.target or "",
-            )
+        self.engine.bus.publish(
+            name,
+            node=spec.target or "",
+            fault=spec.label(),
+            kind=spec.kind.value,
+            target=spec.target or "",
+        )
 
     # ------------------------------------------------------------------
     # Network hardware

@@ -103,6 +103,7 @@ class Fabric:
         fastpath: bool = True,
     ):
         self.engine = engine
+        self._bus = engine.bus  # bound once: the per-frame path reads it
         self.switch = switch if switch is not None else Switch(engine)
         self.switch._fabric = self
         self.nics: Dict[str, Nic] = {}
@@ -132,25 +133,23 @@ class Fabric:
 
     def _lose(self, frame: Frame, reason: str) -> None:
         self._frames_lost.inc()
-        spans = self.engine.spans
+        spans = self._bus.spans
         if spans is not None and frame.trace_id:
             spans.end_key(
                 ("net", frame.frame_id), self.engine.now, "lost", reason=reason
             )
-        bus = self.engine.bus
-        if bus is not None:
-            bus.publish(
-                NET_FRAME_DROP,
-                node=frame.src,
-                kind=frame.kind,
-                dst=frame.dst,
-                reason=reason,
-            )
+        self._bus.publish(
+            NET_FRAME_DROP,
+            node=frame.src,
+            kind=frame.kind,
+            dst=frame.dst,
+            reason=reason,
+        )
 
     def _span_open(self, spans, frame: Frame) -> None:
         """Open the transit span for a request-carrying frame.
 
-        Callers have already loaded ``engine.spans`` and checked
+        Callers have already loaded ``bus.spans`` and checked
         ``frame.trace_id`` — the span-disabled path never gets here.
         """
         spans.start(
@@ -276,7 +275,7 @@ class Fabric:
             self._fast_send(frame, route)
             return True
         frame.frame_id = next(self._frame_ids)
-        spans = self.engine.spans
+        spans = self._bus.spans
         if spans is not None and frame.trace_id:
             self._span_open(spans, frame)
 
@@ -345,7 +344,7 @@ class Fabric:
         """
         engine = self.engine
         frame.frame_id = next(self._frame_ids)
-        spans = engine.spans
+        spans = self._bus.spans
         if spans is not None and frame.trace_id:
             self._span_open(spans, frame)
         self._submit_seq = seq = self._submit_seq + 1
@@ -444,7 +443,7 @@ class Fabric:
         self.switch.frames_forwarded += 1
         dst_link._frames_carried.value += 1
         frame = flight.frame
-        spans = self.engine.spans
+        spans = self._bus.spans
         if spans is not None and frame.trace_id:
             # The precomputed hop times are bit-identical to what the
             # slow path stamps at its per-hop events, so fast and slow
@@ -521,7 +520,7 @@ class Fabric:
         for link in self.links.values():
             link._resv.clear()
         switch = self.switch
-        spans = self.engine.spans
+        spans = self._bus.spans
         for fl in flights:
             if fl.timer is not None:
                 fl.timer.cancel()
@@ -586,7 +585,7 @@ class Fabric:
 
     # -- slow path ---------------------------------------------------------
     def _at_switch(self, frame: Frame, wire_size: int, seq: int = 0) -> None:
-        spans = self.engine.spans
+        spans = self._bus.spans
         if spans is not None and frame.trace_id:
             spans.note(
                 spans.find(("net", frame.frame_id)),
@@ -600,7 +599,7 @@ class Fabric:
             self._report_to_sender(frame, "switch-down")
 
     def _at_dst_link(self, frame: Frame, wire_size: int, seq: int = 0) -> None:
-        spans = self.engine.spans
+        spans = self._bus.spans
         if spans is not None and frame.trace_id:
             spans.note(
                 spans.find(("net", frame.frame_id)),
@@ -625,7 +624,7 @@ class Fabric:
             self._report_to_sender(frame, f"node-down:{frame.dst}")
             return
         self._frames_delivered.value += 1
-        spans = self.engine.spans
+        spans = self._bus.spans
         if spans is not None and frame.trace_id:
             # Close before handing the frame up so the receiver's spans
             # nest under the request, not under this transit.

@@ -85,9 +85,9 @@ class Link:
 
     def _lose(self, kind: str, reason: str) -> None:
         self._frames_lost.inc()
-        bus = self.engine.bus
-        if bus is not None:
-            bus.publish(NET_FRAME_DROP, link=self.name, kind=kind, reason=reason)
+        self.engine.bus.publish(
+            NET_FRAME_DROP, link=self.name, kind=kind, reason=reason
+        )
 
     # -- fault control ---------------------------------------------------
     @property

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
+from .metrics import MetricsRegistry
+
 Subscriber = Callable[["SimEvent"], None]
 
 
@@ -75,6 +77,13 @@ _new_event = tuple.__new__
 class EventBus:
     """Publish/subscribe hub bound to one :class:`~repro.sim.engine.Engine`.
 
+    Each engine builds exactly one bus (``engine.bus``), and the bus is
+    the engine's whole instrumentation surface: ``metrics`` is the run's
+    :class:`~repro.obs.metrics.MetricsRegistry`, and ``spans`` holds the
+    request-scoped :class:`~repro.obs.spans.SpanCollector` once one is
+    attached (``None`` until then).  Every observer attaches the same
+    way, ``observer.attach(bus)``.
+
     Subscribers registered with ``names=None`` see every event; those
     registered with a name list see only those names.  Delivery is
     synchronous and exception-isolated: a subscriber that raises is
@@ -88,6 +97,9 @@ class EventBus:
 
     def __init__(self, engine) -> None:
         self.engine = engine
+        self.metrics = MetricsRegistry()
+        #: request-scoped span collector, set by ``SpanCollector.attach``.
+        self.spans = None
         self._all: Tuple[Subscriber, ...] = ()
         self._by_name: Dict[str, Tuple[Subscriber, ...]] = {}
         self._seq = 0

@@ -25,9 +25,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from .bus import EventRecorder, SimEvent
 from .events import FAULT_CLEARED, FAULT_INJECTED, layer_of
 
-#: Recognised --trace-format values.
-TRACE_FORMATS = ("jsonl", "chrome", "both")
-
 _US = 1_000_000  # sim seconds -> trace microseconds
 
 # -- JSONL --------------------------------------------------------------
@@ -423,38 +420,29 @@ def export_spans(
     collector,
     trace_dir,
     label: str,
-    fmt: str = "both",
+    *,
     meta: Optional[dict] = None,
 ) -> List[Path]:
     """Write one run's span files under ``trace_dir``; returns the paths.
 
-    ``collector`` is a finished :class:`~repro.obs.spans.SpanCollector`;
-    ``fmt`` is one of ``jsonl``, ``chrome``, or ``both`` (matching
-    :func:`export_run`).
+    ``collector`` is a finished :class:`~repro.obs.spans.SpanCollector`.
+    Like :func:`export_run`, this writes both the JSONL records and the
+    Perfetto trace.
     """
-    if fmt not in TRACE_FORMATS:
-        raise ValueError(f"unknown trace format {fmt!r} (want one of {TRACE_FORMATS})")
     records = [span.to_record() for span in collector.spans]
     full_meta = {"sample_every": collector.sample_every}
     if meta:
         full_meta.update(meta)
     trace_dir = Path(trace_dir)
-    written: List[Path] = []
-    if fmt in ("jsonl", "both"):
-        written.append(
-            write_spans_jsonl(
-                records, trace_dir / f"{label}{SPANS_SUFFIX}", full_meta
-            )
-        )
-    if fmt in ("chrome", "both"):
-        path = trace_dir / f"{label}{SPANS_CHROME_SUFFIX}"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(spans_chrome_trace(records, label, full_meta)),
-            encoding="utf-8",
-        )
-        written.append(path)
-    return written
+    jsonl = write_spans_jsonl(
+        records, trace_dir / f"{label}{SPANS_SUFFIX}", full_meta
+    )
+    chrome = trace_dir / f"{label}{SPANS_CHROME_SUFFIX}"
+    chrome.write_text(
+        json.dumps(spans_chrome_trace(records, label, full_meta)),
+        encoding="utf-8",
+    )
+    return [jsonl, chrome]
 
 
 # -- summaries + the per-cell export entry point ------------------------
@@ -486,22 +474,15 @@ def export_run(
     events: Iterable[SimEvent],
     trace_dir,
     label: str,
-    fmt: str = "both",
+    *,
     meta: Optional[dict] = None,
 ) -> List[Path]:
-    """Write one run's trace files under ``trace_dir``; returns the paths.
-
-    ``fmt`` is one of ``jsonl``, ``chrome``, or ``both``.
+    """Write one run's trace files under ``trace_dir``; returns the paths:
+    the JSONL event log and the Perfetto (Chrome ``trace_event``) trace.
     """
-    if fmt not in TRACE_FORMATS:
-        raise ValueError(f"unknown trace format {fmt!r} (want one of {TRACE_FORMATS})")
     events = list(events)
     trace_dir = Path(trace_dir)
-    written: List[Path] = []
-    if fmt in ("jsonl", "both"):
-        written.append(write_events_jsonl(events, trace_dir / f"{label}.jsonl", meta))
-    if fmt in ("chrome", "both"):
-        written.append(
-            write_chrome_trace(events, trace_dir / f"{label}.trace.json", label, meta)
-        )
-    return written
+    return [
+        write_events_jsonl(events, trace_dir / f"{label}.jsonl", meta),
+        write_chrome_trace(events, trace_dir / f"{label}.trace.json", label, meta),
+    ]

@@ -181,14 +181,9 @@ class MetricsRegistry:
 
 
 def bound_counter(engine, name: str, **labels: str) -> Counter:
-    """A counter registered on ``engine.metrics`` when one is attached.
+    """The counter ``name{labels}`` in ``engine``'s metrics registry.
 
-    Components call this at construction time: with a registry attached
-    the counter shows up in ``summary()``; without one they get a free
-    standing :class:`Counter` with the identical interface, so the
-    component code is the same either way.
+    Components call this at construction time, so every counter they
+    expose shows up in the run's ``summary()``.
     """
-    registry = getattr(engine, "metrics", None)
-    if registry is not None:
-        return registry.counter(name, **labels)
-    return Counter(name, **labels)
+    return engine.bus.metrics.counter(name, **labels)

@@ -11,18 +11,21 @@ forwarding, disk fetches, transport messages with their retransmission
 history — opens a child span, so the finished tree decomposes the
 client-observed latency hop by hop (see :func:`critical_path`).
 
-Like the bus, the collector is an *attach point* on the engine
-(``engine.spans``), and every instrumentation site guards with::
+The collector attaches to the engine's bus like every other observer
+(:meth:`SpanCollector.attach` fills the bus's ``spans`` slot), and
+every instrumentation site guards with::
 
-    spans = self.engine.spans
+    spans = bus.spans
     if spans is not None:
         ...
 
-so a run with tracing disabled pays exactly one attribute load per
-would-be span — the same zero-subscriber fast path the bus uses, and
-the reason span-disabled runs are byte-identical to the seed timeline
-(the collector only ever *observes*; it never schedules, mutates
-component state, or perturbs iteration order).
+so a run with tracing disabled pays one attribute load per would-be
+span.  Spans are deliberately not bus events: every campaign cell
+records all event names, so a ``span.*`` publish would build an event
+object in every cell even with spans off.  Span-disabled runs are
+byte-identical to span-enabled ones because the collector only ever
+*observes*; it never schedules, mutates component state, or perturbs
+iteration order.
 
 Correlation across components goes through *keys* held inside the
 collector (``("msg", msg_id)``, ``("net", frame_id)``, ...): the
@@ -70,6 +73,7 @@ class Span:
         "status",
         "late",
         "notes",
+        "key",  # correlation key (not exported), see SpanCollector.start
     )
 
     def __init__(
@@ -92,6 +96,7 @@ class Span:
         self.status = STATUS_OPEN
         self.late = late
         self.notes: Dict[str, Any] = {}
+        self.key: Optional[Tuple] = None
 
     @property
     def open(self) -> bool:
@@ -151,6 +156,11 @@ class SpanCollector:
         #: open keyed spans for cross-component close (("msg", id), ...).
         self._keyed: Dict[Tuple, Span] = {}
 
+    def attach(self, bus) -> "SpanCollector":
+        """Collect the spans of ``bus``'s run; returns self."""
+        bus.spans = self
+        return self
+
     # ------------------------------------------------------------------
     # Hot-path entry points
     # ------------------------------------------------------------------
@@ -197,6 +207,7 @@ class SpanCollector:
         else:
             stack.append(span)
         if key is not None:
+            span.key = key
             self._keyed[key] = span
         return span
 
@@ -223,9 +234,11 @@ class SpanCollector:
                 pass
             if not stack:
                 del self._open[span.trace]
-        for key, open_span in list(self._keyed.items()):
-            if open_span is span:
-                del self._keyed[key]
+        # A later span may have re-registered the key: only drop it
+        # while it still maps to this span.
+        key = span.key
+        if key is not None and self._keyed.get(key) is span:
+            del self._keyed[key]
 
     def find(self, key: Tuple) -> Optional[Span]:
         """The open keyed span, or ``None`` (closed, unsampled, never

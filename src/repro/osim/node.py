@@ -85,9 +85,7 @@ class Node:
             return
         self.up = False
         self._crashes.inc()
-        bus = self.engine.bus
-        if bus is not None:
-            bus.publish(NODE_CRASH, node=self.node_id)
+        self.engine.bus.publish(NODE_CRASH, node=self.node_id)
         self.nic.power_off()
         self.daemon.disable()
         self.process.exit("node-crash")
@@ -101,9 +99,7 @@ class Node:
     def _reboot(self) -> None:
         self.up = True
         self.frozen = False
-        bus = self.engine.bus
-        if bus is not None:
-            bus.publish(NODE_REBOOT, node=self.node_id)
+        self.engine.bus.publish(NODE_REBOOT, node=self.node_id)
         # Fresh kernel: memory faults do not survive a reboot.
         self.kernel_memory = KernelMemory()
         self.pinnable = PinnableMemory(physical_bytes=self.pinnable.physical_bytes)

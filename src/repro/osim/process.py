@@ -46,9 +46,7 @@ class SimProcess:
         self.death_reason: Optional[str] = None
 
     def _publish(self, name: str, **fields) -> None:
-        bus = getattr(self.engine, "bus", None)
-        if bus is not None:
-            bus.publish(name, node=self.name, **fields)
+        self.engine.bus.publish(name, node=self.name, **fields)
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:

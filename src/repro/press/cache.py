@@ -26,18 +26,17 @@ from ..osim.memory import PinnableMemory
 class FileCache:
     """LRU whole-file cache with a byte budget and optional pinning.
 
-    ``engine``/``node_id`` are optional observability hooks: with an
-    engine attached, the hit/miss/evict counters live in its metrics
-    registry and lookups/evictions publish ``press.cache.*`` events on
-    its bus.  A bare cache (tests, standalone use) behaves identically.
+    The hit/miss/evict counters live in ``engine``'s metrics registry,
+    labelled ``node=node_id``, and lookups/evictions publish
+    ``press.cache.*`` events on its bus.
     """
 
     def __init__(
         self,
+        engine,
         capacity_bytes: int,
         pinned: bool = False,
         pin_memory: Optional[PinnableMemory] = None,
-        engine=None,
         node_id: str = "",
     ):
         if pinned and pin_memory is None:
@@ -45,7 +44,7 @@ class FileCache:
         self.capacity_bytes = capacity_bytes
         self.pinned = pinned
         self.pin_memory = pin_memory
-        self._engine = engine
+        self._bus = engine.bus
         self._node_id = node_id
         self._entries: "OrderedDict[str, int]" = OrderedDict()
         self.used_bytes = 0
@@ -75,9 +74,7 @@ class FileCache:
         return self._pin_failures.value
 
     def _publish(self, name: str, **fields) -> None:
-        bus = getattr(self._engine, "bus", None)
-        if bus is not None:
-            bus.publish(name, node=self._node_id, **fields)
+        self._bus.publish(name, node=self._node_id, **fields)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -21,8 +21,6 @@ from typing import Dict, List, Optional
 
 from ..faults.injector import Mendosus
 from ..net.fabric import Fabric
-from ..obs.bus import EventBus
-from ..obs.metrics import MetricsRegistry
 from ..osim.node import DEFAULT_DISK_ACCESS_TIME, Node
 from ..sim.engine import Engine
 from ..sim.monitor import Annotations, ThroughputMonitor
@@ -161,17 +159,12 @@ class PressCluster:
         self.scale = scale
         self.config = config.scaled(scale.cpu_factor)
         self.engine = Engine()
-        # Attach the observability substrate before any component is
-        # built, so construction-time counter registration and the
-        # Annotations bus routing see it.
-        self.bus = EventBus(self.engine)
-        self.metrics = MetricsRegistry()
-        self.engine.bus = self.bus
-        self.engine.metrics = self.metrics
+        self.bus = self.engine.bus
+        self.metrics = self.bus.metrics
         self.rng = RngRegistry(seed)
         self.fabric = Fabric(self.engine, fastpath=fastpath)
         self.fileset = fileset if fileset is not None else scale.fileset()
-        self.annotations = Annotations(self.engine, bus=self.bus)
+        self.annotations = Annotations(self.engine)
         self.monitor = ThroughputMonitor(self.engine, bucket_width=bucket_width)
         self.node_ids = [f"node{i}" for i in range(n_nodes)]
         self.utilization = utilization

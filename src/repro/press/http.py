@@ -81,7 +81,7 @@ class HttpPort:
             self._refuse(req)
             return
         self.accepted += 1
-        spans = self.engine.spans
+        spans = self.engine.bus.spans
         if spans is not None:
             # Open on accept, closed by send_response — the span covers
             # parse, cache/disk work and any intra-cluster forwarding.
@@ -96,7 +96,7 @@ class HttpPort:
 
     def _dispatch(self, req: HttpRequest) -> None:
         """Parsed-request work item (indirect so ``on_request`` rebinds)."""
-        spans = self.engine.spans
+        spans = self.engine.bus.spans
         if spans is not None:
             spans.note(
                 spans.find(("serve", req.req_id)), parsed_at=self.engine.now
@@ -105,7 +105,7 @@ class HttpPort:
 
     def _refuse(self, req: HttpRequest) -> None:
         self.refused += 1
-        spans = self.engine.spans
+        spans = self.engine.bus.spans
         if spans is not None:
             # Instantaneous by design: the kernel RSTs without the
             # process ever seeing the request (the fail-fast mechanism).
@@ -132,7 +132,7 @@ class HttpPort:
 
     def send_response(self, req: HttpRequest, nbytes: int) -> None:
         """Ship the file body back to the client."""
-        spans = self.engine.spans
+        spans = self.engine.bus.spans
         if spans is not None:
             # Close before the NIC submit so the response's fabric
             # transit is a sibling of the serve span, not a child —

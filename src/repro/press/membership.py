@@ -110,9 +110,7 @@ class Membership:
         return self._remerges.value
 
     def _publish(self, name: str, **fields) -> None:
-        bus = self.engine.bus
-        if bus is not None:
-            bus.publish(name, node=self.self_id, **fields)
+        self.engine.bus.publish(name, node=self.self_id, **fields)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -141,10 +141,10 @@ class PressServer:
     def _incarnate(self) -> None:
         cfg = self.config
         self.cache = FileCache(
+            self.engine,
             cfg.cache_bytes,
             pinned=cfg.zero_copy,
             pin_memory=self.node.pinnable,
-            engine=self.engine,
             node_id=self.node_id,
         )
         self.cache.on_change.append(self._on_cache_change)
@@ -219,7 +219,7 @@ class PressServer:
             return
         size = self.fileset.size(req.file_id)
         self._disk_reads.inc()
-        spans = self.engine.spans
+        spans = self.engine.bus.spans
         if spans is not None:
             spans.start(
                 req.req_id,
@@ -233,7 +233,7 @@ class PressServer:
 
     def _disk_done(self, req: HttpRequest, size: int) -> None:
         """Disk helper thread finished; hand back to the main loop."""
-        spans = self.engine.spans
+        spans = self.engine.bus.spans
         if spans is not None:
             spans.end_key(("disk", self.node_id, req.req_id), self.engine.now)
         self.node.cpu.submit(
@@ -263,7 +263,7 @@ class PressServer:
             return
         self._requests_forwarded.inc()
         self.pending_forwards[req.req_id] = (req, owner)
-        spans = self.engine.spans
+        spans = self.engine.bus.spans
         if spans is not None:
             # Covers the whole round trip: fwd-req out, remote serve,
             # file-data back.  Closed by _finish_forwarded, or by
@@ -310,7 +310,7 @@ class PressServer:
     def _serve_remote(self, origin: str, msg: Message) -> None:
         """We are the service node for a forwarded request."""
         req_id, file_id, origin_id = msg.payload
-        spans = self.engine.spans
+        spans = self.engine.bus.spans
         if spans is not None:
             # Nests under the origin's press.forward span (still open on
             # this trace); closed when the file-data reply is posted.
@@ -346,7 +346,7 @@ class PressServer:
         self, origin_id: str, req_id: int, file_id: str, size: int
     ) -> None:
         """Disk helper finished a forwarded read; back to the main loop."""
-        spans = self.engine.spans
+        spans = self.engine.bus.spans
         if spans is not None:
             spans.end_key(("disk", self.node_id, req_id), self.engine.now)
         self.node.cpu.submit(
@@ -372,7 +372,7 @@ class PressServer:
     def _send_file_data(
         self, origin_id: str, req_id: int, file_id: str, size: int
     ) -> None:
-        spans = self.engine.spans
+        spans = self.engine.bus.spans
         if spans is not None:
             # The remote serve ends as the reply is posted; the reply's
             # transport span becomes a sibling under press.forward.
@@ -390,7 +390,7 @@ class PressServer:
         entry = self.pending_forwards.pop(req_id, None)
         if entry is None:
             return  # request was purged (peer excluded) or duplicated
-        spans = self.engine.spans
+        spans = self.engine.bus.spans
         if spans is not None:
             spans.end_key(("fwd", req_id), self.engine.now)
         req, _owner = entry
@@ -515,7 +515,7 @@ class PressServer:
             for rid, (_req, owner) in self.pending_forwards.items()
             if owner == peer
         ]
-        spans = self.engine.spans
+        spans = self.engine.bus.spans
         for rid in stale:
             del self.pending_forwards[rid]
             if spans is not None:

@@ -14,6 +14,9 @@ Two scheduling styles are supported:
   top of :class:`Event`, used for control logic that reads better as
   sequential code (client sessions, fault scenarios, server recovery).
 
+Each engine owns one :class:`~repro.obs.bus.EventBus` (``engine.bus``),
+the single surface every observer attaches to.
+
 Determinism: events scheduled for the same timestamp fire in scheduling
 order (a monotonically increasing sequence number breaks ties), so a run is
 a pure function of its configuration and RNG seed.
@@ -40,6 +43,8 @@ from __future__ import annotations
 import math
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
+
+from ..obs.bus import EventBus
 
 #: Upper bound on recycled Timer objects kept for reuse.
 _FREELIST_MAX = 4096
@@ -188,14 +193,11 @@ class Engine:
         # compactions.
         self._timer_allocs: int = 0
         self._compactions: int = 0
-        # Observability attach points (see repro.obs).  Components guard
-        # hot paths with ``if engine.bus is not None`` so an unobserved
-        # run pays one attribute load per would-be event.
-        self.bus: Optional[Any] = None
-        self.metrics: Optional[Any] = None
-        #: request-scoped span collector (repro.obs.spans), same
-        #: zero-subscriber discipline: ``if engine.spans is not None``.
-        self.spans: Optional[Any] = None
+        #: The one instrumentation surface (see repro.obs.bus): events,
+        #: the metrics registry (``bus.metrics``) and the span slot
+        #: (``bus.spans``).  It lives exactly as long as the engine, so
+        #: components may bind it once at construction.
+        self.bus = EventBus(self)
 
     # ------------------------------------------------------------------
     # Scheduling

@@ -31,27 +31,21 @@ class Annotation:
 class Annotations:
     """Ordered log of named instants (fault injected, detected, ...).
 
-    When constructed with an event bus, every ``mark`` is routed through
-    the bus as a ``sim.annotation`` event and the log repopulates itself
-    from the delivery — so stage extraction and exported traces read the
-    same timeline, and any other subscriber (a trace recorder, a live
+    Every ``mark`` is routed through the engine's bus as a
+    ``sim.annotation`` event and the log repopulates itself from the
+    delivery — so stage extraction and exported traces read the same
+    timeline, and any other subscriber (a trace recorder, a live
     printer) sees annotations interleaved with the rest of the event
-    stream in engine order.  Without a bus the log appends directly; the
-    public API is identical either way.
+    stream in engine order.
     """
 
-    def __init__(self, engine: Engine, bus=None):
-        self.engine = engine
+    def __init__(self, engine: Engine):
         self.entries: List[Annotation] = []
-        self.bus = bus
-        if bus is not None:
-            bus.subscribe(self._on_event, names=[ANNOTATION])
+        self.bus = engine.bus
+        self.bus.subscribe(self._on_event, names=[ANNOTATION])
 
     def mark(self, label: str, detail: str = "") -> None:
-        if self.bus is not None:
-            self.bus.publish(ANNOTATION, label=label, detail=detail)
-        else:
-            self.entries.append(Annotation(self.engine.now, label, detail))
+        self.bus.publish(ANNOTATION, label=label, detail=detail)
 
     def _on_event(self, event) -> None:
         self.entries.append(
@@ -95,10 +89,10 @@ class ThroughputMonitor:
     (bucket_start, requests_per_second) pairs — the exact data behind the
     paper's timeline figures.
 
-    When the engine carries an event bus, every *closed* bucket is also
-    published as a ``sim.monitor.bucket`` event, so live subscribers (the
-    online stage detector, the health watchdog) see the same stream the
-    post-hoc series is built from.  Publication is lazy — a bucket is
+    Every *closed* bucket is also published on the engine's bus as a
+    ``sim.monitor.bucket`` event, so live subscribers (the online stage
+    detector, the health watchdog) see the same stream the post-hoc
+    series is built from.  Publication is lazy — a bucket is
     emitted on the first completion that lands in a *later* bucket, and
     stall gaps are emitted as explicit zero buckets — so no timer is ever
     scheduled and observation cannot perturb the run.  ``flush`` emits
@@ -129,17 +123,16 @@ class ThroughputMonitor:
 
     def _publish_through(self, b: int) -> None:
         """Publish every closed bucket in [_pub_next, b) on the bus."""
-        bus = getattr(self.engine, "bus", None)
-        if bus is not None:
-            width = self.bucket_width
-            for i in range(self._pub_next, b):
-                bus.publish(
-                    MONITOR_BUCKET,
-                    start=i * width,
-                    ok=self._ok.get(i, 0),
-                    failed=self._failed.get(i, 0),
-                    width=width,
-                )
+        bus = self.engine.bus
+        width = self.bucket_width
+        for i in range(self._pub_next, b):
+            bus.publish(
+                MONITOR_BUCKET,
+                start=i * width,
+                ok=self._ok.get(i, 0),
+                failed=self._failed.get(i, 0),
+                width=width,
+            )
         self._pub_next = b
 
     def flush(self, end: Optional[float] = None) -> None:

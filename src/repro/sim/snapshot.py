@@ -109,7 +109,12 @@ from .engine import SimulationError
 #: v10: the pickled ``Engine`` no longer carries a ``profiler`` attach
 #:     point (``--profile`` wraps layer entry points instead); v9 blobs
 #:     pickle the old ``Engine`` layout.
-FORMAT_VERSION = 10
+#:
+#: v11: the ``Engine`` builds its own ``EventBus``, which carries the
+#:     metrics registry and the span slot; the engine's ``metrics`` and
+#:     ``spans`` attributes are gone, and ``FileCache`` holds its bus
+#:     instead of an optional engine.  v10 blobs pickle the old layouts.
+FORMAT_VERSION = 11
 
 #: Protocol 4 is the newest protocol supported by every interpreter in
 #: the CI matrix; the digest pins the writer's Python anyway, this just

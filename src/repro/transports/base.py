@@ -243,7 +243,7 @@ class Transport:
 
     # -- helpers for subclasses ----------------------------------------------
     def _deliver_up(self, peer: str, msg: Message) -> None:
-        spans = self.engine.spans
+        spans = self.engine.bus.spans
         if spans is not None and msg.trace_id:
             # Close the sender's message span: the message is now in the
             # application's hands (recv cost charged by the caller).

@@ -189,7 +189,7 @@ class TcpEndpoint(Channel):
         self.sndbuf_used += actual
         self._unacked.append(record)
         self._pending_boundaries.append(record)
-        spans = self.engine.spans
+        spans = self.engine.bus.spans
         if spans is not None and msg.trace_id:
             # Open to close at the receiver's delivery (_deliver_up);
             # retransmission rewinds bump a counter on the open span.
@@ -365,11 +365,8 @@ class TcpEndpoint(Channel):
         # lost; rewind and resend with a doubled timeout.
         self._retransmissions.inc()
         bus = self.engine.bus
-        if bus is not None:
-            bus.publish(
-                TCP_RETRANSMIT, node=self.local, peer=self.peer, rto=self._rto
-            )
-        spans = self.engine.spans
+        bus.publish(TCP_RETRANSMIT, node=self.local, peer=self.peer, rto=self._rto)
+        spans = bus.spans
         if spans is not None:
             # Every unacked record is rewound; charge the retransmission
             # to each traced message still in flight.
@@ -484,7 +481,7 @@ class TcpEndpoint(Channel):
             return
         self.broken = True
         self.break_reason = reason
-        spans = self.engine.spans
+        spans = self.engine.bus.spans
         if spans is not None:
             # Messages still unacknowledged die with the connection — the
             # receiver may have assembled some, but this sender can no

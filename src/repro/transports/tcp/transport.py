@@ -89,9 +89,7 @@ class TcpTransport(Transport):
 
     def _record_framing_error(self, ep: TcpEndpoint) -> None:
         self._framing_errors.inc()
-        bus = self.engine.bus
-        if bus is not None:
-            bus.publish(TCP_FRAMING_ERROR, node=self.node_id, peer=ep.peer)
+        self.engine.bus.publish(TCP_FRAMING_ERROR, node=self.node_id, peer=ep.peer)
 
     # ------------------------------------------------------------------
     # Kernel memory access (re-read per call: a reboot replaces the object)
@@ -295,14 +293,12 @@ class TcpTransport(Transport):
         already_broken = ep.broken
         ep.mark_broken(reason)
         if not already_broken:
-            bus = self.engine.bus
-            if bus is not None:
-                bus.publish(
-                    TCP_ENDPOINT_BROKEN,
-                    node=self.node_id,
-                    peer=ep.peer,
-                    reason=reason,
-                )
+            self.engine.bus.publish(
+                TCP_ENDPOINT_BROKEN,
+                node=self.node_id,
+                peer=ep.peer,
+                reason=reason,
+            )
         if notify and not already_broken:
             self.node.cpu.submit(_NOTIFY_COST, self._break_up, ep.peer, reason)
 

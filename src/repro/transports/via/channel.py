@@ -101,7 +101,8 @@ class ViaChannel(Channel):
             # validates at post time and rejects synchronously.
             return transport._handle_corrupted_post(self, msg)
 
-        spans = self.engine.spans
+        bus = self.engine.bus
+        spans = bus.spans
         if spans is not None and msg.trace_id:
             # Open to close at the receiver's delivery (_deliver_up) or
             # right below if the queue sheds it.
@@ -122,9 +123,7 @@ class ViaChannel(Channel):
                 spans.end_key(
                     ("msg", dropped.msg_id), self.engine.now, "shed"
                 )
-            bus = self.engine.bus
-            if bus is not None:
-                bus.publish(VIA_QUEUE_SHED, node=self.local, peer=self.peer)
+            bus.publish(VIA_QUEUE_SHED, node=self.local, peer=self.peer)
         self._drain()
         return SENT
 
@@ -249,7 +248,7 @@ class ViaChannel(Channel):
             return
         self.broken = True
         self.break_reason = reason
-        spans = self.engine.spans
+        spans = self.engine.bus.spans
         if spans is not None:
             # Queued messages die with the VI (fail-stop: nothing else
             # ever touches them).

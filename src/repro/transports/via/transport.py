@@ -390,14 +390,12 @@ class ViaTransport(Transport):
         """
         self._descriptor_errors.inc()
         kind = msg.corruption
-        bus = self.engine.bus
-        if bus is not None:
-            bus.publish(
-                VIA_DESCRIPTOR_ERROR,
-                node=self.node_id,
-                peer=channel.peer,
-                corruption=kind.value,
-            )
+        self.engine.bus.publish(
+            VIA_DESCRIPTOR_ERROR,
+            node=self.node_id,
+            peer=channel.peer,
+            corruption=kind.value,
+        )
         error_at_sender = self.remote_writes or kind in (
             CorruptionKind.NULL_POINTER,
             CorruptionKind.OFF_BY_N_SIZE,
@@ -442,14 +440,12 @@ class ViaTransport(Transport):
         already = channel.broken
         channel.mark_broken(reason)
         if not already:
-            bus = self.engine.bus
-            if bus is not None:
-                bus.publish(
-                    VIA_CHANNEL_BROKEN,
-                    node=self.node_id,
-                    peer=channel.peer,
-                    reason=reason,
-                )
+            self.engine.bus.publish(
+                VIA_CHANNEL_BROKEN,
+                node=self.node_id,
+                peer=channel.peer,
+                reason=reason,
+            )
         if notify and not already:
             self.node.cpu.submit(_NOTIFY_COST, self._break_up, channel.peer, reason)
 

@@ -19,7 +19,6 @@ from ..net.fabric import Fabric
 from ..net.nic import Nic
 from ..net.packet import Frame
 from ..obs.events import WORKLOAD_REQUEST_DONE
-from ..obs.metrics import Histogram
 from ..sim.engine import Engine, Timer
 from ..sim.monitor import ThroughputMonitor
 from .trace import FileSet
@@ -60,13 +59,9 @@ class ClientMachine:
         self._pending: Dict[int, "tuple[Timer, float]"] = {}
         self._rr = 0
         self._running = False
-        registry = getattr(engine, "metrics", None)
-        if registry is not None:
-            self.latency = registry.histogram(
-                "workload.client.latency", client=client_id
-            )
-        else:
-            self.latency = Histogram("workload.client.latency", client=client_id)
+        self.latency = engine.bus.metrics.histogram(
+            "workload.client.latency", client=client_id
+        )
         self.completed = 0
 
     @property
@@ -107,7 +102,7 @@ class ClientMachine:
             self.request_timeout, self._on_timeout, req.req_id
         )
         self._pending[req.req_id] = (timer, self.engine.now)
-        spans = self.engine.spans
+        spans = self.engine.bus.spans
         if spans is not None:
             spans.start(
                 req.req_id,
@@ -157,18 +152,17 @@ class ClientMachine:
     def _done(self, req_id: int, outcome: str, latency: float) -> None:
         """A request reached its final outcome: close the trace, tell
         the probes (latency sketches, unavailability attribution)."""
-        spans = self.engine.spans
+        bus = self.engine.bus
+        spans = bus.spans
         if spans is not None:
             spans.end_key(("req", req_id), self.engine.now, outcome)
-        bus = self.engine.bus
-        if bus is not None:
-            bus.publish(
-                WORKLOAD_REQUEST_DONE,
-                req_id=req_id,
-                client=self.client_id,
-                outcome=outcome,
-                latency=latency,
-            )
+        bus.publish(
+            WORKLOAD_REQUEST_DONE,
+            req_id=req_id,
+            client=self.client_id,
+            outcome=outcome,
+            latency=latency,
+        )
 
     @property
     def outstanding(self) -> int:

@@ -91,7 +91,6 @@ def test_adaptive_fixed3_traces_match_legacy(tmp_path):
         VERSIONS,
         (FaultKind.APP_CRASH,),
         trace_dir=str(legacy_dir),
-        trace_format="jsonl",
     )
     pinned = dataclasses.replace(
         TINY,
@@ -102,7 +101,6 @@ def test_adaptive_fixed3_traces_match_legacy(tmp_path):
         VERSIONS,
         (FaultKind.APP_CRASH,),
         trace_dir=str(adaptive_dir),
-        trace_format="jsonl",
     )
     legacy = {p.name: p.read_text() for p in legacy_dir.iterdir()}
     adaptive = {p.name: p.read_text() for p in adaptive_dir.iterdir()}

@@ -34,7 +34,7 @@ def _run(**kwargs):
 
 
 def test_traced_campaign_emits_one_trace_per_cell(tmp_path):
-    _sets, report = _run(trace_dir=str(tmp_path), trace_format="both")
+    _sets, report = _run(trace_dir=str(tmp_path))
     # 1 baseline + 1 fault cell, two files each.
     counts = validate_trace_dir(tmp_path)
     assert set(counts) == {
@@ -45,15 +45,6 @@ def test_traced_campaign_emits_one_trace_per_cell(tmp_path):
     }
     assert all(n > 0 for n in counts.values())
     assert len(report.cells) == 2
-
-
-def test_jsonl_only_format(tmp_path):
-    _run(trace_dir=str(tmp_path), trace_format="jsonl")
-    names = {p.name for p in tmp_path.iterdir()}
-    assert names == {
-        "TCP-PRESS__baseline__rep0.jsonl",
-        "TCP-PRESS__link-down__rep0.jsonl",
-    }
 
 
 def test_every_executed_cell_records_telemetry():
@@ -92,7 +83,7 @@ def test_traced_results_still_persist_for_warm_replay(tmp_path):
     agrees bit-for-bit."""
     store = DiskStore(tmp_path / "cache")
     traced_sets, traced = _run(
-        store=store, trace_dir=str(tmp_path / "traces"), trace_format="jsonl"
+        store=store, trace_dir=str(tmp_path / "traces")
     )
     assert all(not c.cached for c in traced.cells)
     assert len(store) == len(traced.cells)

@@ -141,17 +141,15 @@ def test_traced_campaigns_export_identical_traces(cold_reference, tmp_path):
         MemoryStore(),
         warm_start=False,
         trace_dir=str(cold_dir),
-        trace_format="jsonl",
     )
     _run(
         MemoryStore(),
         warm_start=True,
         trace_dir=str(warm_dir),
-        trace_format="jsonl",
     )
     cold_files = {p.name: p.read_bytes() for p in cold_dir.iterdir()}
     warm_files = {p.name: p.read_bytes() for p in warm_dir.iterdir()}
-    assert set(cold_files) == set(warm_files) and len(cold_files) == N_CELLS
+    assert set(cold_files) == set(warm_files) and len(cold_files) == 2 * N_CELLS
     assert cold_files == warm_files
 
 
@@ -292,15 +290,19 @@ def test_header_mismatch_reports_invalidated_not_miss(tmp_path):
     )
     blob, status = cache._load(digest)
     assert blob is None and status == STATUS_INVALIDATED
-    # A v9 checkpoint from this very interpreter: its pickled Engine
-    # still carries the removed ``profiler`` attach point.
-    v9 = _header().replace(
-        f"format={snapshot.FORMAT_VERSION} ".encode(), b"format=9 "
-    )
-    assert snapshot.FORMAT_VERSION == 10 and v9 != _header()
-    (tmp_path / f"{digest}.ckpt").write_bytes(v9 + b"not a real snapshot")
-    blob, status = cache._load(digest)
-    assert blob is None and status == STATUS_INVALIDATED
+    # v9 and v10 checkpoints from this very interpreter: a v9 Engine
+    # still carries the removed ``profiler`` attach point, a v10 Engine
+    # the removed ``metrics``/``spans`` attach points.
+    assert snapshot.FORMAT_VERSION == 11
+    for old in (9, 10):
+        stale = _header().replace(
+            f"format={snapshot.FORMAT_VERSION} ".encode(),
+            f"format={old} ".encode(),
+        )
+        assert stale != _header()
+        (tmp_path / f"{digest}.ckpt").write_bytes(stale + b"not a real snapshot")
+        blob, status = cache._load(digest)
+        assert blob is None and status == STATUS_INVALIDATED
     missing = warm_digest("VIA-PRESS-5", SETTINGS, False)
     blob, status = cache._load(missing)
     assert blob is None and status == STATUS_MISS

@@ -87,7 +87,7 @@ def test_traced_campaign_profiles_match_untraced(tmp_path):
     )
     traced, _ = run_campaign(
         settings, versions=["TCP-PRESS"], faults=[FaultKind.LINK_DOWN],
-        trace_dir=str(tmp_path), trace_format="jsonl",
+        trace_dir=str(tmp_path),
     )
     assert traced["TCP-PRESS"].to_dict() == plain["TCP-PRESS"].to_dict()
     assert list(tmp_path.glob("*.jsonl")), "tracing emitted no files"

@@ -144,7 +144,7 @@ def test_validate_chrome_trace_rejects_bad_files(tmp_path):
 
 def test_export_run_and_validate_trace_dir(fault_run_events, tmp_path):
     paths = export_run(
-        fault_run_events.events, tmp_path, "TCP-PRESS__link-down", fmt="both",
+        fault_run_events.events, tmp_path, "TCP-PRESS__link-down",
         meta={"version": "TCP-PRESS"},
     )
     assert [p.name for p in paths] == [
@@ -154,11 +154,6 @@ def test_export_run_and_validate_trace_dir(fault_run_events, tmp_path):
     counts = validate_trace_dir(tmp_path)
     assert set(counts) == {p.name for p in paths}
     assert all(n > 0 for n in counts.values())
-
-
-def test_export_run_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError, match="unknown trace format"):
-        export_run([], tmp_path, "x", fmt="yaml")
 
 
 def test_validate_trace_dir_empty_raises(tmp_path):

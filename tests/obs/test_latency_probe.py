@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.attribution import LatencyProbe
-from repro.obs.bus import EventBus
 from repro.obs.events import WORKLOAD_REQUEST_DONE
 from repro.obs.sketch import QuantileSketch
 from repro.sim.engine import Engine
@@ -49,7 +48,7 @@ class _Rig:
 
     def __init__(self, probe_cls=LatencyProbe):
         self.detector = _Detector()
-        self.bus = EventBus(Engine())
+        self.bus = Engine().bus
         self.probe = probe_cls(detector=self.detector).attach(self.bus)
 
     def feed(self, stream):
@@ -89,7 +88,7 @@ def test_single_stage_run_folds_each_latency_once():
 
 
 def test_no_detector_shares_the_normal_bucket():
-    bus = EventBus(Engine())
+    bus = Engine().bus
     probe = LatencyProbe().attach(bus)
     bus.publish(WORKLOAD_REQUEST_DONE, outcome="ok", latency=0.01)
     assert probe.by_stage == {"normal": probe.overall}

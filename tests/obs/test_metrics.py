@@ -114,24 +114,12 @@ def test_histogram_rejects_unordered_bounds():
 
 def test_bound_counter_uses_engine_registry_when_attached():
     engine = Engine()
-    engine.metrics = MetricsRegistry()
     c = bound_counter(engine, "osim.node.crashes", node="n0")
     c.inc()
-    assert engine.metrics.counter("osim.node.crashes", node="n0").value == 1
-
-
-def test_bound_counter_stands_alone_without_registry():
-    engine = Engine()  # engine.metrics is None by default
-    c = bound_counter(engine, "osim.node.crashes", node="n0")
-    c.inc(2)
-    assert isinstance(c, Counter)
-    assert c.value == 2
-
-
-def test_bound_counter_tolerates_no_engine():
-    c = bound_counter(None, "standalone.count")
-    c.inc()
-    assert c.value == 1
+    assert engine.bus.metrics.counter("osim.node.crashes", node="n0") is c
+    assert engine.bus.metrics.summary()["counters"] == {
+        "osim.node.crashes{node=n0}": 1
+    }
 
 
 def test_counter_supports_index_protocol():

@@ -91,7 +91,6 @@ def _spanned_campaign(spans_dir) -> dict:
         versions=["TCP-PRESS"],
         faults=[FaultKind.LINK_DOWN],
         spans_dir=str(spans_dir),
-        trace_format="both",
     )
     return sets
 

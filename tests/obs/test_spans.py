@@ -23,6 +23,7 @@ from repro.obs.spans import (
 )
 from repro.press.cluster import SMOKE_SCALE
 from repro.press.config import ALL_VERSIONS_EXTENDED
+from repro.sim.engine import Engine
 
 # ----------------------------------------------------------------------
 # Collector mechanics
@@ -54,6 +55,25 @@ def test_keyed_close_from_another_component():
     c.end_key(("req", 7), 3.0, "ok")
     assert c.find(("msg", 42)) is None  # key released on close
     assert check_span_invariants(s.to_record() for s in c.spans) == []
+
+
+def test_closing_a_superseded_keyed_span_keeps_the_new_one():
+    """A later span re-registered the key: closing the first must not
+    release the key from under the second."""
+    c = SpanCollector()
+    first = c.start(7, "net.frame", 0.0, key=("net", 1))
+    second = c.start(7, "net.frame", 1.0, key=("net", 1))
+    c.end(first, 2.0)
+    assert c.find(("net", 1)) is second
+    c.end(second, 3.0)
+    assert c.find(("net", 1)) is None
+
+
+def test_attach_fills_the_bus_span_slot():
+    engine = Engine()
+    assert engine.bus.spans is None
+    c = SpanCollector().attach(engine.bus)
+    assert engine.bus.spans is c
 
 
 def test_end_is_idempotent_and_none_safe():

@@ -162,7 +162,7 @@ def _write_traces(trace_dir):
         SimEvent(time=0.5, seq=1, name="press.cache.hit", node="n0"),
         SimEvent(time=0.7, seq=2, name="press.cache.miss", node="n0"),
     ]
-    export_run(events, trace_dir, "run", "both")
+    export_run(events, trace_dir, "run")
 
 
 def test_trace_validate_command_reports_per_file_counts(capsys, tmp_path):

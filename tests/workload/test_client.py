@@ -157,3 +157,13 @@ def test_latency_accounting():
     client.start()
     e.run(until=5.0)
     assert client.completed > 0
+
+
+def test_latency_histogram_lives_in_the_engine_registry():
+    e, _server, _monitor, client = build()
+    client.start()
+    e.run(until=5.0)
+    histograms = e.bus.metrics.summary()["histograms"]
+    assert histograms["workload.client.latency{client=c0}"]["count"] == (
+        client.completed
+    )
