@@ -199,10 +199,12 @@ def cmd_campaign(args) -> None:
 def cmd_store_diff(args) -> None:
     """Compare the deterministic content of two campaign stores.
 
-    Cells are matched by their logical key (version/fault/seed/schema)
-    and compared by :func:`~repro.experiments.store.payload_fingerprint`,
-    which ignores the volatile keys (wall-clock, warm-start provenance).
-    A store whose cells predate the current schema is called out as
+    Cells are matched by their on-disk key digest (the file name, which
+    covers version/fault/seed/schema and the settings, so a store mixing
+    campaigns at two scales keeps both) and compared by
+    :func:`~repro.experiments.store.payload_fingerprint`, which ignores
+    the volatile keys (wall-clock, warm-start provenance).  A store
+    whose cells predate the current schema is called out as
     *invalidated* — the next campaign re-runs them, it does not re-read
     them.  Exits non-zero on any missing or differing cell — this is
     what CI's warm-vs-cold double run drives.
@@ -219,19 +221,12 @@ def cmd_store_diff(args) -> None:
         if not Path(root).is_dir():
             sys.exit(f"store-diff: {root} is not a directory")
         out = {}
-        for key, payload in DiskStore(root).iter_cells():
-            k = (
-                key.get("version"),
-                key.get("fault"),
-                key.get("seed"),
-                key.get("schema"),
-            )
-            out[k] = payload_fingerprint(payload)
-        stale = sorted(
-            {k[3] for k in out if (k[3] or 0) < SCHEMA_VERSION}
-        )
+        for digest, key, payload in DiskStore(root).iter_cell_files():
+            out[digest] = (key, payload_fingerprint(payload))
+        schemas = [key.get("schema") or 0 for key, _ in out.values()]
+        stale = sorted({s for s in schemas if s < SCHEMA_VERSION})
         if stale:
-            n = sum(1 for k in out if (k[3] or 0) < SCHEMA_VERSION)
+            n = sum(1 for s in schemas if s < SCHEMA_VERSION)
             olds = ", ".join(f"v{s}" for s in stale)
             print(
                 f"store-diff: {root}: {n} cell(s) under stale schema "
@@ -241,19 +236,25 @@ def cmd_store_diff(args) -> None:
             )
         return out
 
+    def label(key: dict) -> str:
+        return (
+            f"{key.get('version')} {key.get('fault') or 'baseline'} "
+            f"seed={key.get('seed')} schema={key.get('schema')}"
+        )
+
     a = fingerprints(args.store_a)
     b = fingerprints(args.store_b)
+    labels = {d: label(key) for d, (key, _) in {**b, **a}.items()}
     problems = 0
-    for k in sorted(set(a) | set(b), key=repr):
-        label = f"{k[0]} {k[1] or 'baseline'} seed={k[2]} schema={k[3]}"
-        if k not in a:
-            print(f"store-diff: only in {args.store_b}: {label}")
+    for d in sorted(labels, key=lambda d: (labels[d], d)):
+        if d not in a:
+            print(f"store-diff: only in {args.store_b}: {labels[d]}")
             problems += 1
-        elif k not in b:
-            print(f"store-diff: only in {args.store_a}: {label}")
+        elif d not in b:
+            print(f"store-diff: only in {args.store_a}: {labels[d]}")
             problems += 1
-        elif a[k] != b[k]:
-            print(f"store-diff: payload mismatch: {label}")
+        elif a[d][1] != b[d][1]:
+            print(f"store-diff: payload mismatch: {labels[d]}")
             problems += 1
     if problems:
         sys.exit(f"store-diff: {problems} difference(s)")

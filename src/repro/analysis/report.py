@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from ..core.faultload import DAY, MONTH, FaultLoad
 from ..core.metric import performability_of
@@ -80,9 +80,45 @@ def category_breakdown(result: PerformabilityResult) -> Dict[str, float]:
     return result.grouped_unavailability(grouping)
 
 
+#: The phase-2 fault loads the campaign report and the dashboard evaluate.
+DEFAULT_FAULTLOADS: Mapping[str, FaultLoad] = {
+    "app faults 1/day": FaultLoad.table3(app_fault_mttf=DAY),
+    "app faults 1/month": FaultLoad.table3(app_fault_mttf=MONTH),
+}
+
+
+def phase2_evaluation(
+    campaign: Mapping[str, ProfileSet],
+    replicates: Optional[Mapping[str, Iterable[ProfileSet]]] = None,
+) -> Dict[str, List[tuple]]:
+    """Evaluate every version against every default fault load.
+
+    Maps each load label to ``(version, skipped, result, bands)`` rows:
+    a partial campaign is evaluated against the components it measured
+    (``skipped`` counts the others), and ``bands`` are the AA/AT/P CI
+    bands over the version's replicates (``n < 2`` means no band).
+    """
+    from ..experiments.performability import _usable_load, banded_evaluation
+
+    out: Dict[str, List[tuple]] = {}
+    for label, load in DEFAULT_FAULTLOADS.items():
+        out[label] = []
+        for version, profiles in campaign.items():
+            usable = _usable_load(load, profiles)
+            reps = list((replicates or {}).get(version) or [])
+            out[label].append(
+                (
+                    version,
+                    len(load) - len(usable),
+                    evaluate(profiles, usable),
+                    banded_evaluation(profiles, reps, usable),
+                )
+            )
+    return out
+
+
 def campaign_report(
     campaign: Mapping[str, ProfileSet],
-    loads: Optional[Mapping[str, FaultLoad]] = None,
     replicates: Optional[Mapping[str, Iterable[ProfileSet]]] = None,
 ) -> str:
     """The full phase-1 + phase-2 story for a set of versions.
@@ -91,38 +127,20 @@ def campaign_report(
     version to its per-replication ProfileSets; when given, the phase-2
     summaries carry Student-t CI bands on AA, AT, and P.
     """
-    if loads is None:
-        loads = {
-            "app faults 1/day": FaultLoad.table3(app_fault_mttf=DAY),
-            "app faults 1/month": FaultLoad.table3(app_fault_mttf=MONTH),
-        }
     sections = ["=" * 72, "PHASE 1 — measured seven-stage profiles", "=" * 72]
     for version in campaign:
         sections.append(profile_table(campaign[version]))
         sections.append("")
     sections += ["=" * 72, "PHASE 2 — modeled performability", "=" * 72]
-    for label, load in loads.items():
+    for label, rows in phase2_evaluation(campaign, replicates).items():
         sections.append(f"--- fault load: {label} ---")
-        for version, profiles in campaign.items():
-            # A partial campaign evaluates against the loads it measured.
-            usable = FaultLoad(
-                components=tuple(c for c in load if c.key in profiles)
-            )
-            skipped = len(load) - len(usable)
+        for version, skipped, result, bands in rows:
             if skipped:
                 sections.append(
                     f"(note: {skipped} fault sources without measured"
                     f" profiles were skipped for {version})"
                 )
-            bands = None
-            reps = list((replicates or {}).get(version) or [])
-            if reps:
-                from ..experiments.performability import banded_evaluation
-
-                bands = banded_evaluation(profiles, reps, usable)
-            sections.append(
-                result_summary(evaluate(profiles, usable), bands)
-            )
+            sections.append(result_summary(result, bands))
             sections.append("")
     return "\n".join(sections)
 
@@ -224,19 +242,82 @@ def trace_summary_report(report) -> str:
     return "\n".join(lines)
 
 
-def _obs_groups(report):
-    """Cells with an observatory summary, grouped by (version, fault)."""
-    groups: Dict[tuple, list] = {}
-    for c in report.cells:
-        if not c.observatory:
-            continue
-        groups.setdefault((c.version, c.fault or "baseline"), []).append(
-            c.observatory
-        )
-    return groups
-
-
 _QUANTILE_COLUMNS = ("p50", "p95", "p99", "p999")
+
+
+def pool_latency(cells) -> Dict[tuple, dict]:
+    """Pool per-cell latency sketches into one entry per stream.
+
+    ``cells`` carry ``version``/``fault``/``rep``/``observatory`` (the
+    records of ``CampaignReport.cells``, or the dashboard's store
+    cells).  Each ``(version, fault or "baseline")`` stream that served
+    a request maps, in sorted order, to ``n`` (served requests),
+    ``quantiles`` (per-cell P² estimates for each quantile column) and
+    ``stage_p95`` (per-cell p95 of requests completing in each online
+    stage), every list in replication order.
+    """
+    groups: Dict[tuple, list] = {}
+    for c in sorted(cells, key=lambda c: (c.rep is None, c.rep or 0)):
+        if c.observatory:
+            groups.setdefault((c.version, c.fault or "baseline"), []).append(
+                c.observatory.get("latency") or {}
+            )
+    out: Dict[tuple, dict] = {}
+    for stream, latencies in sorted(groups.items()):
+        overall = [
+            o for o in (lat.get("overall") for lat in latencies)
+            if o and o.get("count")
+        ]
+        if not overall:
+            continue
+        stage_p95: Dict[str, list] = {}
+        for lat in latencies:
+            for stage, sketch in lat.get("by_stage", {}).items():
+                if sketch.get("p95") is not None:
+                    stage_p95.setdefault(stage, []).append(sketch["p95"])
+        out[stream] = {
+            "n": sum(o["count"] for o in overall),
+            "quantiles": {
+                q: [o[q] for o in overall if o.get(q) is not None]
+                for q in _QUANTILE_COLUMNS
+            },
+            "stage_p95": stage_p95,
+        }
+    return out
+
+
+def pool_attribution(cells) -> Dict[str, dict]:
+    """Sum per-cell attribution summaries into one entry per version.
+
+    ``cells`` are as for :func:`pool_latency`.  Each version with at
+    least one attributed request maps, in sorted order, to ``requests``,
+    ``lost``, ``slow`` and ``mech`` (mechanism -> ``{"lost", "slow"}``,
+    every known mechanism first, zeros included).
+    """
+    from ..obs.attribution import MECHANISMS
+
+    out: Dict[str, dict] = {}
+    for c in cells:
+        att = (c.observatory or {}).get("attribution")
+        if not att or not att.get("requests"):
+            continue
+        agg = out.setdefault(
+            c.version,
+            {
+                "requests": 0,
+                "lost": 0,
+                "slow": 0,
+                "mech": {m: {"lost": 0, "slow": 0} for m in MECHANISMS},
+            },
+        )
+        agg["requests"] += att["requests"]
+        agg["lost"] += att["total_lost"]
+        agg["slow"] += att["total_slow"]
+        for mech, row in att["mechanisms"].items():
+            dst = agg["mech"].setdefault(mech, {"lost": 0, "slow": 0})
+            dst["lost"] += row["lost"]
+            dst["slow"] += row["slow"]
+    return dict(sorted(out.items()))
 
 
 def latency_band_report(report, confidence: float = 0.95) -> str:
@@ -251,21 +332,12 @@ def latency_band_report(report, confidence: float = 0.95) -> str:
     """
     from ..experiments.repeaters import ci_half_width
 
-    groups = _obs_groups(report)
     rows = []
     stage_rows = []
-    for (version, fault), summaries in sorted(groups.items()):
-        overall = [
-            s["latency"]["overall"]
-            for s in summaries
-            if s.get("latency") and s["latency"]["overall"]["count"]
-        ]
-        if not overall:
-            continue
-        n = sum(o["count"] for o in overall)
+    for (version, fault), pooled in pool_latency(report.cells).items():
         cells = []
         for q in _QUANTILE_COLUMNS:
-            samples = [o[q] for o in overall if o.get(q) is not None]
+            samples = pooled["quantiles"][q]
             if not samples:
                 cells.append(f"{'—':>15s}")
                 continue
@@ -275,16 +347,12 @@ def latency_band_report(report, confidence: float = 0.95) -> str:
                 cells.append(f"{mean:8.4f}±{half:6.4f}")
             else:
                 cells.append(f"{mean:8.4f}{'':>7s}")
-        rows.append(f"  {version + '/' + fault:38s} {n:>7d}" + "".join(cells))
+        rows.append(
+            f"  {version + '/' + fault:38s} {pooled['n']:>7d}" + "".join(cells)
+        )
         # Per-stage tails: the p95 of requests completing in each online
         # stage (A-G), averaged across replications.
-        stages: Dict[str, list] = {}
-        for s in summaries:
-            for stage, sketch in (s.get("latency") or {}).get(
-                "by_stage", {}
-            ).items():
-                if sketch.get("p95") is not None:
-                    stages.setdefault(stage, []).append(sketch["p95"])
+        stages = pooled["stage_p95"]
         if len(stages) > 1:
             parts = " ".join(
                 f"{stage}:{sum(v) / len(v):.3f}"
@@ -315,32 +383,7 @@ def attribution_report(report) -> str:
     slice of unavailability (``cost`` = lost / all requests).  Empty when
     no cell carries an attribution summary (pre-observatory cache).
     """
-    from ..obs.attribution import MECHANISMS
-
-    groups = _obs_groups(report)
-    per_version: Dict[str, dict] = {}
-    for (version, _fault), summaries in sorted(groups.items()):
-        agg = per_version.setdefault(
-            version,
-            {
-                "requests": 0,
-                "lost": 0,
-                "slow": 0,
-                "mech": {m: {"lost": 0, "slow": 0} for m in MECHANISMS},
-            },
-        )
-        for s in summaries:
-            att = s.get("attribution")
-            if not att:
-                continue
-            agg["requests"] += att["requests"]
-            agg["lost"] += att["total_lost"]
-            agg["slow"] += att["total_slow"]
-            for mech, row in att["mechanisms"].items():
-                dst = agg["mech"].setdefault(mech, {"lost": 0, "slow": 0})
-                dst["lost"] += row["lost"]
-                dst["slow"] += row["slow"]
-    per_version = {v: a for v, a in per_version.items() if a["requests"]}
+    per_version = pool_attribution(report.cells)
     if not per_version:
         return ""
     lines = [
@@ -358,8 +401,7 @@ def attribution_report(report) -> str:
             f"    {'mechanism':22s} {'lost':>8s} {'slow':>8s}"
             f" {'charged':>8s} {'cost':>8s}"
         )
-        for mech in agg["mech"]:
-            row = agg["mech"][mech]
+        for mech, row in agg["mech"].items():
             charged = row["lost"] + row["slow"]
             if not charged:
                 continue

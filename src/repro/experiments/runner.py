@@ -551,6 +551,62 @@ class CampaignReport:
         return out
 
 
+def merge_profiles(
+    rows: Iterable[Tuple[str, Optional[str], Optional[int], dict]],
+) -> Tuple[Dict[str, ProfileSet], Dict[str, List[ProfileSet]]]:
+    """Merge campaign cells into per-version phase-1 ProfileSets.
+
+    ``rows`` are ``(version, fault, rep, payload)`` cells, ``fault=None``
+    for the baseline.  Tn is averaged over the baseline cells and each
+    fault's profiles with :func:`average_profiles`, both in replication
+    order; versions and faults keep their first-seen row order.  A
+    baseline without ``tn`` or a fault cell without ``profile`` is
+    skipped, and a version needs a baseline and one fault profile.
+
+    The second result maps each merged version to one single-replication
+    ProfileSet per replication that has the baseline and every fault of
+    the version — the samples behind the AA/AT/P CI bands.  Rows without
+    ``rep`` count toward the merge but not toward the replicates.
+    """
+    streams: Dict[str, Dict[Optional[str], list]] = {}
+    for version, fault, rep, payload in rows:
+        if ("tn" if fault is None else "profile") in payload:
+            streams.setdefault(version, {}).setdefault(fault, []).append(
+                (rep, payload)
+            )
+    merged: Dict[str, ProfileSet] = {}
+    replicates: Dict[str, List[ProfileSet]] = {}
+    for version, by_fault in streams.items():
+        faults = [f for f in by_fault if f is not None]
+        if None not in by_fault or not faults:
+            continue
+        by_rep: Dict[int, Dict[Optional[str], dict]] = {}
+        for fault, cells in by_fault.items():
+            cells.sort(key=lambda rp: (rp[0] is None, rp[0] or 0))
+            for rep, payload in cells:
+                if rep is not None:
+                    by_rep.setdefault(rep, {})[fault] = payload
+        tns = [float(payload["tn"]) for _, payload in by_fault[None]]
+        merged[version] = ProfileSet(version, sum(tns) / len(tns))
+        for fault in faults:
+            merged[version].add(
+                average_profiles(
+                    SevenStageProfile.from_dict(payload["profile"])
+                    for _, payload in by_fault[fault]
+                )
+            )
+        replicates[version] = []
+        for rep in sorted(by_rep):
+            cell = by_rep[rep]
+            if len(cell) < len(by_fault):
+                continue
+            ps = ProfileSet(version, float(cell[None]["tn"]))
+            for fault in faults:
+                ps.add(SevenStageProfile.from_dict(cell[fault]["profile"]))
+            replicates[version].append(ps)
+    return merged, replicates
+
+
 # ----------------------------------------------------------------------
 # The runner
 # ----------------------------------------------------------------------
@@ -940,32 +996,6 @@ class CampaignRunner:
                 record.to_payload(),
             )
 
-    def _replicates(
-        self,
-        versions: List[str],
-        faults: Tuple[FaultKind, ...],
-        payloads: Dict[_Cell, dict],
-    ) -> Dict[str, List[ProfileSet]]:
-        """Per-version single-replication ProfileSets over the reps every
-        stream of the version completed — the AT/AA/P band samples."""
-        by_cell = {(c.version, c.fault, c.rep): p for c, p in payloads.items()}
-        out: Dict[str, List[ProfileSet]] = {}
-        for version in versions:
-            sets: List[ProfileSet] = []
-            for rep in range(self.settings.repetition_policy().max_reps):
-                base = by_cell.get((version, None, rep))
-                rest = [
-                    by_cell.get((version, f.value, rep)) for f in faults
-                ]
-                if base is None or any(p is None for p in rest):
-                    continue
-                ps = ProfileSet(version, float(base["tn"]))
-                for payload in rest:
-                    ps.add(SevenStageProfile.from_dict(payload["profile"]))
-                sets.append(ps)
-            out[version] = sets
-        return out
-
     # -- public API ----------------------------------------------------
     def run(
         self,
@@ -1058,40 +1088,13 @@ class CampaignRunner:
                 self._spool = None
         report.repetition.sort(key=lambda r: (r.version, r.fault or ""))
 
-        # Merge: identical arithmetic to the historical fixed-rep path —
-        # Tn averaged over the baseline reps that ran, per-fault
-        # profiles averaged in replication order.
-        out: Dict[str, ProfileSet] = {}
-        for version in versions:
-            tns = [
-                payloads[c]["tn"]
-                for c in sorted(
-                    (c for c in payloads if c.version == version and c.fault is None),
-                    key=lambda c: c.rep,
-                )
-            ]
-            profiles = ProfileSet(version, sum(tns) / len(tns))
-            for kind in faults:
-                reps_of_fault = sorted(
-                    (
-                        c
-                        for c in payloads
-                        if c.version == version and c.fault == kind.value
-                    ),
-                    key=lambda c: c.rep,
-                )
-                profiles.add(
-                    average_profiles(
-                        [
-                            SevenStageProfile.from_dict(
-                                payloads[c]["profile"]
-                            )
-                            for c in reps_of_fault
-                        ]
-                    )
-                )
-            out[version] = profiles
-        report.replicates = self._replicates(versions, faults, payloads)
+        # ``payloads`` holds cells in completion order; the merge keeps
+        # first-seen order, so feed it the streams' (versions) order.
+        order = {s: i for i, s in enumerate(streams)}
+        out, report.replicates = merge_profiles(
+            (c.version, c.fault, c.rep, payloads[c])
+            for c in sorted(payloads, key=lambda c: order[c.stream])
+        )
 
         report.notices.extend(self.store.drain_notices())
         self._finish_warm_report(report)

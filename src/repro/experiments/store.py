@@ -470,6 +470,12 @@ class DiskStore(ResultStore):
         are skipped — this is a reporting walk (the campaign dashboard),
         not a cache lookup, so it must tolerate a dirty directory.
         """
+        for _digest, key, payload in self.iter_cell_files():
+            yield key, payload
+
+    def iter_cell_files(self):
+        """:meth:`iter_cells` with each cell's :meth:`CellKey.digest` (its
+        file name) first: the one identity that covers the settings."""
         for shard in sorted(self.cache_dir.iterdir()):
             if not self._is_shard(shard):
                 continue
@@ -485,7 +491,7 @@ class DiskStore(ResultStore):
                     or "key" not in data
                 ):
                     continue
-                yield data["key"], data["payload"]
+                yield cell.stem, data["key"], data["payload"]
 
     @staticmethod
     def _is_shard(path: Path) -> bool:

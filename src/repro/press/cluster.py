@@ -350,9 +350,10 @@ class PressCluster:
         Aggregates every Snapshottable component: engine clock/seq, RNG
         stream positions, fabric/link serializer clocks, per-node
         CPU/disk state, transport channel states, and each server's
-        cache and membership.  Equal digests before capture and after
-        restore certify a faithful checkpoint round trip
-        (see :func:`repro.sim.snapshot.state_digest`).
+        cache and membership.  The snapshot and warm-start tests check
+        a checkpoint round trip by comparing this digest before capture
+        and after restore (see :func:`repro.sim.snapshot.state_digest`);
+        nothing compares it at run time.
         """
         servers = {}
         for node_id, server in sorted(self.servers.items()):

@@ -5,8 +5,7 @@ Public surface:
 * :class:`Engine`, :class:`Event`, :class:`Timer` — the core loop.
 * :class:`Process`, :func:`spawn`, :func:`all_of`, :func:`any_of` —
   generator coroutines.
-* :class:`Resource`, :class:`Store`, :class:`Gate`, :class:`TokenBucket` —
-  contention primitives.
+* :class:`Resource`, :class:`Store` — contention primitives.
 * :class:`RngRegistry` — deterministic named random streams.
 * :class:`ThroughputMonitor`, :class:`Annotations`, :class:`Timeline` —
   measurement instruments.
@@ -15,7 +14,7 @@ Public surface:
 from .engine import Engine, Event, SimulationError, StopSimulation, Timer
 from .monitor import Annotation, Annotations, ThroughputMonitor, Timeline
 from .process import Interrupted, Process, all_of, any_of, spawn
-from .resources import Gate, Resource, ResourceClosed, Store, TokenBucket
+from .resources import Resource, ResourceClosed, Store
 from .rng import RngRegistry, derive_seed
 
 __all__ = [
@@ -31,8 +30,6 @@ __all__ = [
     "any_of",
     "Resource",
     "Store",
-    "Gate",
-    "TokenBucket",
     "ResourceClosed",
     "RngRegistry",
     "derive_seed",

@@ -292,12 +292,6 @@ class Engine:
         """Create a fresh untriggered :class:`Event` bound to this engine."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Event:
-        """An event that succeeds ``delay`` seconds from now."""
-        ev = Event(self)
-        self.call_after(delay, ev.succeed, value)
-        return ev
-
     # ------------------------------------------------------------------
     # Tombstone bookkeeping
     # ------------------------------------------------------------------

@@ -5,9 +5,6 @@ These model the contention points in the reproduction:
 * :class:`Resource` — counted capacity with FIFO waiters (disk threads,
   connection slots).
 * :class:`Store` — a FIFO of items with blocking get (message queues).
-* :class:`Gate` — open/closed flag processes can wait on (node frozen,
-  link down).
-* :class:`TokenBucket` — credit pools (VIA flow-control credits).
 
 All primitives hand out :class:`~repro.sim.engine.Event` objects so they can
 be awaited from processes or chained with callbacks.
@@ -135,85 +132,3 @@ class Store:
         self._closed = True
         while self._getters:
             self._getters.popleft().fail(ResourceClosed())
-
-
-class Gate:
-    """A level-triggered open/closed flag.
-
-    ``wait_open`` returns an event that succeeds immediately when the gate
-    is open, otherwise when it next opens.  Used to model frozen nodes and
-    downed links: work paths wait on the gate instead of polling.
-    """
-
-    def __init__(self, engine: Engine, open_: bool = True):
-        self.engine = engine
-        self._open = open_
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def open(self) -> None:
-        self._open = True
-        while self._waiters:
-            self._waiters.popleft().succeed()
-
-    def close(self) -> None:
-        self._open = False
-
-    def wait_open(self) -> Event:
-        ev = self.engine.event()
-        if self._open:
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-
-class TokenBucket:
-    """A pool of discrete credits with blocking take.
-
-    Models VIA's receive-descriptor credits: a sender consumes one credit
-    per message and blocks when none remain; the receiver returns credits
-    as it reposts buffers.
-    """
-
-    def __init__(self, engine: Engine, tokens: int, capacity: Optional[int] = None):
-        if tokens < 0:
-            raise SimulationError("initial tokens must be >= 0")
-        self.engine = engine
-        self.tokens = tokens
-        self.capacity = capacity if capacity is not None else tokens
-        self._waiters: Deque[Event] = deque()
-
-    def take(self) -> Event:
-        ev = self.engine.event()
-        if self.tokens > 0:
-            self.tokens -= 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def try_take(self) -> bool:
-        if self.tokens > 0:
-            self.tokens -= 1
-            return True
-        return False
-
-    def give(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self._waiters:
-                self._waiters.popleft().succeed()
-            elif self.tokens < self.capacity:
-                self.tokens += 1
-
-    def fail_waiters(self, exc: Exception) -> None:
-        """Abort blocked takers (e.g. the peer's connection broke)."""
-        while self._waiters:
-            self._waiters.popleft().fail(exc)
-
-    @property
-    def queued(self) -> int:
-        return len(self._waiters)

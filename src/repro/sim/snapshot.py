@@ -43,9 +43,12 @@ Verification
 Components that carry deterministic state implement the
 :class:`Snapshottable` protocol: ``snapshot_state()`` returns a JSON-safe
 digest of the state that must survive a round trip.  :func:`state_digest`
-hashes that digest; the warm-start layer compares it before capture and
-after restore, so a checkpoint that silently dropped state is detected
-at restore time, not three stages later as a diverged profile.
+hashes that digest.  The warm-start layer does not compute it on restore
+(that would cost time on every restore); the round trip is checked by
+the tests that compare digests before capture and after restore
+(``tests/sim/test_snapshot.py``, ``tests/experiments/test_warmstart.py``),
+so a checkpoint format that silently drops state fails there rather than
+three stages later as a diverged profile.
 """
 
 from __future__ import annotations
@@ -133,8 +136,9 @@ class Snapshottable(Protocol):
     ``snapshot_state()`` must return a JSON-serializable structure that
     covers every piece of state that influences future event order or
     values — clocks, sequence counters, RNG positions, queue depths.
-    Equal digests before capture and after restore certify the round
-    trip (see :func:`state_digest`).
+    Equal digests before capture and after restore are what the
+    snapshot and warm-start tests check a round trip by (see
+    :func:`state_digest`).
     """
 
     def snapshot_state(self) -> dict: ...

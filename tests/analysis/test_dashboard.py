@@ -10,12 +10,17 @@ import json
 
 import pytest
 
-from repro.analysis.dashboard import dashboard_from_store, render_dashboard
+from repro.analysis.dashboard import (
+    _collect,
+    _merge,
+    dashboard_from_store,
+    render_dashboard,
+)
 from repro.experiments.runner import run_campaign
 from repro.experiments.settings import Phase1Settings
-from repro.experiments.store import DiskStore
+from repro.experiments.store import SCHEMA_VERSION, CellKey, DiskStore
 from repro.faults.spec import FaultKind
-from repro.press.cluster import SMOKE_SCALE
+from repro.press.cluster import SMOKE_SCALE, ExperimentScale
 
 FAST = Phase1Settings(
     scale=SMOKE_SCALE,
@@ -170,3 +175,82 @@ def test_stored_payloads_are_json_round_trippable(store_dir):
         assert "timeline" in payload
         if key["fault"] is not None:
             assert "divergence" in payload
+
+
+def test_dashboard_merge_matches_the_runner_field_for_field(tmp_path):
+    """The dashboard rebuilds the runner's ProfileSets bit for bit.
+
+    Regression: the dashboard once summed replications in seed-string
+    order (2, 1, 0 for this campaign), so its stage-B throughput for
+    application-crash differed from the runner's in the last digit.
+    """
+    settings = Phase1Settings(
+        scale=ExperimentScale(cpu_factor=200), seed=2, replications=3
+    )
+    campaign, report = run_campaign(
+        settings,
+        versions=["TCP-PRESS"],
+        faults=[FaultKind.APP_CRASH],
+        store=DiskStore(tmp_path),
+    )
+    kept, _ = _collect(DiskStore(tmp_path).iter_cells())
+    merged, replicates = _merge(kept)
+    assert merged["TCP-PRESS"].to_dict() == campaign["TCP-PRESS"].to_dict()
+    assert len(report.replicates["TCP-PRESS"]) == 3
+    assert [ps.to_dict() for ps in replicates["TCP-PRESS"]] == [
+        ps.to_dict() for ps in report.replicates["TCP-PRESS"]
+    ]
+
+
+def _put_mixed_settings_store(path, scales=(200, 100)):
+    """One store holding TCP-PRESS x application-crash (baseline + fault,
+    one replication) at each of ``scales``: same seeds, different
+    settings keys."""
+    store = DiskStore(path)
+    for factor in scales:
+        sim_key = Phase1Settings(
+            scale=ExperimentScale(cpu_factor=factor)
+        ).sim_key()
+        for fault in (None, FaultKind.APP_CRASH.value):
+            store.put(
+                CellKey(
+                    version="TCP-PRESS",
+                    settings_key=sim_key,
+                    fault=fault,
+                    seed=7,
+                    rep=0,
+                ),
+                {"tn": float(factor)},
+            )
+    return path
+
+
+def test_dashboard_refuses_a_store_that_mixes_settings(tmp_path):
+    store = _put_mixed_settings_store(tmp_path / "mixed")
+    with pytest.raises(ValueError, match="4 cell"):
+        dashboard_from_store(store)
+    assert not (store / "dashboard.html").exists()
+    # One settings universe renders.
+    single = _put_mixed_settings_store(tmp_path / "single", scales=(200,))
+    assert dashboard_from_store(single).exists()
+
+
+def test_dashboard_cli_exits_with_a_message_on_a_mixed_store(tmp_path):
+    from repro.__main__ import main
+
+    store = _put_mixed_settings_store(tmp_path / "mixed")
+    with pytest.raises(SystemExit) as exc:
+        main(["dashboard", str(store)])
+    assert str(exc.value.code).startswith("dashboard: 4 cell(s)")
+
+
+def test_collision_is_judged_on_the_newest_generation_only():
+    old = SCHEMA_VERSION - 1
+    rows = [
+        _row(seed=1, schema=old, tn=1.0),
+        _row(seed=1, schema=old, tn=2.0),
+        _row(seed=1, schema=SCHEMA_VERSION, tn=3.0),
+    ]
+    kept, stale = _collect(rows)
+    assert [c.payload["tn"] for c in kept] == [3.0]
+    assert stale == 0

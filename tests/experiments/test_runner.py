@@ -209,3 +209,72 @@ class TestCampaignFacade:
             "TCP-PRESS", SETTINGS, faults=FAULTS, store=MemoryStore()
         )
         assert ps.to_dict() == sets["TCP-PRESS"].to_dict()
+
+
+class TestMergeProfiles:
+    """The one phase-1 merge the runner and the dashboard share."""
+
+    @staticmethod
+    def _profile(fault, tn, duration):
+        from repro.core.stages import SevenStageProfile, Stage
+
+        return SevenStageProfile.from_pairs(
+            fault, "V", tn, [(Stage.B, duration, tn / 2)]
+        ).to_dict()
+
+    def test_averages_in_replication_order_whatever_the_row_order(self):
+        from repro.experiments.runner import merge_profiles
+
+        rows = [
+            ("V", "f", 2, {"profile": self._profile("f", 100.0, 30.0)}),
+            ("V", None, 1, {"tn": 0.3}),
+            ("V", "f", 0, {"profile": self._profile("f", 100.0, 10.0)}),
+            ("V", None, 2, {"tn": 0.1}),
+            ("V", None, 0, {"tn": 0.7}),
+            ("V", "f", 1, {"profile": self._profile("f", 100.0, 20.0)}),
+        ]
+        merged, replicates = merge_profiles(rows)
+        in_order = sorted(rows, key=lambda r: r[2])
+        expected, _ = merge_profiles(in_order)
+        assert merged["V"].to_dict() == expected["V"].to_dict()
+        assert merged["V"].normal_throughput == (0.7 + 0.3 + 0.1) / 3
+        assert [ps.normal_throughput for ps in replicates["V"]] == [
+            0.7, 0.3, 0.1
+        ]
+
+    def test_versions_and_faults_keep_first_seen_order(self):
+        from repro.experiments.runner import merge_profiles
+
+        rows = [
+            ("Z", None, 0, {"tn": 1.0}),
+            ("Z", "g", 0, {"profile": self._profile("g", 1.0, 1.0)}),
+            ("Z", "a", 0, {"profile": self._profile("a", 1.0, 1.0)}),
+            ("A", None, 0, {"tn": 1.0}),
+            ("A", "a", 0, {"profile": self._profile("a", 1.0, 1.0)}),
+        ]
+        merged, _ = merge_profiles(rows)
+        assert list(merged) == ["Z", "A"]
+        assert list(merged["Z"].keys()) == ["g", "a"]
+
+    def test_tolerates_partial_rows(self):
+        from repro.experiments.runner import merge_profiles
+
+        rows = [
+            ("V", None, 0, {"tn": 2.0}),
+            ("V", None, 1, {}),  # no tn: skipped
+            ("V", None, None, {"tn": 4.0}),  # no rep: merge only
+            ("V", "f", 0, {"profile": self._profile("f", 2.0, 5.0)}),
+            ("V", "f", 1, {"profile": self._profile("f", 2.0, 5.0)}),
+            ("V", "g", 0, {"profile": self._profile("g", 2.0, 5.0)}),
+            ("V", "g", 1, {}),  # no profile: skipped
+            ("B", None, 0, {"tn": 1.0}),  # no fault profile: dropped
+            ("F", "f", 0, {"profile": self._profile("f", 2.0, 5.0)}),
+        ]
+        merged, replicates = merge_profiles(rows)
+        assert list(merged) == ["V"]
+        assert merged["V"].normal_throughput == 3.0
+        assert sorted(merged["V"].keys()) == ["f", "g"]
+        # Rep 1 lacks its baseline tn and g's profile: only rep 0 is a
+        # complete replicate.
+        assert [ps.normal_throughput for ps in replicates["V"]] == [2.0]
+        assert sorted(replicates["V"][0].keys()) == ["f", "g"]

@@ -227,14 +227,6 @@ class TestEvent:
         with pytest.raises(TypeError):
             ev.fail("not an exception")
 
-    def test_timeout_event(self):
-        e = Engine()
-        ev = e.timeout(4.0, value="done")
-        seen = []
-        ev.add_callback(lambda event: seen.append((e.now, event.value)))
-        e.run()
-        assert seen == [(4.0, "done")]
-
 
 class TestHotLoopInternals:
     """White-box checks of the hot-loop machinery: the timer freelist,

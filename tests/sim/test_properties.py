@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Engine
-from repro.sim.resources import Resource, Store, TokenBucket
+from repro.sim.resources import Resource, Store
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
@@ -70,26 +70,6 @@ def test_store_preserves_fifo_order(items):
         s.put(item)
     out = [s.get().value for _ in range(len(items))]
     assert out == items
-
-
-@given(
-    st.integers(min_value=0, max_value=20),
-    st.lists(st.sampled_from(["take", "give"]), max_size=80),
-)
-def test_token_bucket_conservation(initial, ops):
-    """Tokens never go negative and never exceed capacity."""
-    e = Engine()
-    b = TokenBucket(e, tokens=initial)
-    outstanding = 0
-    for op in ops:
-        if op == "take":
-            if b.try_take():
-                outstanding += 1
-        else:
-            if outstanding > 0:
-                outstanding -= 1
-                b.give()
-        assert 0 <= b.tokens <= b.capacity
 
 
 @settings(max_examples=25)

@@ -1,15 +1,9 @@
-"""Tests for Resource, Store, Gate, and TokenBucket."""
+"""Tests for Resource and Store."""
 
 import pytest
 
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.resources import (
-    Gate,
-    Resource,
-    ResourceClosed,
-    Store,
-    TokenBucket,
-)
+from repro.sim.resources import Resource, ResourceClosed, Store
 
 
 class TestResource:
@@ -130,68 +124,3 @@ class TestStore:
         s.close()
         assert getter.triggered and not getter.ok
         assert not s.put("z")
-
-
-class TestGate:
-    def test_open_gate_passes_immediately(self):
-        e = Engine()
-        g = Gate(e, open_=True)
-        assert g.wait_open().triggered
-
-    def test_closed_gate_blocks_until_open(self):
-        e = Engine()
-        g = Gate(e, open_=False)
-        w = g.wait_open()
-        assert not w.triggered
-        g.open()
-        assert w.triggered
-
-    def test_close_then_reopen_releases_all(self):
-        e = Engine()
-        g = Gate(e)
-        g.close()
-        waiters = [g.wait_open() for _ in range(3)]
-        g.open()
-        assert all(w.triggered for w in waiters)
-
-
-class TestTokenBucket:
-    def test_take_within_tokens(self):
-        e = Engine()
-        b = TokenBucket(e, tokens=2)
-        assert b.take().triggered
-        assert b.take().triggered
-        assert b.tokens == 0
-
-    def test_take_blocks_when_empty(self):
-        e = Engine()
-        b = TokenBucket(e, tokens=1)
-        b.take()
-        waiter = b.take()
-        assert not waiter.triggered
-        b.give()
-        assert waiter.triggered
-
-    def test_give_caps_at_capacity(self):
-        e = Engine()
-        b = TokenBucket(e, tokens=2)
-        b.give(5)
-        assert b.tokens == 2
-
-    def test_try_take(self):
-        e = Engine()
-        b = TokenBucket(e, tokens=1)
-        assert b.try_take()
-        assert not b.try_take()
-
-    def test_fail_waiters(self):
-        e = Engine()
-        b = TokenBucket(e, tokens=0)
-        w = b.take()
-        b.fail_waiters(ConnectionError("broken"))
-        assert w.triggered and not w.ok
-
-    def test_negative_tokens_rejected(self):
-        e = Engine()
-        with pytest.raises(SimulationError):
-            TokenBucket(e, tokens=-1)

@@ -275,6 +275,46 @@ def test_store_diff_exits_nonzero_on_payload_mismatch(tmp_path):
     assert "1 difference(s)" in str(exc.value.code)
 
 
+def test_store_diff_keeps_every_settings_universe_of_a_mixed_store(
+    capsys, tmp_path
+):
+    """Cells are matched by their on-disk digest, which covers the
+    settings: a store holding one grid at two scales (same versions,
+    faults and seeds) is not mistaken for the one-scale store."""
+    from repro.experiments.settings import Phase1Settings
+    from repro.experiments.store import CellKey, DiskStore
+    from repro.press.cluster import ExperimentScale
+
+    def put(cache_dir, factor):
+        sim_key = Phase1Settings(
+            scale=ExperimentScale(cpu_factor=factor)
+        ).sim_key()
+        for fault in (None, "application-crash"):
+            DiskStore(cache_dir).put(
+                CellKey(
+                    version="TCP-PRESS",
+                    settings_key=sim_key,
+                    fault=fault,
+                    seed=7,
+                    rep=0,
+                ),
+                {"kind": "cell", "tn": float(factor)},
+            )
+
+    mixed, single = tmp_path / "mixed", tmp_path / "single"
+    put(mixed, 200)
+    put(mixed, 100)
+    put(single, 200)
+    with pytest.raises(SystemExit) as exc:
+        main(["store-diff", str(mixed), str(single)])
+    assert "2 difference(s)" in str(exc.value.code)
+    out = capsys.readouterr().out
+    assert out.count(f"only in {mixed}: TCP-PRESS") == 2
+    assert f"only in {mixed}: TCP-PRESS baseline seed=7" in out
+    assert f"only in {mixed}: TCP-PRESS application-crash seed=7" in out
+    assert "payload mismatch" not in out
+
+
 def test_store_diff_reports_a_v4_store_as_invalidated(capsys, tmp_path):
     """Pre-v5 cells are called out as invalidated by the current
     schema — the campaign re-runs them, it never re-reads them."""
