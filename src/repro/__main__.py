@@ -118,6 +118,7 @@ def cmd_figure(args) -> None:
 def cmd_timeline(args) -> None:
     from .analysis.report import timeline_report
     from .experiments.phase1 import run_single_fault
+    from .obs.exporters import export_traces
     from .press.config import ALL_VERSIONS_EXTENDED
 
     kind = FaultKind(args.fault)
@@ -136,31 +137,19 @@ def cmd_timeline(args) -> None:
         recorder=recorder, spans=spans,
     )
     print(timeline_report(record))
-    label = f"{args.version}__{kind.value}__seed{args.seed}"
+    paths, span_paths = export_traces(
+        f"{args.version}__{kind.value}__seed{args.seed}",
+        {"version": args.version, "fault": kind.value, "seed": args.seed},
+        trace_dir=args.trace_dir or None,
+        recorder=recorder,
+        spans_dir=args.spans_dir or None,
+        collector=spans,
+        now=cluster.engine.now,
+    )
     if recorder is not None:
-        from .obs.exporters import export_run, telemetry_summary
-
-        paths = export_run(
-            recorder.events,
-            args.trace_dir,
-            label,
-            meta={"version": args.version, "fault": kind.value,
-                  "seed": args.seed},
-        )
-        summary = telemetry_summary(recorder, cluster.metrics)
-        print(f"trace: {summary['event_total']} events ->",
+        print(f"trace: {recorder.total} events ->",
               " ".join(str(p) for p in paths))
     if spans is not None:
-        from .obs.exporters import export_spans
-
-        spans.finish(cluster.engine.now)
-        span_paths = export_spans(
-            spans,
-            args.spans_dir,
-            label,
-            meta={"version": args.version, "fault": kind.value,
-                  "seed": args.seed},
-        )
         print(f"spans: {len(spans.spans)} spans in {spans.n_traces} "
               "traces ->",
               " ".join(str(p) for p in span_paths))

@@ -26,14 +26,18 @@ from .runner import CampaignReport, run_campaign
 from .settings import CAMPAIGN_FAULTS, DEFAULT_SETTINGS, Phase1Settings
 from .store import MemoryStore, ResultStore
 
-#: Process-wide defaults, set once by entry points via :func:`configure`.
-_default_store: ResultStore = MemoryStore()
-_default_jobs: int = 1
-_default_trace_dir: Optional[str] = None
-_default_warm_start: bool = True
-_default_spans_dir: Optional[str] = None
-_default_span_sample: int = 1
-_default_profile: bool = False
+#: Process-wide defaults, set by entry points via :func:`configure`.
+#: The keys are :func:`run_campaign`'s keyword arguments; whoever needs
+#: to undo a ``configure`` (a test) copies this dict and puts it back.
+_defaults: dict = {
+    "store": MemoryStore(),
+    "jobs": 1,
+    "trace_dir": None,
+    "warm_start": True,
+    "spans_dir": None,
+    "span_sample": 1,
+    "profile": False,
+}
 
 
 def configure(
@@ -46,28 +50,42 @@ def configure(
     profile: Optional[bool] = None,
 ) -> None:
     """Set the store/parallelism/tracing every campaign uses unless
-    overridden."""
-    global _default_store, _default_jobs, _default_trace_dir
-    global _default_warm_start
-    global _default_spans_dir, _default_span_sample, _default_profile
-    if store is not None:
-        _default_store = store
-    if jobs is not None:
-        _default_jobs = max(1, int(jobs))
-    if trace_dir is not None:
-        _default_trace_dir = str(trace_dir)
-    if warm_start is not None:
-        _default_warm_start = bool(warm_start)
-    if spans_dir is not None:
-        _default_spans_dir = str(spans_dir)
-    if span_sample is not None:
-        _default_span_sample = max(1, int(span_sample))
-    if profile is not None:
-        _default_profile = bool(profile)
+    overridden.  ``None`` leaves a default as it is; the runner
+    normalizes the values (``jobs`` at least 1, directories as str)."""
+    given = {
+        "store": store,
+        "jobs": jobs,
+        "trace_dir": trace_dir,
+        "warm_start": warm_start,
+        "spans_dir": spans_dir,
+        "span_sample": span_sample,
+        "profile": profile,
+    }
+    _defaults.update((k, v) for k, v in given.items() if v is not None)
 
 
 def default_store() -> ResultStore:
-    return _default_store
+    return _defaults["store"]
+
+
+def _run(
+    settings: Phase1Settings,
+    versions: Iterable[str],
+    faults: Iterable[FaultKind],
+    jobs: Optional[int],
+    store: Optional[ResultStore],
+    use_cache: bool,
+) -> Tuple[Dict[str, ProfileSet], CampaignReport]:
+    """:func:`run_campaign` under the process-wide defaults."""
+    options = dict(_defaults)
+    if jobs is not None:
+        options["jobs"] = jobs
+    if store is not None:
+        options["store"] = store
+    return run_campaign(
+        settings, versions=versions, faults=faults, use_cache=use_cache,
+        **options,
+    )
 
 
 def measure_profile_set(
@@ -83,19 +101,7 @@ def measure_profile_set(
     The experiment is repeated ``settings.replications`` times under
     distinct derived seeds and the fitted profiles averaged per fault.
     """
-    sets, _report = run_campaign(
-        settings,
-        versions=[version],
-        faults=faults,
-        jobs=jobs if jobs is not None else _default_jobs,
-        store=store if store is not None else _default_store,
-        use_cache=use_cache,
-        trace_dir=_default_trace_dir,
-        warm_start=_default_warm_start,
-        spans_dir=_default_spans_dir,
-        span_sample=_default_span_sample,
-        profile=_default_profile,
-    )
+    sets, _report = _run(settings, [version], faults, jobs, store, use_cache)
     return sets[version]
 
 
@@ -124,21 +130,9 @@ def full_campaign_with_report(
 ) -> Tuple[Dict[str, ProfileSet], CampaignReport]:
     """Like :func:`full_campaign`, but also return the timing report."""
     names = list(versions) if versions is not None else list(ALL_VERSIONS)
-    return run_campaign(
-        settings,
-        versions=names,
-        faults=faults,
-        jobs=jobs if jobs is not None else _default_jobs,
-        store=store if store is not None else _default_store,
-        use_cache=use_cache,
-        trace_dir=_default_trace_dir,
-        warm_start=_default_warm_start,
-        spans_dir=_default_spans_dir,
-        span_sample=_default_span_sample,
-        profile=_default_profile,
-    )
+    return _run(settings, names, faults, jobs, store, use_cache)
 
 
 def clear_cache() -> None:
     """Drop every memoized cell in the process-wide default store."""
-    _default_store.clear()
+    _defaults["store"].clear()

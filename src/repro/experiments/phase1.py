@@ -115,6 +115,24 @@ def run_warm(
     return cluster
 
 
+def _warm_segment(
+    config: PressConfig,
+    settings: Phase1Settings,
+    recorder,
+    warm_cluster: Optional[PressCluster],
+    spans,
+) -> PressCluster:
+    """``warm_cluster`` when given, else a fresh :func:`run_warm`; the
+    argument rules are :func:`run_baseline`'s."""
+    if warm_cluster is None:
+        return run_warm(config, settings, recorder, spans)
+    if recorder is not None:
+        raise ValueError("warm_cluster already carries its recorder")
+    if spans is not None:
+        raise ValueError("span collection requires a cold run")
+    return warm_cluster
+
+
 def run_baseline(
     config: PressConfig,
     settings: Phase1Settings = DEFAULT_SETTINGS,
@@ -133,14 +151,7 @@ def run_baseline(
     checkpoint restored mid-stream has no spans for its in-flight
     requests, which would violate the trace-completeness invariant.
     """
-    if warm_cluster is None:
-        cluster = run_warm(config, settings, recorder, spans)
-    elif recorder is not None:
-        raise ValueError("warm_cluster already carries its recorder")
-    elif spans is not None:
-        raise ValueError("span collection requires a cold run")
-    else:
-        cluster = warm_cluster
+    cluster = _warm_segment(config, settings, recorder, warm_cluster, spans)
     end = settings.warm + settings.fault_at
     cluster.run_until(end)
     tn = cluster.measured_rate(settings.warm, end)
@@ -165,14 +176,7 @@ def run_single_fault(
     checkpoint (``warm_cluster``).  ``spans`` requires a cold run (see
     :func:`run_baseline`).
     """
-    if warm_cluster is None:
-        cluster = run_warm(config, settings, recorder, spans)
-    elif recorder is not None:
-        raise ValueError("warm_cluster already carries its recorder")
-    elif spans is not None:
-        raise ValueError("span collection requires a cold run")
-    else:
-        cluster = warm_cluster
+    cluster = _warm_segment(config, settings, recorder, warm_cluster, spans)
 
     duration = settings.fault_duration if kind in DURATION_FAULTS else 0.0
     spec = FaultSpec(

@@ -3,7 +3,11 @@
 The full campaign is a (version x fault x replication) grid of
 independent simulated runs plus one fault-free baseline per
 (version, replication).  Each grid point is a *cell*: a pure function of
-the experiment settings and its derived seed.  This module
+the experiment settings and its derived seed.  One worker,
+:func:`_run_cell`, runs every cell: it starts the warm segment (restored
+from a checkpoint or simulated cold), runs the baseline or injects the
+fault, and summarizes and exports the run the same way for both kinds.
+This module
 
 * derives a collision-free deterministic seed per *warm group* (a
   stable hash of ``(base_seed, version, rep)`` plus the warm-segment
@@ -12,7 +16,8 @@ the experiment settings and its derived seed.  This module
   seed, so their pre-injection trajectories are identical and the
   warm-start cache (:mod:`.warmstart`) simulates each group's warm
   segment exactly once,
-* executes cells either serially or on a
+* runs each wave of warm groups and cells through one order-preserving
+  map, :meth:`CampaignRunner._map`: inline, or on a
   :class:`~concurrent.futures.ProcessPoolExecutor` (``jobs > 1``), with
   a transparent serial fallback on platforms where worker processes
   cannot be spawned,
@@ -58,6 +63,7 @@ from .warmstart import (
     STATUS_MISS,
     WarmSpec,
     WarmStartCache,
+    simulate_warm,
 )
 
 
@@ -122,41 +128,6 @@ def _warm_cell(
     return WarmStartCache(warm).ensure(version, cell_settings, keep_events)
 
 
-def _start_cell(
-    version: str,
-    cell_settings: Phase1Settings,
-    keep_events: bool,
-    warm: Optional[WarmSpec],
-):
-    """Warm (cluster, observatory, provenance) for one cell.
-
-    With a :class:`WarmSpec` the warm segment is restored from (or
-    captured into) the campaign's checkpoint cache; without one the cell
-    runs cold and the caller simulates the warm segment itself.
-    """
-    from ..obs.bus import EventRecorder
-    from ..obs.observatory import Observatory
-
-    if warm is not None:
-        return WarmStartCache(warm).obtain(
-            version, cell_settings, keep_events
-        )
-    obs = Observatory(
-        recorder=EventRecorder(keep_events=keep_events),
-        env=cell_settings.environment,
-    )
-    return None, obs, {"status": STATUS_COLD}
-
-
-def _make_spans(spans: Optional[tuple]):
-    """Build a collector for ``spans`` = (dir, sample, label)."""
-    if spans is None:
-        return None
-    from ..obs.spans import SpanCollector
-
-    return SpanCollector(sample_every=spans[1])
-
-
 def _profiled_cell(worker: Callable[..., dict], *args) -> dict:
     """Run one cell worker under the layer profiler.
 
@@ -191,179 +162,120 @@ def _profiled_cell(worker: Callable[..., dict], *args) -> dict:
     return payload
 
 
-def _baseline_cell(
-    version: str,
-    settings: Phase1Settings,
-    seed: int,
-    trace: Optional[tuple] = None,
-    spans: Optional[tuple] = None,
-    warm: Optional[WarmSpec] = None,
-) -> dict:
-    from ..obs.exporters import telemetry_summary
-    from .phase1 import run_baseline
-
-    cell_settings = dataclasses.replace(settings, seed=seed)
-    start = time.perf_counter()
-    cluster, obs, warm_prov = _start_cell(
-        version, cell_settings, trace is not None, warm
-    )
-    restore_s = time.perf_counter() - start
-    collector = _make_spans(spans)
-    tn, cluster = run_baseline(
-        ALL_VERSIONS_EXTENDED[version],
-        cell_settings,
-        recorder=None if cluster is not None else obs,
-        warm_cluster=cluster,
-        spans=collector,
-    )
-    obs.finish(cluster)
-    _export_cell_spans(
-        collector, spans, cluster, version=version, fault=None, seed=seed
-    )
-    end = cell_settings.warm + cell_settings.fault_at
-    payload = {
-        "kind": "baseline",
-        "tn": tn,
-        "elapsed": time.perf_counter() - start,
-        "restore_elapsed": restore_s,
-        "warm_start": warm_prov,
-        "telemetry": telemetry_summary(
-            obs.recorder, cluster.metrics, bus=cluster.bus
-        ),
-        "observatory": obs.summary(),
-        "timeline": _timeline_payload(
-            [
-                (t, rate * cluster.scale.report_factor)
-                for t, rate in cluster.monitor.series(0.0, end)
-            ],
-            cluster.monitor.bucket_width,
-            cluster.monitor.availability(),
-            tn,
-        ),
-    }
-    _export_cell_trace(
-        obs.recorder, trace, version=version, fault=None, seed=seed
-    )
-    return payload
-
-
-def _fault_cell(
-    version: str,
-    fault_value: str,
-    settings: Phase1Settings,
-    seed: int,
-    trace: Optional[tuple] = None,
-    spans: Optional[tuple] = None,
-    warm: Optional[WarmSpec] = None,
-) -> dict:
-    from ..core.divergence import divergence_report
-    from ..core.extract import extract_profile
-    from ..obs.exporters import telemetry_summary
-    from .phase1 import run_single_fault
-
-    kind = FaultKind(fault_value)
-    cell_settings = dataclasses.replace(settings, seed=seed)
-    start = time.perf_counter()
-    cluster, obs, warm_prov = _start_cell(
-        version, cell_settings, trace is not None, warm
-    )
-    restore_s = time.perf_counter() - start
-    collector = _make_spans(spans)
-    # The cell measures its *own* pre-injection throughput as Tn.  The
-    # extraction thresholds (impact/recovery, a few percent of Tn) need
-    # Tn correlated with the run they judge; with per-group seeds that
-    # correlation is exact — baseline and faults of a (version, rep)
-    # share the pre-injection trajectory, as the historical serial path
-    # arranged by running them under one seed per replication.
-    record, cluster = run_single_fault(
-        ALL_VERSIONS_EXTENDED[version],
-        kind,
-        cell_settings,
-        recorder=None if cluster is not None else obs,
-        warm_cluster=cluster,
-        spans=collector,
-    )
-    obs.finish(cluster)
-    _export_cell_spans(
-        collector, spans, cluster, version=version, fault=fault_value, seed=seed
-    )
-    fitted = extract_profile(
-        record, mttr=FAULT_MTTR[kind], env=settings.environment
-    )
-    payload = {
-        "kind": "profile",
-        "profile": fitted.to_dict(),
-        "elapsed": time.perf_counter() - start,
-        "restore_elapsed": restore_s,
-        "warm_start": warm_prov,
-        "telemetry": telemetry_summary(
-            obs.recorder, cluster.metrics, bus=cluster.bus
-        ),
-        "observatory": obs.summary(),
-        "divergence": divergence_report(
-            obs.detector.summary(), record, settings.environment
-        ),
-        "timeline": _timeline_payload(
-            record.timeline.series,
-            record.timeline.bucket_width,
-            record.timeline.availability,
-            record.normal_throughput,
-        ),
-    }
-    _export_cell_trace(
-        obs.recorder, trace, version=version, fault=fault_value, seed=seed
-    )
-    return payload
-
-
-def _export_cell_trace(
-    recorder, trace: Optional[tuple], version: str, fault: Optional[str], seed: int
-) -> None:
-    """Write one cell's recorded events when tracing is on.
-
-    ``trace`` is ``(trace_dir, label)`` as packed by
-    :class:`CampaignRunner`, or ``None`` when tracing is off.
-    """
-    if trace is None:
-        return
-    from ..obs.exporters import export_run
-
-    trace_dir, label = trace
-    export_run(
-        recorder.events,
-        trace_dir,
-        label,
-        meta={"version": version, "fault": fault, "seed": seed},
-    )
-
-
-def _export_cell_spans(
-    collector,
-    spans: Optional[tuple],
-    cluster,
+def _run_cell(
     version: str,
     fault: Optional[str],
+    settings: Phase1Settings,
     seed: int,
-) -> None:
-    """Finish and write one cell's span files when span tracing is on.
+    trace: Optional[tuple] = None,
+    spans: Optional[tuple] = None,
+    warm: Optional[WarmSpec] = None,
+) -> dict:
+    """Run one campaign cell; ``fault=None`` is the fault-free baseline.
 
-    ``spans`` is ``(spans_dir, sample_every, label)`` as packed by
-    :class:`CampaignRunner`, or ``None`` when spans are off.  Spans
-    never enter the cell payload: the stored result stays byte-identical
-    to a span-disabled run, which is the determinism contract.
+    With a :class:`WarmSpec` the warm segment is restored from (or
+    captured into) the campaign's checkpoint cache; without one the cell
+    simulates it.  ``trace`` is ``(trace_dir, label)`` and ``spans`` is
+    ``(spans_dir, sample_every, label)`` as packed by
+    :class:`CampaignRunner`, or ``None`` when off.  Traces and spans
+    never enter the payload, so the stored result stays byte-identical
+    to an unobserved run.
     """
-    if spans is None:
-        return
-    from ..obs.exporters import export_spans
+    # Imported at call time: the layer profilers patch
+    # divergence_report, extract_profile and telemetry_summary on their
+    # modules for the duration of a run.
+    from ..core.divergence import divergence_report
+    from ..core.extract import extract_profile
+    from ..obs.exporters import export_traces, telemetry_summary
+    from .phase1 import run_baseline, run_single_fault
 
-    collector.finish(cluster.engine.now)
-    spans_dir, _sample, label = spans
-    export_spans(
-        collector,
-        spans_dir,
-        label,
-        meta={"version": version, "fault": fault, "seed": seed},
-    )
+    cell_settings = dataclasses.replace(settings, seed=seed)
+    keep_events = trace is not None
+    start = time.perf_counter()
+    collector = None
+    restore_s = 0.0
+    if warm is None:
+        if spans is not None:
+            from ..obs.spans import SpanCollector
+
+            collector = SpanCollector(sample_every=spans[1])
+        cluster, obs = simulate_warm(
+            version, cell_settings, keep_events, collector
+        )
+        warm_prov = {"status": STATUS_COLD}
+    else:
+        cluster, obs, warm_prov = WarmStartCache(warm).obtain(
+            version, cell_settings, keep_events
+        )
+        restore_s = time.perf_counter() - start
+    config = ALL_VERSIONS_EXTENDED[version]
+    if fault is None:
+        tn, cluster = run_baseline(config, cell_settings, warm_cluster=cluster)
+        obs.finish(cluster)
+        monitor = cluster.monitor
+        end = cell_settings.warm + cell_settings.fault_at
+        head = {"kind": "baseline", "tn": tn}
+        tail = {
+            "timeline": _timeline_payload(
+                [
+                    (t, rate * cluster.scale.report_factor)
+                    for t, rate in monitor.series(0.0, end)
+                ],
+                monitor.bucket_width,
+                monitor.availability(),
+                tn,
+            ),
+        }
+    else:
+        kind = FaultKind(fault)
+        # The cell measures its *own* pre-injection throughput as Tn.
+        # The extraction thresholds (impact/recovery, a few percent of
+        # Tn) need Tn correlated with the run they judge; with per-group
+        # seeds that correlation is exact — baseline and faults of a
+        # (version, rep) share the pre-injection trajectory, as the
+        # historical serial path arranged by running them under one seed
+        # per replication.
+        record, cluster = run_single_fault(
+            config, kind, cell_settings, warm_cluster=cluster
+        )
+        obs.finish(cluster)
+        fitted = extract_profile(
+            record, mttr=FAULT_MTTR[kind], env=settings.environment
+        )
+        head = {"kind": "profile", "profile": fitted.to_dict()}
+        tail = {
+            "divergence": divergence_report(
+                obs.detector.summary(), record, settings.environment
+            ),
+            "timeline": _timeline_payload(
+                record.timeline.series,
+                record.timeline.bucket_width,
+                record.timeline.availability,
+                record.normal_throughput,
+            ),
+        }
+    observed = trace or spans  # both tuples end with the cell's label
+    if observed:
+        export_traces(
+            observed[-1],
+            {"version": version, "fault": fault, "seed": seed},
+            trace_dir=trace[0] if trace else None,
+            recorder=obs.recorder,
+            spans_dir=spans[0] if spans else None,
+            collector=collector,
+            now=cluster.engine.now,
+        )
+    return {
+        **head,
+        "elapsed": time.perf_counter() - start,
+        "restore_elapsed": restore_s,
+        "warm_start": warm_prov,
+        "telemetry": telemetry_summary(
+            obs.recorder, cluster.metrics, bus=cluster.bus
+        ),
+        "observatory": obs.summary(),
+        **tail,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -740,32 +652,27 @@ class CampaignRunner:
 
     def _execute_wave(
         self,
-        misses: List[Tuple[_Cell, tuple]],
+        misses: List[_Cell],
+        warm: Optional[WarmSpec],
         report: CampaignReport,
     ) -> Dict[_Cell, dict]:
         """Run every missed cell, through the pool when one is available."""
-        results: Dict[_Cell, dict] = {}
-        calls = []
-        for cell, args in misses:
-            worker = _baseline_cell if cell.fault is None else _fault_cell
-            if self.profile:
-                worker, args = _profiled_cell, (worker,) + args
-            calls.append((cell, worker, args))
-        pool = self._pool() if len(misses) > 1 else None
-        try:
-            if pool is None:
-                for cell, worker, args in calls:
-                    results[cell] = worker(*args)
-            else:
-                futures = {
-                    pool.submit(worker, *args): cell
-                    for cell, worker, args in calls
-                }
-                for future, cell in futures.items():
-                    results[cell] = future.result()
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        calls = [
+            (
+                cell.version,
+                cell.fault,
+                self.settings,
+                cell.seed,
+                self._trace_arg(cell),
+                self._spans_arg(cell),
+                warm,
+            )
+            for cell in misses
+        ]
+        worker = _run_cell
+        if self.profile:
+            worker, calls = _profiled_cell, [(worker,) + a for a in calls]
+        results = dict(zip(misses, self._map(worker, calls)))
         for cell, payload in results.items():
             # The profiler's perf record travels back on the payload but
             # never *in* it: it is volatile wall-clock, so it is stripped
@@ -826,26 +733,11 @@ class CampaignRunner:
         instead of re-simulating the shared prefix.
         """
         keep = self.trace_dir is not None
-        groups = sorted({(cell.version, cell.seed) for cell, _ in misses})
-        results: List[dict] = []
-        pool = self._pool() if len(groups) > 1 else None
-        try:
-            if pool is None:
-                for version, seed in groups:
-                    results.append(
-                        _warm_cell(version, self.settings, seed, keep, spec)
-                    )
-            else:
-                futures = [
-                    pool.submit(
-                        _warm_cell, version, self.settings, seed, keep, spec
-                    )
-                    for version, seed in groups
-                ]
-                results = [f.result() for f in futures]
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        groups = sorted({(cell.version, cell.seed) for cell in misses})
+        results = self._map(
+            _warm_cell,
+            [(v, self.settings, seed, keep, spec) for v, seed in groups],
+        )
         for prov in results:
             # A warm-wave "hit" found a checkpoint from an earlier
             # campaign: nothing simulated, nothing restored — only the
@@ -894,26 +786,19 @@ class CampaignRunner:
         except (ImportError, NotImplementedError, OSError, ValueError):
             return None
 
-    # -- adaptive scheduling -------------------------------------------
-    def _cell_args(self, cell: _Cell) -> tuple:
-        """Worker arguments for one cell (warm spec appended later)."""
-        if cell.fault is None:
-            return (
-                cell.version,
-                self.settings,
-                cell.seed,
-                self._trace_arg(cell),
-                self._spans_arg(cell),
-            )
-        return (
-            cell.version,
-            cell.fault,
-            self.settings,
-            cell.seed,
-            self._trace_arg(cell),
-            self._spans_arg(cell),
-        )
+    def _map(self, fn: Callable[..., dict], calls: List[tuple]) -> List[dict]:
+        """``[fn(*args) for args in calls]``, in order, through the pool
+        when there is more than one call and a pool can be had."""
+        pool = self._pool() if len(calls) > 1 else None
+        if pool is None:
+            return [fn(*args) for args in calls]
+        try:
+            futures = [pool.submit(fn, *args) for args in calls]
+            return [future.result() for future in futures]
+        finally:
+            pool.shutdown()
 
+    # -- adaptive scheduling -------------------------------------------
     @staticmethod
     def _stream_sample(cell: _Cell, payload: dict) -> float:
         """The scalar a stream's stopping rule judges.
@@ -938,23 +823,19 @@ class CampaignRunner:
         """Execute one wave of cells: store lookups, then warm-start and
         (possibly pooled) simulation of the misses."""
         self.metrics.counter("campaign.reps.scheduled").inc(len(wave))
-        misses: List[Tuple[_Cell, tuple]] = []
+        misses: List[_Cell] = []
         for cell in wave:
             hit = self._lookup(cell)
             if hit is not None:
                 payloads[cell] = hit
                 self._record(report, cell, hit, cached=True)
             else:
-                misses.append((cell, self._cell_args(cell)))
+                misses.append(cell)
         if misses:
             warm_spec = self._warm_for(misses)
             if warm_spec is not None:
                 self._warm_wave(misses, warm_spec)
-            executed = self._execute_wave(
-                [(cell, args + (warm_spec,)) for cell, args in misses],
-                report,
-            )
-            payloads.update(executed)
+            payloads.update(self._execute_wave(misses, warm_spec, report))
         for cell in wave:
             samples[cell.stream].append(
                 self._stream_sample(cell, payloads[cell])

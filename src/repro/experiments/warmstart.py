@@ -220,12 +220,19 @@ class WarmStartCache:
     def _capture(
         self, version: str, settings: Phase1Settings, keep_events: bool
     ) -> bytes:
-        cluster, obs = _simulate_warm(version, settings, keep_events)
+        cluster, obs = simulate_warm(version, settings, keep_events)
         return snapshot.capture((cluster, obs, global_id_state()))
 
 
-def _simulate_warm(version: str, settings: Phase1Settings, keep_events: bool):
-    """Run one warm segment from scratch: the checkpoint's content."""
+def simulate_warm(
+    version: str, settings: Phase1Settings, keep_events: bool, spans=None
+):
+    """Run one warm segment from scratch under a fresh observatory.
+
+    This is a checkpoint's content, and the start of every cell that
+    runs cold.  ``spans`` (a span collector) attaches before the first
+    event; only cold cells pass one, since a checkpoint has no spans.
+    """
     from ..obs.bus import EventRecorder
     from ..obs.observatory import Observatory
     from ..press.config import ALL_VERSIONS_EXTENDED
@@ -235,5 +242,7 @@ def _simulate_warm(version: str, settings: Phase1Settings, keep_events: bool):
         recorder=EventRecorder(keep_events=keep_events),
         env=settings.environment,
     )
-    cluster = run_warm(ALL_VERSIONS_EXTENDED[version], settings, recorder=obs)
+    cluster = run_warm(
+        ALL_VERSIONS_EXTENDED[version], settings, recorder=obs, spans=spans
+    )
     return cluster, obs

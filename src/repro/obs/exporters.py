@@ -11,6 +11,8 @@
   to trace microseconds.
 * :func:`telemetry_summary` condenses a run into the compact dict the
   campaign result store persists per cell.
+* :func:`export_traces` writes one run's event and span files; campaign
+  cells and the ``timeline`` command both export through it.
 
 The ``validate_*`` helpers raise :class:`ValueError` on malformed output
 and back the CI trace-smoke job.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bus import EventRecorder, SimEvent
 from .events import FAULT_CLEARED, FAULT_INJECTED, layer_of
@@ -445,7 +447,7 @@ def export_spans(
     return [jsonl, chrome]
 
 
-# -- summaries + the per-cell export entry point ------------------------
+# -- summaries + the per-run export entry point -------------------------
 
 
 def telemetry_summary(
@@ -486,3 +488,32 @@ def export_run(
         write_events_jsonl(events, trace_dir / f"{label}.jsonl", meta),
         write_chrome_trace(events, trace_dir / f"{label}.trace.json", label, meta),
     ]
+
+
+def export_traces(
+    label: str,
+    meta: dict,
+    *,
+    trace_dir=None,
+    recorder: Optional[EventRecorder] = None,
+    spans_dir=None,
+    collector=None,
+    now: float = 0.0,
+) -> Tuple[List[Path], List[Path]]:
+    """Write one run's event trace and span files; the one export path
+    of campaign cells and the ``timeline`` command.
+
+    The recorder's events go to ``trace_dir`` through :func:`export_run`.
+    The span ``collector`` is finished at sim time ``now`` and goes to
+    ``spans_dir`` through :func:`export_spans`.  A half whose directory
+    is ``None`` is skipped.  ``meta`` (version, fault, seed) heads every
+    file.  Returns the event paths and the span paths.
+    """
+    events: List[Path] = []
+    spans: List[Path] = []
+    if trace_dir is not None:
+        events = export_run(recorder.events, trace_dir, label, meta=meta)
+    if spans_dir is not None:
+        collector.finish(now)
+        spans = export_spans(collector, spans_dir, label, meta=meta)
+    return events, spans

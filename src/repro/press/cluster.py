@@ -55,6 +55,13 @@ class ExperimentScale:
 
     cpu_factor: float = 10.0
 
+    def __post_init__(self) -> None:
+        # ``not > 0`` also rejects NaN, which every comparison fails.
+        if not self.cpu_factor > 0:
+            raise ValueError(
+                f"scale (cpu_factor) must be > 0, got {self.cpu_factor}"
+            )
+
     @property
     def report_factor(self) -> float:
         """Multiply measured rates by this to compare with the paper."""

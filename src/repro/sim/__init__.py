@@ -5,7 +5,7 @@ Public surface:
 * :class:`Engine`, :class:`Event`, :class:`Timer` — the core loop.
 * :class:`Process`, :func:`spawn`, :func:`all_of`, :func:`any_of` —
   generator coroutines.
-* :class:`Resource`, :class:`Store` — contention primitives.
+* :class:`Resource` — the contention primitive.
 * :class:`RngRegistry` — deterministic named random streams.
 * :class:`ThroughputMonitor`, :class:`Annotations`, :class:`Timeline` —
   measurement instruments.
@@ -14,7 +14,7 @@ Public surface:
 from .engine import Engine, Event, SimulationError, StopSimulation, Timer
 from .monitor import Annotation, Annotations, ThroughputMonitor, Timeline
 from .process import Interrupted, Process, all_of, any_of, spawn
-from .resources import Resource, ResourceClosed, Store
+from .resources import Resource, ResourceClosed
 from .rng import RngRegistry, derive_seed
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "all_of",
     "any_of",
     "Resource",
-    "Store",
     "ResourceClosed",
     "RngRegistry",
     "derive_seed",

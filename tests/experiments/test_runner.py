@@ -184,10 +184,7 @@ class TestCampaignFacade:
         from repro.experiments import campaign as campaign_mod
 
         store = DiskStore(tmp_path)
-        old_store, old_jobs = (
-            campaign_mod._default_store,
-            campaign_mod._default_jobs,
-        )
+        saved = dict(campaign_mod._defaults)
         try:
             campaign_mod.configure(store=store, jobs=1)
             campaign_mod.full_campaign(
@@ -199,7 +196,8 @@ class TestCampaignFacade:
             )
             assert report.executed == 0
         finally:
-            campaign_mod.configure(store=old_store, jobs=old_jobs)
+            campaign_mod._defaults.clear()
+            campaign_mod._defaults.update(saved)
 
     def test_measure_profile_set_matches_runner(self, serial):
         from repro.experiments.campaign import measure_profile_set

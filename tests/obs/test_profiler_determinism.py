@@ -20,9 +20,8 @@ from repro.core.extract import extract_profile
 from repro.core.stages import STAGES, SevenStageProfile
 from repro.experiments.phase1 import run_single_fault
 from repro.experiments.runner import (
-    _baseline_cell,
-    _fault_cell,
     _profiled_cell,
+    _run_cell,
     run_campaign,
 )
 from repro.experiments.settings import FAULT_MTTR, Phase1Settings
@@ -121,10 +120,10 @@ def _cell(warm=None, profiled=False):
     args = (CELL_VERSION, CELL_FAULT.value, GOLDEN_SETTINGS, 1234, None, None,
             warm)
     if profiled:
-        payload = _profiled_cell(_fault_cell, *args)
+        payload = _profiled_cell(_run_cell, *args)
         assert payload.pop("perf")["profile"]["events"] > 0
         return payload
-    return _fault_cell(*args)
+    return _run_cell(*args)
 
 
 def test_cold_cell_payload_is_identical_when_profiled():
@@ -148,10 +147,10 @@ def test_warm_checkpoints_cross_the_profiler_boundary(tmp_path):
 
 def test_profiled_baseline_cell_restores_a_plain_checkpoint(tmp_path):
     warm = WarmSpec(dir=str(tmp_path))
-    args = ("TCP-PRESS", GOLDEN_SETTINGS, 1234, None, None, warm)
-    plain = _baseline_cell(*args)
+    args = ("TCP-PRESS", None, GOLDEN_SETTINGS, 1234, None, None, warm)
+    plain = _run_cell(*args)
     assert plain["warm_start"]["status"] == STATUS_MISS
-    profiled = _profiled_cell(_baseline_cell, *args)
+    profiled = _profiled_cell(_run_cell, *args)
     assert profiled.pop("perf")["warm_status"] == STATUS_HIT
     assert payload_fingerprint(profiled) == payload_fingerprint(plain)
 

@@ -49,8 +49,8 @@ def test_telemetry_summary_without_a_bus_omits_the_counter():
     assert "subscriber_errors" not in telemetry_summary(None)
 
 
-def _fake_cells(subscriber_errors):
-    """Worker doubles returning merge-valid payloads with error counts."""
+def _fake_cell(subscriber_errors):
+    """A worker double returning merge-valid payloads with error counts."""
     telemetry = {
         "event_total": 1,
         "events": {"press.cache.hit": 1},
@@ -63,27 +63,25 @@ def _fake_cells(subscriber_errors):
         normal_throughput=100.0,
     )
 
-    def baseline(version, settings, seed, trace=None, spans=None, warm=None,
-                 profile_wall=False):
-        return {
-            "kind": "baseline", "tn": 100.0, "elapsed": 0.0,
-            "telemetry": dict(telemetry),
-        }
-
-    def fault(version, fault_value, settings, seed, trace=None, spans=None,
-              warm=None, profile_wall=False):
+    def cell(version, fault, settings, seed, trace=None, spans=None,
+             warm=None):
+        if fault is None:
+            return {
+                "kind": "baseline", "tn": 100.0, "elapsed": 0.0,
+                "telemetry": dict(telemetry),
+            }
         return {
             "kind": "profile", "profile": profile.to_dict(), "elapsed": 0.0,
             "telemetry": dict(telemetry),
         }
 
-    return baseline, fault
+    return cell
 
 
 def _campaign_with_errors(monkeypatch, subscriber_errors):
-    baseline, fault = _fake_cells(subscriber_errors)
-    monkeypatch.setattr(runner_mod, "_baseline_cell", baseline)
-    monkeypatch.setattr(runner_mod, "_fault_cell", fault)
+    monkeypatch.setattr(
+        runner_mod, "_run_cell", _fake_cell(subscriber_errors)
+    )
     _sets, report = runner_mod.run_campaign(
         SHORT, versions=["TCP-PRESS"], faults=[FaultKind.LINK_DOWN],
         store=MemoryStore(),

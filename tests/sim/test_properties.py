@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Engine
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
@@ -60,16 +60,6 @@ def test_resource_never_exceeds_capacity(capacity, n_requests):
     assert in_flight["max"] <= capacity
     assert in_flight["n"] == 0
     assert r.in_use == 0
-
-
-@given(st.lists(st.integers(), max_size=50))
-def test_store_preserves_fifo_order(items):
-    e = Engine()
-    s = Store(e)
-    for item in items:
-        s.put(item)
-    out = [s.get().value for _ in range(len(items))]
-    assert out == items
 
 
 @settings(max_examples=25)

@@ -1,9 +1,9 @@
-"""Tests for Resource and Store."""
+"""Tests for Resource."""
 
 import pytest
 
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.resources import Resource, ResourceClosed, Store
+from repro.sim.resources import Resource, ResourceClosed
 
 
 class TestResource:
@@ -71,56 +71,3 @@ class TestResource:
         r.acquire()
         r.acquire()
         assert r.queued == 2
-
-
-class TestStore:
-    def test_put_then_get(self):
-        e = Engine()
-        s = Store(e)
-        s.put("x")
-        got = s.get()
-        assert got.triggered and got.value == "x"
-
-    def test_get_blocks_until_put(self):
-        e = Engine()
-        s = Store(e)
-        got = s.get()
-        assert not got.triggered
-        s.put("y")
-        assert got.value == "y"
-
-    def test_fifo_ordering(self):
-        e = Engine()
-        s = Store(e)
-        for i in range(5):
-            s.put(i)
-        assert [s.get().value for _ in range(5)] == [0, 1, 2, 3, 4]
-
-    def test_capacity_bound_drops(self):
-        e = Engine()
-        s = Store(e, capacity=2)
-        assert s.put(1)
-        assert s.put(2)
-        assert not s.put(3)
-        assert len(s) == 2
-
-    def test_try_get_empty_returns_none(self):
-        e = Engine()
-        s = Store(e)
-        assert s.try_get() is None
-
-    def test_drain_empties(self):
-        e = Engine()
-        s = Store(e)
-        s.put(1)
-        s.put(2)
-        assert s.drain() == [1, 2]
-        assert len(s) == 0
-
-    def test_close_fails_getters_and_rejects_puts(self):
-        e = Engine()
-        s = Store(e)
-        getter = s.get()
-        s.close()
-        assert getter.triggered and not getter.ok
-        assert not s.put("z")

@@ -1,5 +1,8 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import contextlib
+import json
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -68,14 +71,28 @@ def test_parser_accepts_jobs_and_cache_dir(tmp_path):
     assert args.cache_dir == str(tmp_path)
 
 
+@contextlib.contextmanager
+def _campaign_defaults_restored():
+    """Put every process-wide campaign default back on exit.
+
+    ``configure(trace_dir=None)`` cannot clear a trace dir a CLI run
+    set, so the whole defaults dict is copied and restored.
+    """
+    from repro.experiments import campaign as campaign_mod
+
+    saved = dict(campaign_mod._defaults)
+    try:
+        yield
+    finally:
+        campaign_mod._defaults.clear()
+        campaign_mod._defaults.update(saved)
+
+
 @pytest.fixture
 def restore_campaign_defaults():
     """CLI tests mutate the process-wide campaign defaults; undo it."""
-    from repro.experiments import campaign as campaign_mod
-
-    store, jobs = campaign_mod._default_store, campaign_mod._default_jobs
-    yield
-    campaign_mod.configure(store=store, jobs=jobs)
+    with _campaign_defaults_restored():
+        yield
 
 
 def test_campaign_command_with_cache_dir(
@@ -186,6 +203,56 @@ def test_trace_validate_exits_nonzero_on_empty_dir(tmp_path):
         main(["trace-validate", str(tmp_path)])
     assert exc.value.code != 0
     assert "no trace files" in str(exc.value.code)
+
+
+def test_timeline_exports_events_and_spans(
+    capsys, tmp_path, restore_campaign_defaults
+):
+    from repro.obs.exporters import validate_trace_dir
+
+    out_dir = tmp_path / "timeline"
+    out = run_cli(
+        capsys, *FAST, "--trace-dir", str(out_dir), "--spans", str(out_dir),
+        "timeline", "--version", "TCP-PRESS", "--fault", "link-down",
+    )
+    assert "trace:" in out and "spans:" in out
+    label = "TCP-PRESS__link-down__seed3"
+    names = {
+        label + suffix
+        for suffix in (".jsonl", ".trace.json", ".spans.jsonl",
+                       ".spans.trace.json")
+    }
+    assert {path.name for path in out_dir.iterdir()} == names
+    assert set(validate_trace_dir(out_dir)) == names
+    want = {"version": "TCP-PRESS", "fault": "link-down", "seed": 3}
+    for name in names:
+        text = (out_dir / name).read_text()
+        if name.endswith(".jsonl"):
+            meta = json.loads(text.splitlines()[0])["meta"]
+        else:
+            meta = json.loads(text)["otherData"]
+        assert want.items() <= meta.items(), name
+
+
+def test_restored_campaign_defaults_turn_tracing_back_off(tmp_path):
+    from repro.experiments import campaign as campaign_mod
+
+    _write_traces(tmp_path)
+    before = dict(campaign_mod._defaults)
+    assert before["trace_dir"] is None and before["spans_dir"] is None
+    with _campaign_defaults_restored():
+        main(["--trace-dir", str(tmp_path), "--spans", str(tmp_path),
+              "--jobs", "2", "trace-validate", str(tmp_path)])
+        assert campaign_mod._defaults["trace_dir"] == str(tmp_path)
+    assert campaign_mod._defaults == before
+
+
+@pytest.mark.parametrize("scale", ["0", "-5"])
+def test_non_positive_scale_is_a_clean_cli_error(scale):
+    with pytest.raises(SystemExit) as exc:
+        main(["--scale", scale, "--replications", "1", "table1"])
+    assert str(exc.value.code).startswith("repro: ")
+    assert "must be > 0" in str(exc.value.code)
 
 
 # ----------------------------------------------------------------------
