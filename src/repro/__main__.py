@@ -15,9 +15,11 @@ Usage::
     python -m repro trace-validate traces/
     python -m repro crossover
     python -m repro validate
+    python -m repro stability --sweep-seeds 3
 
-Add ``--scale N`` (CPU/byte scale factor; larger = faster, default 200),
-``--seed N``, and ``--replications N`` to any subcommand.
+Global flags such as ``--scale N`` (CPU/byte scale factor; larger =
+faster, default 200), ``--seed N`` and ``--replications N`` go before
+the subcommand: ``python -m repro --scale 400 table1``.
 """
 
 from __future__ import annotations
@@ -533,8 +535,9 @@ def _configure_campaign(args) -> None:
 
 
 def main(argv=None) -> None:
+    from .experiments import campaign
+
     args = build_parser().parse_args(argv)
-    _configure_campaign(args)
     handler = {
         "table1": cmd_table1,
         "figure": cmd_figure,
@@ -549,7 +552,15 @@ def main(argv=None) -> None:
         "validate": cmd_validate,
         "stability": cmd_stability,
     }[args.command]
-    handler(args)
+    # The flags configure this command only: a second main() in the
+    # same process starts from the defaults again.
+    saved = dict(campaign._defaults)
+    try:
+        _configure_campaign(args)
+        handler(args)
+    finally:
+        campaign._defaults.clear()
+        campaign._defaults.update(saved)
 
 
 if __name__ == "__main__":

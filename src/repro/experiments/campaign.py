@@ -28,7 +28,8 @@ from .store import MemoryStore, ResultStore
 
 #: Process-wide defaults, set by entry points via :func:`configure`.
 #: The keys are :func:`run_campaign`'s keyword arguments; whoever needs
-#: to undo a ``configure`` (a test) copies this dict and puts it back.
+#: to undo a ``configure`` (the CLI's ``main``, a test) copies this dict
+#: and puts it back.
 _defaults: dict = {
     "store": MemoryStore(),
     "jobs": 1,
@@ -62,10 +63,6 @@ def configure(
         "profile": profile,
     }
     _defaults.update((k, v) for k, v in given.items() if v is not None)
-
-
-def default_store() -> ResultStore:
-    return _defaults["store"]
 
 
 def _run(

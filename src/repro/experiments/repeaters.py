@@ -42,7 +42,8 @@ from statistics import NormalDist
 from typing import Callable, List, Optional, Sequence, Tuple
 
 #: Stopping reasons recorded per stream (persisted in the result store
-#: and asserted identical across runs by the CI stats-smoke job).
+#: and asserted identical across runs by
+#: ``test_adaptive_campaign_is_itself_deterministic``).
 REASON_FIXED = "fixed-count"
 REASON_CONVERGED = "converged"
 REASON_MAX_REPS = "max-reps"

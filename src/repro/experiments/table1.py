@@ -26,11 +26,6 @@ class Table1Row:
     measured: float
     paper: float
 
-    @property
-    def measured_normalized(self) -> float:
-        """Measured throughput relative to TCP-PRESS (ratio table)."""
-        return self.measured
-
     def __str__(self) -> str:
         return (
             f"{self.version:14s} measured {self.measured:7.0f} req/s"

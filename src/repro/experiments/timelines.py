@@ -37,9 +37,6 @@ class TimelineFigure:
             t += bucket
         return out
 
-    def end_members_ok(self, version: str) -> bool:
-        return self.records[version].recovered_fully
-
 
 def run_timeline_figure(
     fault: FaultKind,

@@ -155,10 +155,6 @@ class Link:
             return
         deliver()
 
-    def utilization_horizon(self, direction: str) -> float:
-        """Time at which the serializer frees up (test/diagnostic aid)."""
-        return self._busy_until[direction]
-
     def snapshot_state(self) -> dict:
         """Deterministic-state digest input (see repro.sim.snapshot)."""
         return {

@@ -292,21 +292,6 @@ def write_spans_jsonl(records, path, meta: Optional[dict] = None) -> Path:
     return path
 
 
-def read_spans_jsonl(path) -> List[dict]:
-    """Read a span JSONL file back; the meta header line is skipped."""
-    records: List[dict] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            if "meta" in d and "sid" not in d:
-                continue
-            records.append(d)
-    return records
-
-
 def validate_spans_jsonl(path) -> int:
     """Check a span file is well formed *and* causally consistent.
 

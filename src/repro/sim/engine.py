@@ -11,8 +11,8 @@ Two scheduling styles are supported:
   plumbing in the network and transport layers uses plain callbacks to keep
   per-event overhead low.
 * **Processes** (:mod:`repro.sim.process`) — generator coroutines layered on
-  top of :class:`Event`, used for control logic that reads better as
-  sequential code (client sessions, fault scenarios, server recovery).
+  top of :class:`Event`.  No simulator component uses them: client
+  streams, fault schedules and server recovery are all callbacks.
 
 Each engine owns one :class:`~repro.obs.bus.EventBus` (``engine.bus``),
 the single surface every observer attaches to.
@@ -474,11 +474,6 @@ class Engine:
     def pending(self) -> int:
         """Count of live (non-cancelled) timers in the heap.  O(1)."""
         return self._live
-
-    @property
-    def queued_tombstones(self) -> int:
-        """Cancelled entries awaiting compaction (test/diagnostic aid)."""
-        return self._tombstones
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Engine t={self.now:.6f} pending={self.pending}>"

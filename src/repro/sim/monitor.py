@@ -220,15 +220,6 @@ class Timeline:
     normal_throughput: float = 0.0
     availability: float = 1.0
 
-    def annotation_time(self, label: str) -> Optional[float]:
-        for entry in self.annotations:
-            if entry.label == label:
-                return entry.time
-        return None
-
-    def annotation_times(self, label: str) -> List[float]:
-        return [e.time for e in self.annotations if e.label == label]
-
     def rate_at(self, time: float) -> float:
         """Throughput of the bucket containing ``time`` (0 outside range)."""
         for start, rate in self.series:

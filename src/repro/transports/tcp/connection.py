@@ -104,10 +104,6 @@ class StreamRecord:
     end_seq: int = 0  # stream offset one past this record's last byte
 
 
-class FramingViolation(Exception):
-    """Receiver-side: a framing header failed validation."""
-
-
 class TcpEndpoint(Channel):
     """One side of a TCP connection between two cluster nodes."""
 

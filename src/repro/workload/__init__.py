@@ -7,13 +7,6 @@ from .trace import (
     DEFAULT_ZIPF_S,
     FileSet,
 )
-from .tracefile import (
-    TraceEntry,
-    TraceReplayer,
-    load_trace,
-    save_trace,
-    synthesize_trace,
-)
 
 __all__ = [
     "FileSet",
@@ -24,9 +17,4 @@ __all__ = [
     "DEFAULT_N_FILES",
     "DEFAULT_FILE_BYTES",
     "DEFAULT_ZIPF_S",
-    "TraceEntry",
-    "TraceReplayer",
-    "load_trace",
-    "save_trace",
-    "synthesize_trace",
 ]

@@ -64,10 +64,6 @@ class ClientMachine:
         )
         self.completed = 0
 
-    @property
-    def latencies_sum(self) -> float:
-        return self.latency.sum
-
     # ------------------------------------------------------------------
     # Arrival process
     # ------------------------------------------------------------------

@@ -201,32 +201,33 @@ def test_ci_policy_matches_fixed10_within_bands_and_saves_reps(tmp_path):
 
 def test_adaptive_campaign_is_itself_deterministic(tmp_path):
     """Two runs of one adaptive campaign agree on reps, reasons, and
-    cell content — the contract the CI stats-smoke job re-checks."""
-    adaptive = dataclasses.replace(
-        TINY,
-        repetition=RepetitionPolicy(
-            rule="rse", min_reps=2, max_reps=5, rse_target=0.03
-        ),
-    )
-    outcomes = []
-    for d in ("a", "b"):
-        store = DiskStore(tmp_path / d)
-        _, report = run_campaign(
-            adaptive, VERSIONS, FAULTS, store=store
+    cell content, under each adaptive rule."""
+    for rule in ("rse", "ci"):
+        adaptive = dataclasses.replace(
+            TINY,
+            repetition=RepetitionPolicy(
+                rule=rule, min_reps=2, max_reps=5, rse_target=0.03
+            ),
         )
-        outcomes.append(
-            (
-                [(r.label, r.reps, r.reason) for r in report.repetition],
-                {
-                    k: payload_fingerprint(p)
-                    for k, p in (
-                        ((kk["version"], kk["fault"], kk["seed"]), pp)
-                        for kk, pp in store.iter_cells()
-                    )
-                },
+        outcomes = []
+        for d in ("a", "b"):
+            store = DiskStore(tmp_path / rule / d)
+            _, report = run_campaign(
+                adaptive, VERSIONS, FAULTS, store=store
             )
-        )
-    assert outcomes[0] == outcomes[1]
+            outcomes.append(
+                (
+                    [(r.label, r.reps, r.reason) for r in report.repetition],
+                    {
+                        k: payload_fingerprint(p)
+                        for k, p in (
+                            ((kk["version"], kk["fault"], kk["seed"]), pp)
+                            for kk, pp in store.iter_cells()
+                        )
+                    },
+                )
+            )
+        assert outcomes[0] == outcomes[1], rule
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
-import contextlib
 import json
 
 import pytest
@@ -71,33 +70,7 @@ def test_parser_accepts_jobs_and_cache_dir(tmp_path):
     assert args.cache_dir == str(tmp_path)
 
 
-@contextlib.contextmanager
-def _campaign_defaults_restored():
-    """Put every process-wide campaign default back on exit.
-
-    ``configure(trace_dir=None)`` cannot clear a trace dir a CLI run
-    set, so the whole defaults dict is copied and restored.
-    """
-    from repro.experiments import campaign as campaign_mod
-
-    saved = dict(campaign_mod._defaults)
-    try:
-        yield
-    finally:
-        campaign_mod._defaults.clear()
-        campaign_mod._defaults.update(saved)
-
-
-@pytest.fixture
-def restore_campaign_defaults():
-    """CLI tests mutate the process-wide campaign defaults; undo it."""
-    with _campaign_defaults_restored():
-        yield
-
-
-def test_campaign_command_with_cache_dir(
-    capsys, tmp_path, restore_campaign_defaults
-):
+def test_campaign_command_with_cache_dir(capsys, tmp_path):
     cache = tmp_path / "cache"
     argv = [
         *FAST, "--cache-dir", str(cache), "campaign",
@@ -112,9 +85,7 @@ def test_campaign_command_with_cache_dir(
     assert "0 executed" in out
 
 
-def test_campaign_clear_cache_flag(
-    capsys, tmp_path, restore_campaign_defaults
-):
+def test_campaign_clear_cache_flag(capsys, tmp_path):
     cache = tmp_path / "cache"
     argv = [*FAST, "--cache-dir", str(cache)]
     run_cli(capsys, *argv, "campaign", "--versions", "TCP-PRESS")
@@ -205,9 +176,7 @@ def test_trace_validate_exits_nonzero_on_empty_dir(tmp_path):
     assert "no trace files" in str(exc.value.code)
 
 
-def test_timeline_exports_events_and_spans(
-    capsys, tmp_path, restore_campaign_defaults
-):
+def test_timeline_exports_events_and_spans(capsys, tmp_path):
     from repro.obs.exporters import validate_trace_dir
 
     out_dir = tmp_path / "timeline"
@@ -235,15 +204,16 @@ def test_timeline_exports_events_and_spans(
 
 
 def test_restored_campaign_defaults_turn_tracing_back_off(tmp_path):
+    """The flags of one ``main`` call do not leak into the next."""
     from repro.experiments import campaign as campaign_mod
 
     _write_traces(tmp_path)
     before = dict(campaign_mod._defaults)
     assert before["trace_dir"] is None and before["spans_dir"] is None
-    with _campaign_defaults_restored():
-        main(["--trace-dir", str(tmp_path), "--spans", str(tmp_path),
-              "--jobs", "2", "trace-validate", str(tmp_path)])
-        assert campaign_mod._defaults["trace_dir"] == str(tmp_path)
+    main(["--trace-dir", str(tmp_path), "--spans", str(tmp_path),
+          "--jobs", "2", "trace-validate", str(tmp_path)])
+    assert campaign_mod._defaults == before
+    main(["trace-validate", str(tmp_path)])
     assert campaign_mod._defaults == before
 
 
@@ -284,9 +254,7 @@ def test_zero_replications_is_a_clean_cli_error():
     assert "replications must be a positive" in str(exc.value.code)
 
 
-def test_campaign_command_prints_the_replication_table(
-    capsys, restore_campaign_defaults
-):
+def test_campaign_command_prints_the_replication_table(capsys):
     # Budget 0 pins every stream to its min of 2 reps: streams whose
     # rule asks for a third are denied, which drives the budget path
     # end to end at near-fixed cost.
