@@ -36,6 +36,7 @@ from .experiments.settings import (
 from .experiments.store import CACHE_DIR_ENV
 from .faults.spec import FaultKind
 from .press.cluster import ExperimentScale
+from .press.config import ALL_VERSIONS_EXTENDED as VERSIONS
 
 
 def _repetition(args: argparse.Namespace):
@@ -121,7 +122,6 @@ def cmd_timeline(args) -> None:
     from .analysis.report import timeline_report
     from .experiments.phase1 import run_single_fault
     from .obs.exporters import export_traces
-    from .press.config import ALL_VERSIONS_EXTENDED
 
     kind = FaultKind(args.fault)
     recorder = None
@@ -135,7 +135,7 @@ def cmd_timeline(args) -> None:
 
         spans = SpanCollector(sample_every=args.span_sample)
     record, cluster = run_single_fault(
-        ALL_VERSIONS_EXTENDED[args.version], kind, _settings(args),
+        VERSIONS[args.version], kind, _settings(args),
         recorder=recorder, spans=spans,
     )
     print(timeline_report(record))
@@ -346,6 +346,12 @@ def cmd_validate(args) -> None:
         )
 
 
+def _positive_int(text: str) -> int:
+    if text.isdigit() and int(text) >= 1:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -417,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cells always execute and run cold; see OBSERVABILITY.md)",
     )
     parser.add_argument(
-        "--span-sample", type=int, default=1, metavar="N",
+        "--span-sample", type=_positive_int, default=1, metavar="N",
         help="keep every Nth request trace when collecting spans "
         "(default 1 = every request)",
     )
@@ -438,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("number", type=int)
 
     p_tl = sub.add_parser("timeline", help="one (version, fault) timeline")
-    p_tl.add_argument("--version", required=True)
+    p_tl.add_argument("--version", required=True, choices=VERSIONS)
     p_tl.add_argument(
         "--fault",
         required=True,
@@ -446,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_camp = sub.add_parser("campaign", help="full phase-1+2 report")
-    p_camp.add_argument("--versions", nargs="*", default=None)
+    p_camp.add_argument("--versions", nargs="*", choices=VERSIONS)
 
     p_diff = sub.add_parser(
         "store-diff",

@@ -573,7 +573,9 @@ class CampaignRunner:
         self.on_cell = on_cell
         self.trace_dir = str(trace_dir) if trace_dir is not None else None
         self.spans_dir = str(spans_dir) if spans_dir is not None else None
-        self.span_sample = max(1, int(span_sample))
+        if span_sample < 1:
+            raise ValueError(f"span_sample must be >= 1, got {span_sample}")
+        self.span_sample = span_sample
         #: run every executed cell under the wall-clock layer profiler.
         #: Deliberately NOT part of the settings key: profiling observes
         #: only host time, so profiled and unprofiled campaigns share one

@@ -91,12 +91,19 @@ class ExperimentScale:
 
         return self.bytes_(DEFAULT_FILE_BYTES, floor=32)
 
-    def tcp_params(self, base: "TcpParams" = None) -> "TcpParams":
+    def tcp_params(
+        self, base: "TcpParams" = None, message_bytes: int = 0
+    ) -> "TcpParams":
         from ..transports.tcp.params import DEFAULT_TCP_PARAMS, TcpParams
 
         base = base or DEFAULT_TCP_PARAMS
-        # A socket buffer must hold a couple of framed file messages.
-        buf_floor = int(2.5 * (self.file_bytes() + base.header_size))
+        # A socket buffer must hold a couple of framed file messages, and
+        # the largest other message once framed (the file term binds up
+        # to scale 200; past it the message floors do).
+        buf_floor = max(
+            int(2.5 * (self.file_bytes() + base.header_size)),
+            message_bytes + base.header_size,
+        )
         return dataclasses.replace(
             base,
             segment_size=self.bytes_(base.segment_size, floor=64),
@@ -175,7 +182,9 @@ class PressCluster:
         self.monitor = ThroughputMonitor(self.engine, bucket_width=bucket_width)
         self.node_ids = [f"node{i}" for i in range(n_nodes)]
         self.utilization = utilization
-        self._tcp_params = scale.tcp_params(tcp_params)
+        self._tcp_params = scale.tcp_params(
+            tcp_params, self.config.max_message_bytes()
+        )
         self._via_params = scale.via_params(via_params)
 
         self.capacity: CapacityEstimate = estimate_capacity(

@@ -89,6 +89,16 @@ class PressConfig:
     auto_remerge: bool = False
     remerge_probe_interval: float = 30.0
 
+    def cache_update_bytes(self, n_updates: int) -> int:
+        return self.cache_update_msg_bytes + 8 * n_updates
+
+    def max_message_bytes(self) -> int:
+        """Largest message PRESS sends a peer, not counting file data."""
+        return max(
+            self.cache_update_bytes(self.cache_update_batch),
+            self.cache_info_max_bytes,
+        )
+
     def scaled(self, cpu_factor: float) -> "PressConfig":
         """Scale CPU costs up and byte quantities down by ``cpu_factor``.
 

@@ -428,7 +428,7 @@ class PressServer:
             return
         batch, self._update_batch = self._update_batch, []
         trace, self._batch_trace = self._batch_trace, 0
-        size = self.config.cache_update_msg_bytes + 8 * len(batch)
+        size = self.config.cache_update_bytes(len(batch))
         for peer in self.membership.peers():
             channel = self.transport.channel(peer)
             if channel is None or channel.broken:

@@ -3,16 +3,8 @@
 The engine owns the virtual clock and an event heap.  Everything in the
 reproduction — network links, TCP retransmission timers, heartbeat protocols,
 fault injection schedules, client request streams — is driven by callbacks
-scheduled on a single :class:`Engine`.
-
-Two scheduling styles are supported:
-
-* **Callbacks** (`call_at` / `call_after`) — the hot path.  Per-message
-  plumbing in the network and transport layers uses plain callbacks to keep
-  per-event overhead low.
-* **Processes** (:mod:`repro.sim.process`) — generator coroutines layered on
-  top of :class:`Event`.  No simulator component uses them: client
-  streams, fault schedules and server recovery are all callbacks.
+scheduled on a single :class:`Engine` (`call_at` / `call_after`), the only
+scheduling style; code that waits chains a callback onto an :class:`Event`.
 
 Each engine owns one :class:`~repro.obs.bus.EventBus` (``engine.bus``),
 the single surface every observer attaches to.

@@ -2,8 +2,7 @@
 
 :class:`Resource` models the contention points in the reproduction:
 counted capacity with FIFO waiters (disk threads, connection slots).  It
-hands out :class:`~repro.sim.engine.Event` objects so a request can be
-awaited from a process or chained with callbacks.
+hands out :class:`~repro.sim.engine.Event` objects to chain callbacks on.
 """
 
 from __future__ import annotations

@@ -26,10 +26,8 @@ cycles.  Only two constructs need help:
   by value — ``marshal``-ed code object plus captured cell contents —
   and rebuilds it against its module's globals on load.
 * **Live generators** cannot be serialized at all (their frame is
-  interpreter state).  The live simulation graph does not contain any
-  (the generator-based :mod:`repro.sim.process` framework is unused by
-  the cluster assembly); if one ever leaks in, capture fails loudly
-  rather than producing a checkpoint that cannot resume.
+  interpreter state).  The simulation graph holds none; if one leaks in,
+  capture fails loudly rather than write a checkpoint that cannot resume.
 
 Checkpoints are an internal format: they are only valid for the exact
 interpreter and code that wrote them, which is why

@@ -170,6 +170,11 @@ class TestReport:
         runner.run(VERSIONS, FAULTS)
         assert len(seen) == SETTINGS.replications * (len(FAULTS) + 1)
 
+    @pytest.mark.parametrize("span_sample", [0, -3])
+    def test_rejects_a_non_positive_span_sample(self, span_sample):
+        with pytest.raises(ValueError, match="span_sample must be >= 1"):
+            CampaignRunner(SETTINGS, span_sample=span_sample)
+
     def test_timing_report_renders(self):
         from repro.analysis.report import campaign_timing_report
 

@@ -8,6 +8,8 @@ These tests compare two different scale factors directly.
 
 import pytest
 
+from repro.experiments.phase1 import run_single_fault
+from repro.experiments.settings import Phase1Settings
 from repro.faults.spec import FaultKind, FaultSpec
 from repro.press.cluster import ExperimentScale, PressCluster
 from repro.press.config import TCP_PRESS, VIA_PRESS_5
@@ -84,3 +86,25 @@ def test_cache_coverage_ratio_preserved():
         cluster_files = per_node_files * len(cluster.node_ids)
         ratios.append(cluster_files / cluster.fileset.n_files)
     assert ratios[0] == pytest.approx(ratios[1], rel=0.1)
+
+
+@pytest.mark.parametrize("factor", [200.0, 250.0, 400.0])
+def test_tcp_node_crash_runs_at_and_past_scale_200(factor):
+    """Past scale 200 the file-size floor no longer sizes the socket
+    buffers above PRESS's message floors.  The rejoin after a node crash
+    streams cache-info chunks of up to 128 bytes, and each one must
+    still fit its peer's receive buffer once framed."""
+    settings = Phase1Settings(
+        scale=ExperimentScale(cpu_factor=factor), replications=1
+    )
+    record, cluster = run_single_fault(
+        TCP_PRESS, FaultKind.NODE_CRASH, settings
+    )
+    params = cluster.transports["node0"].params
+    largest = cluster.config.max_message_bytes()
+    assert largest + params.header_size <= params.rcvbuf_bytes
+    assert record.end_time > record.cleared_at > record.injected_at
+    if factor == 200.0:
+        # The goldens and perfbench's smoke scale depend on these values.
+        assert params.rcvbuf_bytes == 147
+        assert cluster.config.cache_info_max_bytes == 128

@@ -51,6 +51,35 @@ def test_timeline_rejects_unknown_fault():
         )
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["timeline", "--version", "NOPE", "--fault", "node-crash"],
+         "--version"),
+        (["campaign", "--versions", "TCP-PRESS", "NOPE"], "--versions"),
+        (["--spans", "{spans}", "--span-sample", "0", "timeline",
+          "--version", "TCP-PRESS", "--fault", "node-crash"],
+         "--span-sample"),
+        (["--spans", "{spans}", "--span-sample", "-3", "campaign",
+          "--versions", "TCP-PRESS"],
+         "--span-sample"),
+    ],
+    ids=["timeline-version", "campaign-versions", "timeline-sample-0",
+         "campaign-sample-negative"],
+)
+def test_bad_names_and_sample_counts_exit_before_simulating(
+    argv, flag, capsys, tmp_path
+):
+    spans = tmp_path / "spans"
+    argv = [a.replace("{spans}", str(spans)) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*FAST, *argv])
+    assert exc.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error.startswith("repro") and f"argument {flag}:" in error
+    assert not spans.exists()
+
+
 def test_figure_command_rejects_unknown_number():
     with pytest.raises(SystemExit):
         main([*FAST, "figure", "11"])
