@@ -3,7 +3,7 @@ Architecture on the Performability of Cluster-Based Services" (HPCA 2003).
 
 The package is organized bottom-up:
 
-* :mod:`repro.sim` — discrete-event engine, processes, resources, monitors.
+* :mod:`repro.sim` — discrete-event engine, resources, monitors.
 * :mod:`repro.net` — the cLAN-style fabric: links, switch, NICs.
 * :mod:`repro.osim` — OS model: kernel memory, pinning, processes, nodes.
 * :mod:`repro.transports` — TCP and VIA intra-cluster substrates.

@@ -11,10 +11,12 @@ instead.
 
 The estimator is the P² algorithm (Jain & Chlamtac, CACM 1985): five
 markers per tracked quantile, updated with a piecewise-parabolic height
-adjustment — O(1) memory and time per observation, no buffers beyond
-the first five samples, and fully deterministic (same sample sequence,
-same estimate), which keeps warm/cold and serial/parallel campaign
-parity intact.  The same no-scipy constraint as
+adjustment — O(1) memory and time per observation, and fully
+deterministic (same sample sequence, same estimate), which keeps
+warm/cold and serial/parallel campaign parity intact.  Samples are
+folded in batches of at most :data:`FOLD_BATCH`, and always before the
+markers are read, so every read sees exactly the state a per-sample
+fold would have reached.  The same no-scipy constraint as
 :mod:`repro.experiments.repeaters` applies: stdlib ``math`` only.
 
 Accuracy is what P² promises, not an order statistic: a few percent of
@@ -34,12 +36,18 @@ from typing import Dict, List, Sequence, Tuple
 #: paper's availability story turns on.
 DEFAULT_QUANTILES = (0.5, 0.95, 0.99, 0.999)
 
+#: Samples a sketch buffers before folding them into its marker banks.
+#: Every read folds first, so the cap only bounds the deferred work.
+FOLD_BATCH = 256
+
 
 class P2Quantile:
     """One P² marker bank estimating a single quantile ``p``.
 
-    A bank holds marker state only: :meth:`QuantileSketch.observe` folds
-    each sample into all of a sketch's banks in one pass (:func:`_fold`).
+    A bank holds marker state only: :meth:`QuantileSketch.observe`
+    buffers samples, and :func:`_fold` folds a batch into one bank at a
+    time.  :attr:`value` is current only after the owning sketch folded
+    its buffer, which every sketch read does first.
     """
 
     __slots__ = ("p", "_q", "_n", "_np", "_dn", "count")
@@ -67,112 +75,132 @@ class P2Quantile:
         return q[2]
 
 
-def _parabolic(q: List[float], n: List[float], i: int, s: float) -> float:
-    return q[i] + s / (n[i + 1] - n[i - 1]) * (
-        (n[i] - n[i - 1] + s)
-        * (q[i + 1] - q[i])
-        / (n[i + 1] - n[i])
-        + (n[i + 1] - n[i] - s)
-        * (q[i] - q[i - 1])
-        / (n[i] - n[i - 1])
-    )
+def _fold(m: P2Quantile, xs: List[float]) -> None:
+    """Fold the samples ``xs``, in order, into marker bank ``m``.
 
-
-def _linear(q: List[float], n: List[float], i: int, s: float) -> float:
-    j = i + int(s)
-    return q[i] + s * (q[j] - q[i]) / (n[j] - n[i])
-
-
-def _adjust(q: List[float], n: List[float], i: int, s: float) -> None:
-    """Move middle marker ``i`` one position in direction ``s``.
-
-    Piecewise-parabolic (P²) height, falling back to linear when the
-    parabola would leave the bracketing cell.
+    This is the latency hot path, so the bank's markers live in locals
+    for the whole batch and the update is unrolled over the five
+    markers; every float operation happens in the order of the textbook
+    per-sample loop (``tests/obs/test_sketch.py`` keeps that loop as the
+    oracle and checks the two agree bit for bit).
     """
-    qp = _parabolic(q, n, i, s)
-    if q[i - 1] < qp < q[i + 1]:
-        q[i] = qp
-    else:
-        q[i] = _linear(q, n, i, s)
-    n[i] += s
-
-
-def _fold(marks, x: float) -> None:
-    """Fold ``x`` into every marker bank of ``marks`` in one pass.
-
-    This is the per-request hot path, so the marker update is unrolled
-    over constant indices; every float operation happens in the order
-    of the textbook loop (``tests/obs/test_sketch.py`` keeps that loop
-    as the oracle and checks the two agree bit for bit).
-    """
-    for m in marks:
-        count = m.count + 1
-        m.count = count
-        q = m._q
-        if count <= 5:
-            q.append(x)
-            q.sort()
-            if count == 5:
-                p = m.p
-                m._n = [1.0, 2.0, 3.0, 4.0, 5.0]
-                m._np = [1.0, 1 + 2 * p, 1 + 4 * p, 3 + 2 * p, 5.0]
-                m._dn = [0.0, p / 2, p, (1 + p) / 2, 1.0]
-            continue
-        n = m._n
-
+    count = m.count
+    q = m._q
+    i = 0
+    while count < 5 and i < len(xs):
+        count += 1
+        q.append(xs[i])
+        q.sort()
+        i += 1
+        if count == 5:
+            p = m.p
+            m._n = [1.0, 2.0, 3.0, 4.0, 5.0]
+            m._np = [1.0, 1 + 2 * p, 1 + 4 * p, 3 + 2 * p, 5.0]
+            m._dn = [0.0, p / 2, p, (1 + p) / 2, 1.0]
+    m.count = count + len(xs) - i
+    if i == len(xs):
+        return
+    q0, q1, q2, q3, q4 = q
+    n0, n1, n2, n3, n4 = m._n
+    np_ = m._np
+    np1, np2, np3, np4 = np_[1], np_[2], np_[3], np_[4]
+    # dn[0] is 0.0: the lowest marker's desired position never moves.
+    _, dn1, dn2, dn3, dn4 = m._dn
+    for x in xs[i:] if i else xs:
         # Locate the cell x falls in, bump the outer markers and the
-        # positions of every marker above the cell.  ``not x >= q[k]``
-        # (rather than ``x < q[k]``) keeps the loop form's cell for NaN.
-        if x < q[0]:
-            q[0] = x
-            n[1] += 1.0
-            n[2] += 1.0
-            n[3] += 1.0
-        elif x >= q[4]:
-            q[4] = x
-        elif not x >= q[1]:
-            n[1] += 1.0
-            n[2] += 1.0
-            n[3] += 1.0
-        elif not x >= q[2]:
-            n[2] += 1.0
-            n[3] += 1.0
-        elif not x >= q[3]:
-            n[3] += 1.0
-        n[4] += 1.0
-        np_, dn = m._np, m._dn
-        # dn[0] is 0.0: the lowest marker's desired position never moves.
-        np_[1] += dn[1]
-        np_[2] += dn[2]
-        np_[3] += dn[3]
-        np_[4] += dn[4]
+        # positions of every marker above the cell.  ``not x >= q1``
+        # (rather than ``x < q1``) keeps the loop form's cell for NaN.
+        if x < q0:
+            q0 = x
+            n1 += 1.0
+            n2 += 1.0
+            n3 += 1.0
+        elif x >= q4:
+            q4 = x
+        elif not x >= q1:
+            n1 += 1.0
+            n2 += 1.0
+            n3 += 1.0
+        elif not x >= q2:
+            n2 += 1.0
+            n3 += 1.0
+        elif not x >= q3:
+            n3 += 1.0
+        n4 += 1.0
+        np1 += dn1
+        np2 += dn2
+        np3 += dn3
+        np4 += dn4
 
-        # Nudge the three middle markers toward their desired positions.
-        d = np_[1] - n[1]
-        if (d >= 1.0 and n[2] - n[1] > 1.0) or (d <= -1.0 and n[0] - n[1] < -1.0):
-            _adjust(q, n, 1, 1.0 if d >= 0 else -1.0)
-        d = np_[2] - n[2]
-        if (d >= 1.0 and n[3] - n[2] > 1.0) or (d <= -1.0 and n[1] - n[2] < -1.0):
-            _adjust(q, n, 2, 1.0 if d >= 0 else -1.0)
-        d = np_[3] - n[3]
-        if (d >= 1.0 and n[4] - n[3] > 1.0) or (d <= -1.0 and n[2] - n[3] < -1.0):
-            _adjust(q, n, 3, 1.0 if d >= 0 else -1.0)
+        # Nudge the three middle markers toward their desired positions:
+        # a piecewise-parabolic (P²) height, falling back to linear
+        # towards the neighbour in direction s when the parabola would
+        # leave the bracketing cell.
+        d = np1 - n1
+        if (d >= 1.0 and n2 - n1 > 1.0) or (d <= -1.0 and n0 - n1 < -1.0):
+            s = 1.0 if d >= 0 else -1.0
+            qp = q1 + s / (n2 - n0) * (
+                (n1 - n0 + s) * (q2 - q1) / (n2 - n1)
+                + (n2 - n1 - s) * (q1 - q0) / (n1 - n0)
+            )
+            if q0 < qp < q2:
+                q1 = qp
+            elif s > 0:
+                q1 = q1 + s * (q2 - q1) / (n2 - n1)
+            else:
+                q1 = q1 + s * (q0 - q1) / (n0 - n1)
+            n1 += s
+        d = np2 - n2
+        if (d >= 1.0 and n3 - n2 > 1.0) or (d <= -1.0 and n1 - n2 < -1.0):
+            s = 1.0 if d >= 0 else -1.0
+            qp = q2 + s / (n3 - n1) * (
+                (n2 - n1 + s) * (q3 - q2) / (n3 - n2)
+                + (n3 - n2 - s) * (q2 - q1) / (n2 - n1)
+            )
+            if q1 < qp < q3:
+                q2 = qp
+            elif s > 0:
+                q2 = q2 + s * (q3 - q2) / (n3 - n2)
+            else:
+                q2 = q2 + s * (q1 - q2) / (n1 - n2)
+            n2 += s
+        d = np3 - n3
+        if (d >= 1.0 and n4 - n3 > 1.0) or (d <= -1.0 and n2 - n3 < -1.0):
+            s = 1.0 if d >= 0 else -1.0
+            qp = q3 + s / (n4 - n2) * (
+                (n3 - n2 + s) * (q4 - q3) / (n4 - n3)
+                + (n4 - n3 - s) * (q3 - q2) / (n3 - n2)
+            )
+            if q2 < qp < q4:
+                q3 = qp
+            elif s > 0:
+                q3 = q3 + s * (q4 - q3) / (n4 - n3)
+            else:
+                q3 = q3 + s * (q2 - q3) / (n2 - n3)
+            n3 += s
+    m._q = [q0, q1, q2, q3, q4]
+    m._n = [n0, n1, n2, n3, n4]
+    m._np = [np_[0], np1, np2, np3, np4]
 
 
 class QuantileSketch:
     """A bank of P² estimators plus exact count/min/max/mean.
 
     ``observe`` is the hot-path entry point — one call per completed
-    request — and costs a handful of float compares per tracked
-    quantile.  ``to_dict`` emits the JSON-ready digest stored in cell
-    payloads and aggregated by the campaign report.
+    request: it updates the exact statistics and buffers the sample,
+    and every :data:`FOLD_BATCH` samples the buffer is folded into the
+    marker banks, one bank at a time.  Each read (``quantile``,
+    ``to_dict``, ``copy``, ``snapshot_state``) folds the buffer first.
+    ``to_dict`` emits the JSON-ready digest stored in cell payloads and
+    aggregated by the campaign report.
     """
 
-    __slots__ = ("quantiles", "_marks", "count", "sum", "min", "max")
+    __slots__ = ("quantiles", "_marks", "_pending", "count", "sum", "min", "max")
 
     def __init__(self, quantiles: Sequence[float] = DEFAULT_QUANTILES):
         self.quantiles: Tuple[float, ...] = tuple(quantiles)
         self._marks = [P2Quantile(p) for p in self.quantiles]
+        self._pending: List[float] = []  # observed, not yet folded
         self.count = 0
         self.sum = 0.0
         self.min = float("inf")
@@ -185,10 +213,22 @@ class QuantileSketch:
             self.min = x
         if x > self.max:
             self.max = x
-        _fold(self._marks, x)
+        pending = self._pending
+        pending.append(x)
+        if len(pending) >= FOLD_BATCH:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Fold the buffered samples into every marker bank."""
+        pending = self._pending
+        if pending:
+            for mark in self._marks:
+                _fold(mark, pending)
+            pending.clear()
 
     def copy(self) -> "QuantileSketch":
         """An independent sketch in exactly this one's state."""
+        self._flush()
         return copy.deepcopy(self)
 
     @property
@@ -196,6 +236,7 @@ class QuantileSketch:
         return self.sum / self.count if self.count else float("nan")
 
     def quantile(self, p: float) -> float:
+        self._flush()
         for mark in self._marks:
             if mark.p == p:
                 return mark.value
@@ -209,6 +250,7 @@ class QuantileSketch:
         return "p" + percent.replace(".", "")
 
     def to_dict(self) -> dict:
+        self._flush()
         out: Dict[str, object] = {
             "count": self.count,
             "mean": self.mean if self.count else None,
@@ -222,6 +264,7 @@ class QuantileSketch:
     # -- snapshot support (see repro.sim.snapshot) ---------------------
     def snapshot_state(self) -> dict:
         """Full marker state, so warm/cold digests agree mid-stream."""
+        self._flush()
         return {
             "quantiles": list(self.quantiles),
             "count": self.count,

@@ -11,7 +11,7 @@ Public surface:
 
 from .engine import Engine, Event, SimulationError, StopSimulation, Timer
 from .monitor import Annotation, Annotations, ThroughputMonitor, Timeline
-from .resources import Resource, ResourceClosed
+from .resources import Resource
 from .rng import RngRegistry, derive_seed
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "SimulationError",
     "StopSimulation",
     "Resource",
-    "ResourceClosed",
     "RngRegistry",
     "derive_seed",
     "ThroughputMonitor",

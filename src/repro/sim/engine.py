@@ -116,19 +116,17 @@ class Timer:
 class Event:
     """A one-shot occurrence that callbacks can wait on.
 
-    An event is *triggered* at most once, with either a value (``succeed``)
-    or an exception (``fail``).  Callbacks added after triggering fire
-    immediately (synchronously), which keeps waiter logic free of
-    time-of-check races.
+    An event is *triggered* at most once, with a value (``succeed``).
+    Callbacks added after triggering fire immediately (synchronously),
+    which keeps waiter logic free of time-of-check races.
     """
 
-    __slots__ = ("engine", "_callbacks", "triggered", "ok", "value")
+    __slots__ = ("engine", "_callbacks", "triggered", "value")
 
     def __init__(self, engine: "Engine"):
         self.engine = engine
         self._callbacks: Optional[list] = []
         self.triggered = False
-        self.ok = False
         self.value: Any = None
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -139,32 +137,20 @@ class Event:
             self._callbacks.append(fn)
 
     def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully with ``value``."""
-        self._trigger(True, value)
-        return self
-
-    def fail(self, exc: BaseException) -> "Event":
-        """Trigger the event with an exception for waiters to re-raise."""
-        if not isinstance(exc, BaseException):
-            raise TypeError(f"fail() needs an exception, got {exc!r}")
-        self._trigger(False, exc)
-        return self
-
-    def _trigger(self, ok: bool, value: Any) -> None:
+        """Trigger the event with ``value``."""
         if self.triggered:
             raise SimulationError("event triggered twice")
         self.triggered = True
-        self.ok = ok
         self.value = value
         callbacks, self._callbacks = self._callbacks, None
         for fn in callbacks:
             fn(self)
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.triggered:
             return "<Event pending>"
-        kind = "ok" if self.ok else "failed"
-        return f"<Event {kind} value={self.value!r}>"
+        return f"<Event value={self.value!r}>"
 
 
 class Engine:

@@ -13,10 +13,6 @@ from typing import Deque
 from .engine import Engine, Event, SimulationError
 
 
-class ResourceClosed(Exception):
-    """The resource was closed while a request was queued."""
-
-
 class Resource:
     """Counted capacity with FIFO granting.
 
@@ -31,7 +27,6 @@ class Resource:
         self.capacity = capacity
         self.in_use = 0
         self._waiters: Deque[Event] = deque()
-        self._closed = False
 
     @property
     def available(self) -> int:
@@ -43,21 +38,12 @@ class Resource:
 
     def acquire(self) -> Event:
         ev = self.engine.event()
-        if self._closed:
-            ev.fail(ResourceClosed())
-        elif self.in_use < self.capacity:
+        if self.in_use < self.capacity:
             self.in_use += 1
             ev.succeed()
         else:
             self._waiters.append(ev)
         return ev
-
-    def try_acquire(self) -> bool:
-        """Non-blocking acquire; True when a unit was granted."""
-        if self._closed or self.in_use >= self.capacity:
-            return False
-        self.in_use += 1
-        return True
 
     def release(self) -> None:
         if self.in_use <= 0:
@@ -67,9 +53,3 @@ class Resource:
             self._waiters.popleft().succeed()
         else:
             self.in_use -= 1
-
-    def close(self) -> None:
-        """Fail all queued waiters and reject future acquires."""
-        self._closed = True
-        while self._waiters:
-            self._waiters.popleft().fail(ResourceClosed())

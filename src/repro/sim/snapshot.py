@@ -115,7 +115,15 @@ from .engine import SimulationError
 #:     metrics registry and the span slot; the engine's ``metrics`` and
 #:     ``spans`` attributes are gone, and ``FileCache`` holds its bus
 #:     instead of an optional engine.  v10 blobs pickle the old layouts.
-FORMAT_VERSION = 11
+#:
+#: v12: ``Event`` loses its ``ok`` slot (``Event.fail`` is gone) and
+#:     ``Resource`` its ``_closed`` flag; a ``ClientMachine`` keeps the
+#:     issue time alone per pending request plus one deadline-timer flag
+#:     instead of a timer per request; a ``QuantileSketch`` carries a
+#:     buffer of samples not yet folded.  v11 blobs pickle the old
+#:     layouts.  ``tests/experiments/test_checkpoint_layout.py``
+#:     records the layout digest of each version.
+FORMAT_VERSION = 12
 
 #: Protocol 4 is the newest protocol supported by every interpreter in
 #: the CI matrix; the digest pins the writer's Python anyway, this just

@@ -8,6 +8,10 @@ failure when the server refuses the connection outright).
 
 Successes and failures land in the shared :class:`ThroughputMonitor` —
 the raw material of every timeline figure and of availability.
+
+A client's timeout is fixed, so its deadlines fall in issue order: one
+engine timer per client, armed at the oldest outstanding deadline,
+times requests out, and an answer only forgets its request.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from ..net.fabric import Fabric
 from ..net.nic import Nic
 from ..net.packet import Frame
 from ..obs.events import WORKLOAD_REQUEST_DONE
-from ..sim.engine import Engine, Timer
+from ..sim.engine import Engine
 from ..sim.monitor import ThroughputMonitor
 from .trace import FileSet
 
@@ -56,7 +60,10 @@ class ClientMachine:
         self.nic: Nic = fabric.attach(client_id, reports_errors=False)
         self.nic.register("http-resp", self._on_response)
         self.nic.register("http-reject", self._on_reject)
-        self._pending: Dict[int, "tuple[Timer, float]"] = {}
+        # req_id -> issue time of every outstanding request, in issue
+        # (and so deadline) order.
+        self._pending: Dict[int, float] = {}
+        self._deadline_armed = False
         self._rr = 0
         self._running = False
         self.latency = engine.bus.metrics.histogram(
@@ -94,10 +101,11 @@ class ClientMachine:
         self._rr += 1
         file_id = self.fileset.sample(self.rng)
         req = self._HttpRequest.fresh(self.client_id, file_id, self.engine.now)
-        timer = self.engine.call_after(
-            self.request_timeout, self._on_timeout, req.req_id
-        )
-        self._pending[req.req_id] = (timer, self.engine.now)
+        self._pending[req.req_id] = self.engine.now
+        if not self._deadline_armed:
+            # Nothing else is outstanding, so this deadline is the oldest.
+            self._deadline_armed = True
+            self.engine.call_after(self.request_timeout, self._on_timeout)
         spans = self.engine.bus.spans
         if spans is not None:
             spans.start(
@@ -121,11 +129,9 @@ class ClientMachine:
     # ------------------------------------------------------------------
     def _on_response(self, frame: Frame) -> None:
         req_id: int = frame.payload
-        entry = self._pending.pop(req_id, None)
-        if entry is None:
+        issued_at = self._pending.pop(req_id, None)
+        if issued_at is None:
             return  # already timed out; the late response is wasted work
-        timer, issued_at = entry
-        timer.cancel()
         self.latency.observe(self.engine.now - issued_at)
         self.monitor.success()
         self.completed += 1
@@ -133,17 +139,32 @@ class ClientMachine:
 
     def _on_reject(self, frame: Frame) -> None:
         req_id: int = frame.payload
-        entry = self._pending.pop(req_id, None)
-        if entry is None:
+        issued_at = self._pending.pop(req_id, None)
+        if issued_at is None:
             return
-        entry[0].cancel()
         self.monitor.failure()
-        self._done(req_id, "reject", self.engine.now - entry[1])
+        self._done(req_id, "reject", self.engine.now - issued_at)
 
-    def _on_timeout(self, req_id: int) -> None:
-        if self._pending.pop(req_id, None) is not None:
+    def _on_timeout(self) -> None:
+        """The deadline timer: time out, in issue order, every request
+        due by now, then re-arm at the oldest outstanding deadline."""
+        now = self.engine.now
+        timeout = self.request_timeout
+        pending = self._pending
+        due = []
+        for req_id, issued_at in pending.items():
+            if issued_at + timeout > now:
+                break
+            due.append(req_id)
+        for req_id in due:
+            del pending[req_id]
             self.monitor.failure()
-            self._done(req_id, "timeout", self.request_timeout)
+            self._done(req_id, "timeout", timeout)
+        if pending:
+            oldest = next(iter(pending.values()))
+            self.engine.call_at(oldest + timeout, self._on_timeout)
+        else:
+            self._deadline_armed = False
 
     def _done(self, req_id: int, outcome: str, latency: float) -> None:
         """A request reached its final outcome: close the trace, tell

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from repro.obs.attribution import LatencyProbe
 from repro.obs.events import WORKLOAD_REQUEST_DONE
-from repro.obs.sketch import QuantileSketch
+from repro.obs.sketch import DEFAULT_QUANTILES, FOLD_BATCH, QuantileSketch
 from repro.sim.engine import Engine
 from repro.sim.snapshot import state_digest
+from tests.obs.test_sketch import _LoopSketch, _markers
 
 
 class _Detector:
@@ -132,3 +133,34 @@ def test_sharing_survives_a_pickle_round_trip():
 )
 def test_any_stage_sequence_matches_two_sketches(stream):
     _assert_same(_fed(stream), _fed(stream, _TwoSketchProbe))
+
+
+def test_split_in_the_middle_of_a_batch_folds_exactly():
+    """The second stage arrives with half a batch of the first stage's
+    latencies still buffered: the copy the split makes holds them
+    folded, and every sketch stays equal to the textbook loop."""
+    rng = random.Random(5)
+    head = [("normal", "ok", rng.expovariate(20.0)) for _ in range(FOLD_BATCH * 3 // 2)]
+    tail = [("A", "ok", 0.05)] + _stream(["A", "normal", "A"], 300, seed=6)
+    oracles = {name: _LoopSketch(DEFAULT_QUANTILES) for name in ("overall", "normal", "A")}
+
+    def feed(rig, stream):
+        rig.feed(stream)
+        for stage, outcome, latency in stream:
+            if outcome == "ok":
+                oracles["overall"].observe(latency)
+                oracles[stage].observe(latency)
+
+    rig = _Rig()
+    feed(rig, head)
+    overall = rig.probe.overall
+    assert len(overall._pending) == FOLD_BATCH // 2
+    feed(rig, tail[:1])
+    normal = rig.probe.by_stage["normal"]
+    assert normal is not overall and normal._pending == []
+    assert repr(_markers(normal)) == repr(oracles["normal"].snapshot_state()["marks"])
+    feed(rig, tail[1:])
+    sketches = dict(rig.probe.by_stage, overall=overall)
+    assert sorted(sketches) == sorted(oracles)
+    for name, sketch in sketches.items():
+        assert repr(sketch.snapshot_state()) == repr(oracles[name].snapshot_state())

@@ -7,6 +7,9 @@ payloads and the campaign report, so the properties that matter are:
   estimates (campaign parity depends on it);
 * exactness in the regimes where exactness is structural — five or
   fewer samples, constant streams, min/max/mean/count;
+* batched folding is invisible — every read (``to_dict``, ``quantile``,
+  ``copy``, ``snapshot_state``) and a pickle round trip see exactly the
+  marker state the textbook per-sample loop reaches;
 * a bounded typical *rank* error against exact percentiles on a fixed
   corpus of synthetic streams — the P² accuracy envelope, checked the
   robust way (where the estimate falls in the sorted sample, not how
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import pickle
 import random
 import statistics
 
@@ -25,7 +29,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.sketch import DEFAULT_QUANTILES, P2Quantile, QuantileSketch
+from repro.obs.sketch import (
+    DEFAULT_QUANTILES,
+    FOLD_BATCH,
+    P2Quantile,
+    QuantileSketch,
+)
 
 # ----------------------------------------------------------------------
 # Structural exactness
@@ -194,13 +203,13 @@ def test_tail_ordering_on_a_smooth_distribution():
 
 
 # ----------------------------------------------------------------------
-# The fused kernel vs the textbook per-bank loop (bit-for-bit)
+# The batched kernel vs the textbook per-sample loop (bit-for-bit)
 # ----------------------------------------------------------------------
 
 
 class _LoopP2:
-    """The textbook P² update, one bank at a time: the oracle for the
-    fused :meth:`QuantileSketch.observe`.  It is the estimator the sketch
+    """The textbook P² update, one sample at a time: the oracle for the
+    sketch's batched, unrolled fold.  It is the estimator the sketch
     shipped with before the marker update was unrolled, kept verbatim so
     any drift in the kernel's float operations shows up as a mismatch."""
 
@@ -370,3 +379,116 @@ def test_copy_is_independent_and_exact():
     twin.observe(100.0)
     assert twin.count == sk.count + 1
     assert sk.max == 19.5
+
+
+# ----------------------------------------------------------------------
+# Batched folding: every read sees the per-sample marker state
+# ----------------------------------------------------------------------
+
+
+def _markers(sketch):
+    """A sketch's marker banks as they stand, without folding its buffer
+    (``snapshot_state`` would fold first)."""
+    return [
+        {"q": list(m._q), "n": list(m._n), "np": list(m._np),
+         "dn": list(m._dn), "count": m.count}
+        for m in sketch._marks
+    ]
+
+
+def _assert_folded_like(sketch, oracle):
+    """Nothing is left unfolded and the markers equal the textbook
+    loop's bit for bit (repr compares floats exactly)."""
+    assert sketch._pending == []
+    assert repr(_markers(sketch)) == repr(oracle.snapshot_state()["marks"])
+    assert (sketch.count, sketch.sum, sketch.min, sketch.max) == (
+        oracle.count, oracle.sum, oracle.min, oracle.max,
+    )
+
+
+def _oracle_dict(oracle):
+    """``to_dict`` of the textbook loop's state."""
+    out = {
+        "count": oracle.count,
+        "mean": oracle.sum / oracle.count,
+        "min": oracle.min,
+        "max": oracle.max,
+    }
+    for bank in oracle.banks:
+        q = bank._q
+        if bank.count <= 5:
+            value = q[max(0, min(len(q) - 1, round(bank.p * (len(q) - 1))))]
+        else:
+            value = q[2]
+        out[QuantileSketch._label(bank.p)] = value
+    return out
+
+
+def _fed_pair(n, seed=0):
+    """A sketch and the textbook oracle fed the same ``n`` samples."""
+    rng = random.Random(seed)
+    sketch, oracle = QuantileSketch(), _LoopSketch(DEFAULT_QUANTILES)
+    for _ in range(n):
+        x = rng.paretovariate(1.5)
+        sketch.observe(x)
+        oracle.observe(x)
+    return sketch, oracle, rng
+
+
+#: Reads placed just before, at and just after the fold cap, and past it.
+_AROUND_THE_CAP = [3, FOLD_BATCH - 1, FOLD_BATCH, FOLD_BATCH + 1, 2 * FOLD_BATCH + 7]
+
+
+def test_the_cap_bounds_the_buffer():
+    sketch, _oracle, _rng = _fed_pair(FOLD_BATCH - 1)
+    assert len(sketch._pending) == FOLD_BATCH - 1
+    sketch.observe(1.0)
+    assert sketch._pending == []
+
+
+@pytest.mark.parametrize("n", _AROUND_THE_CAP)
+def test_to_dict_folds_first(n):
+    sketch, oracle, _rng = _fed_pair(n)
+    assert sketch.to_dict() == _oracle_dict(oracle)
+    _assert_folded_like(sketch, oracle)
+
+
+@pytest.mark.parametrize("n", _AROUND_THE_CAP)
+def test_quantile_folds_first(n):
+    sketch, oracle, _rng = _fed_pair(n)
+    assert sketch.quantile(0.5) == _oracle_dict(oracle)["p50"]
+    _assert_folded_like(sketch, oracle)
+
+
+@pytest.mark.parametrize("n", _AROUND_THE_CAP)
+def test_snapshot_state_folds_first(n):
+    sketch, oracle, _rng = _fed_pair(n)
+    assert repr(sketch.snapshot_state()) == repr(oracle.snapshot_state())
+    _assert_folded_like(sketch, oracle)
+
+
+@pytest.mark.parametrize("n", _AROUND_THE_CAP)
+def test_copy_folds_first_and_both_continue_exactly(n):
+    sketch, oracle, rng = _fed_pair(n)
+    twin = sketch.copy()
+    _assert_folded_like(sketch, oracle)
+    _assert_folded_like(twin, oracle)
+    tail = [rng.paretovariate(1.5) for _ in range(FOLD_BATCH + 2)]
+    for x in tail:
+        twin.observe(x)
+        oracle.observe(x)
+    assert repr(twin.snapshot_state()) == repr(oracle.snapshot_state())
+    assert sketch.count == n
+
+
+@pytest.mark.parametrize("n", _AROUND_THE_CAP)
+def test_pickle_round_trip_carries_the_buffer(n):
+    sketch, oracle, rng = _fed_pair(n)
+    restored = pickle.loads(pickle.dumps(sketch))
+    assert restored._pending == sketch._pending
+    tail = [rng.paretovariate(1.5) for _ in range(FOLD_BATCH // 2)]
+    for x in tail:
+        restored.observe(x)
+        oracle.observe(x)
+    assert restored.to_dict() == _oracle_dict(oracle)
+    _assert_folded_like(restored, oracle)

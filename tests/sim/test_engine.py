@@ -207,25 +207,12 @@ class TestEvent:
         ev.add_callback(lambda event: seen.append(event.value))
         assert seen == ["x"]
 
-    def test_fail_carries_exception(self):
-        e = Engine()
-        ev = e.event()
-        ev.fail(ValueError("boom"))
-        assert ev.triggered and not ev.ok
-        assert isinstance(ev.value, ValueError)
-
     def test_double_trigger_rejected(self):
         e = Engine()
         ev = e.event()
         ev.succeed()
         with pytest.raises(SimulationError):
             ev.succeed()
-
-    def test_fail_requires_exception(self):
-        e = Engine()
-        ev = e.event()
-        with pytest.raises(TypeError):
-            ev.fail("not an exception")
 
 
 class TestHotLoopInternals:

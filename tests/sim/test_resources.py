@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.resources import Resource, ResourceClosed
+from repro.sim.resources import Resource
 
 
 class TestResource:
@@ -32,14 +32,6 @@ class TestResource:
         with pytest.raises(SimulationError):
             r.release()
 
-    def test_try_acquire(self):
-        e = Engine()
-        r = Resource(e, capacity=1)
-        assert r.try_acquire()
-        assert not r.try_acquire()
-        r.release()
-        assert r.try_acquire()
-
     def test_handoff_keeps_in_use_flat(self):
         e = Engine()
         r = Resource(e, capacity=1)
@@ -47,17 +39,6 @@ class TestResource:
         r.acquire()  # queued
         r.release()  # handed to waiter
         assert r.in_use == 1
-
-    def test_close_fails_waiters(self):
-        e = Engine()
-        r = Resource(e, capacity=1)
-        r.acquire()
-        waiter = r.acquire()
-        failures = []
-        waiter.add_callback(lambda ev: failures.append(ev.ok))
-        r.close()
-        assert failures == [False]
-        assert isinstance(waiter.value, ResourceClosed)
 
     def test_capacity_must_be_positive(self):
         e = Engine()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.net.fabric import Fabric
 from repro.net.packet import Frame
+from repro.obs.events import WORKLOAD_REQUEST_DONE
 from repro.sim.engine import Engine
 from repro.sim.monitor import ThroughputMonitor
 from repro.workload.client import ClientMachine, Workload
@@ -167,3 +168,53 @@ def test_latency_histogram_lives_in_the_engine_registry():
     assert histograms["workload.client.latency{client=c0}"]["count"] == (
         client.completed
     )
+
+
+def test_deadlines_fire_in_issue_order_from_one_timer_per_client():
+    """A server that never answers, except once, far too late.
+
+    Every request times out at exactly its issue time plus the client's
+    timeout, in issue order; the late answer changes nothing; and the
+    engine holds a bounded number of timers however many requests are
+    outstanding, because the client keeps one deadline timer, not one
+    per request.
+    """
+    e = Engine()
+    fabric = Fabric(e)
+    issued = {}
+
+    class BlackHole(EchoServer):
+        def _on_req(self, frame):
+            req = frame.payload
+            issued[req.req_id] = req.sent_at
+            if len(issued) == 1:  # answer the first request 1 s too late
+                self.engine.call_after(
+                    7.0,
+                    self.nic.send,
+                    Frame(src=self.name, dst=req.client_id, size=64,
+                          kind="http-resp", payload=req.req_id),
+                )
+
+    BlackHole(e, fabric, "s0")
+    monitor = ThroughputMonitor(e)
+    client = ClientMachine(
+        e, fabric, "c0", ["s0"], FileSet(n_files=10), monitor,
+        random.Random(1), rate=100.0, request_timeout=6.0,
+    )
+    done = []
+    e.bus.subscribe(
+        lambda ev: done.append((e.now, ev.fields)),
+        names=[WORKLOAD_REQUEST_DONE],
+    )
+    client.start()
+    for t in range(1, 21):
+        e.run(until=float(t))
+        assert e.pending <= 8, (t, e.pending, client.outstanding)
+    assert client.outstanding > 400
+    assert monitor.total_ok == 0
+    assert len(done) == monitor.total_failed > 1000
+    ids = [f["req_id"] for _t, f in done]
+    assert ids == sorted(ids) == sorted(issued)[: len(ids)]
+    for at, f in done:
+        assert f["outcome"] == "timeout" and f["latency"] == 6.0
+        assert at == issued[f["req_id"]] + 6.0
