@@ -253,24 +253,18 @@ def cmd_store_diff(args) -> None:
 
 
 def cmd_perf_report(args) -> None:
-    from .analysis.perf import perf_report_from_store, perf_report_json
+    from .analysis.perf import perf_report_from_store
 
     try:
-        if args.json:
-            print(perf_report_json(args.store))
-        else:
-            print(perf_report_from_store(args.store))
+        print(perf_report_from_store(args.store))
     except ValueError as exc:
         sys.exit(f"perf-report: {exc}")
 
 
 def cmd_perf_compare(args) -> None:
-    from .analysis.perf import perf_compare, perf_compare_json
+    from .analysis.perf import perf_compare
 
-    if args.json:
-        text, comparable = perf_compare_json(args.store_a, args.store_b)
-    else:
-        text, comparable = perf_compare(args.store_a, args.store_b)
+    text, comparable = perf_compare(args.store_a, args.store_b)
     print(text)
     if not comparable:
         sys.exit("perf-compare: nothing to compare")
@@ -432,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every campaign cell under the wall-clock layer "
         "profiler: per-layer calls and self time, fabric frame and "
         "heap-churn counts — "
-        "persisted to the store's perf/ namespace and "
-        "a BENCH_campaign.json ledger (results stay byte-identical; "
+        "rolled into one BENCH_campaign.json ledger in the cache dir "
+        "(results stay byte-identical; "
         "read back with perf-report; see OBSERVABILITY.md)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -470,11 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(needs a --profile campaign in the store)",
     )
     p_perf.add_argument("store", help="campaign cache dir (a DiskStore)")
-    p_perf.add_argument(
-        "--json", action="store_true",
-        help="emit the aggregated ledger as machine-readable JSON "
-        "(stable key order) instead of the text report",
-    )
 
     p_pcmp = sub.add_parser(
         "perf-compare",
@@ -483,11 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pcmp.add_argument("store_a", help="first profiled cache dir")
     p_pcmp.add_argument("store_b", help="second profiled cache dir")
-    p_pcmp.add_argument(
-        "--json", action="store_true",
-        help="emit the per-layer/total deltas as machine-readable JSON "
-        "instead of the text diff",
-    )
 
     p_dash = sub.add_parser(
         "dashboard",

@@ -1,13 +1,6 @@
-"""Reporting and export utilities over campaign/model outputs."""
+"""Reporting utilities over campaign/model outputs."""
 
 from .charts import bar_chart, sparkline, timeline_plot
-from .export import (
-    profiles_to_csv,
-    result_to_dict,
-    results_to_json,
-    timeline_to_csv,
-    timeline_to_dict,
-)
 from .report import (
     campaign_report,
     campaign_timing_report,
@@ -27,9 +20,4 @@ __all__ = [
     "campaign_timing_report",
     "category_breakdown",
     "timeline_report",
-    "timeline_to_csv",
-    "profiles_to_csv",
-    "results_to_json",
-    "result_to_dict",
-    "timeline_to_dict",
 ]

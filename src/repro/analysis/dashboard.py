@@ -25,8 +25,8 @@ Sections:
   warmup, operator reset) each lost or SLO-slow request is charged to;
 * **performance** — the wall-clock layer profiler's view of the
   *simulator* (``--profile`` campaigns only): per-layer calls and self
-  time, fabric frame paths and heap churn from the store's volatile
-  ``perf/`` namespace and ``BENCH_campaign.json`` ledger.
+  time, fabric frame paths and heap churn from the campaign's
+  ``BENCH_campaign.json`` ledger.
 """
 
 from __future__ import annotations
@@ -466,37 +466,25 @@ def _attribution_section(cells: List[_Cell]) -> List[str]:
     return out
 
 
-def _performance_section(
-    perf: Iterable[Tuple[dict, dict]], ledger: Optional[dict]
-) -> List[str]:
+def _performance_section(ledger: Optional[dict]) -> List[str]:
     """Layer-profiler rollup (``--profile`` campaigns only)."""
-    from .perf import perf_view
+    from .perf import ledger_view
 
-    rows = []
-    for key, record in perf:
-        if not isinstance(record, dict):
-            continue
-        merged = dict(record)
-        for field in ("version", "fault", "rep", "seed"):
-            merged.setdefault(field, (key or {}).get(field))
-        rows.append(merged)
-    if not rows and not ledger:
+    if not ledger:
         return [
             "<p class='cellnote'>no profiler data stored (run the "
             "campaign with --profile to collect wall-clock profiles)</p>"
         ]
-    out: List[str] = []
-    if ledger:
-        timing = ledger.get("timing") or {}
-        out.append(
-            f"<p>wall-clock {_fmt(ledger.get('wall_clock_s'), 2)}s on "
-            f"{ledger.get('jobs', '?')} job(s): execute "
-            f"{_fmt(timing.get('execute_s'), 2)}s, warm-restore "
-            f"{_fmt(timing.get('restore_s'), 2)}s "
-            f"(speedup {_fmt(timing.get('speedup'), 2)}x, parallelism "
-            f"{_fmt(timing.get('parallelism'), 2)}x).</p>"
-        )
-    agg = perf_view(rows, ledger)
+    timing = ledger.get("timing") or {}
+    out = [
+        f"<p>wall-clock {_fmt(ledger.get('wall_clock_s'), 2)}s on "
+        f"{ledger.get('jobs', '?')} job(s): execute "
+        f"{_fmt(timing.get('execute_s'), 2)}s, warm-restore "
+        f"{_fmt(timing.get('restore_s'), 2)}s "
+        f"(speedup {_fmt(timing.get('speedup'), 2)}x, parallelism "
+        f"{_fmt(timing.get('parallelism'), 2)}x).</p>"
+    ]
+    agg = ledger_view(ledger)
     if agg["layers"]:
         total_s = agg["totals"]["self_s"]
         out.append(
@@ -553,11 +541,6 @@ def _performance_section(
                 f"<td>{int(c.get('events') or 0)}</td></tr>"
             )
         out.append("</table>")
-    if not out:
-        out.append(
-            "<p class='cellnote'>profiler records are present but "
-            "empty (stale perf schema?)</p>"
-        )
     return out
 
 
@@ -566,7 +549,6 @@ def render_dashboard(
     title: str = "PRESS performability campaign",
     source: str = "",
     summaries: Iterable[Tuple[dict, dict]] = (),
-    perf: Iterable[Tuple[dict, dict]] = (),
     ledger: Optional[dict] = None,
 ) -> str:
     """Render the raw ``(key, payload)`` rows into one HTML document."""
@@ -615,7 +597,7 @@ def render_dashboard(
     ]
     body += [
         "<h2>performance (layer profiler)</h2>",
-        *_performance_section(perf, ledger),
+        *_performance_section(ledger),
     ]
     return (
         "<!DOCTYPE html><html><head><meta charset='utf-8'>"
@@ -645,7 +627,6 @@ def dashboard_from_store(cache_dir, out_path=None) -> Path:
         rows,
         source=str(cache_dir),
         summaries=list(store.iter_summaries()),
-        perf=list(store.iter_perf()),
         ledger=load_ledger(cache_dir),
     )
     out = Path(out_path) if out_path else cache_dir / "dashboard.html"

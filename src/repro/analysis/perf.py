@@ -1,16 +1,14 @@
 """Campaign perf ledger + the ``perf-report`` / ``perf-compare`` views.
 
-The layer profiler (:mod:`repro.obs.profiler`) leaves two artifacts
-behind a ``--profile`` campaign:
-
-* one JSON record per executed cell in the store's volatile ``perf/``
-  namespace — the wall-clock breakdown (execute / warm-restore /
-  serialize / snapshot) plus the profile digest (per-layer calls and
-  self time, the costliest sites, fabric frame counts, engine heap
-  churn);
-* one consolidated ``BENCH_campaign.json`` **ledger** in the cache dir —
-  the campaign-level rollup of those records joined with the report's
-  wall-clock, warm-start traffic, and replication budget.
+The layer profiler (:mod:`repro.obs.profiler`) gives every executed
+cell of a ``--profile`` campaign a perf record: the wall-clock breakdown
+(execute / warm-restore / serialize / snapshot) plus the profile digest
+(per-layer calls and self time, the costliest sites, fabric frame
+counts, engine heap churn).  The runner collects them on
+``report.perf`` and rolls them into one ``BENCH_campaign.json``
+**ledger** in the cache dir, joined with the report's wall-clock,
+warm-start traffic and replication budget.  The ledger is the only
+record a profiled campaign leaves behind.
 
 This module builds the ledger (:func:`campaign_ledger`), renders the
 human view over a cache dir (:func:`perf_report_from_store` → the
@@ -18,10 +16,11 @@ human view over a cache dir (:func:`perf_report_from_store` → the
 (:func:`perf_compare` → ``perf-compare``).  Everything here reads
 wall-clock data only; nothing feeds back into cache keys or payloads.
 
-Stores written before the layer profiler (ledger version 1, by the
-root-callback recorder) still render: :func:`profile_view` reads their
-per-layer and per-site ``events`` as calls and their fabric counters as
-frame counts.
+Older ledgers still render: :func:`ledger_view` reads the ten cells a
+v1/v2 ledger kept, and :func:`profile_view` reads a v1 (root-callback
+recorder) ledger's per-layer and per-site ``events`` as calls and its
+fabric counters as frame counts.  A ``perf/`` directory that older
+versions wrote beside the cells is ignored.
 """
 
 from __future__ import annotations
@@ -37,7 +36,10 @@ LEDGER_NAME = "BENCH_campaign.json"
 #:   v1 — root-callback recorder: per-layer ``events``, named counters.
 #:   v2 — layer profiler: per-layer ``calls``, ``sites``, ``fabric``
 #:        frame counts and the profiled ``window_s``.
-LEDGER_VERSION = 2
+#:   v3 — the ledger is the only profiler record: ``cell_rows`` lists
+#:        every profiled cell's breakdown (v1/v2 kept the ten costliest
+#:        under ``top_cells``, beside per-cell records in ``perf/``).
+LEDGER_VERSION = 3
 
 #: Sites kept per record, per ledger, and shown by ``perf-report``.
 TOP_SITES = 20
@@ -46,6 +48,9 @@ _ENGINE_KEYS = (
     "events_processed", "scheduled", "timer_allocs", "freelist_reuse",
     "compactions",
 )
+
+#: A cell's wall-clock columns, summed into the campaign totals.
+_TIMES = ("execute_s", "restore_s", "serialize_s", "snapshot_s")
 
 
 # ----------------------------------------------------------------------
@@ -120,22 +125,11 @@ def profile_view(profile) -> dict:
 def aggregate_perf(rows: Iterable[dict]) -> dict:
     """Campaign-wide rollup of per-cell perf records.
 
-    ``rows`` are the dicts the runner appends to ``report.perf`` (or the
-    record halves of ``DiskStore.iter_perf``, with identity merged in).
+    ``rows`` are the dicts the runner appends to ``report.perf``.
     Missing keys degrade to zero — a stale or partial record never
     raises.  Sites are summed across cells by name.
     """
-    totals = {
-        "cells": 0,
-        "execute_s": 0.0,
-        "restore_s": 0.0,
-        "serialize_s": 0.0,
-        "snapshot_s": 0.0,
-        "events": 0,
-        "calls": 0,
-        "self_s": 0.0,
-        "window_s": 0.0,
-    }
+    profiled = {"events": 0, "calls": 0, "self_s": 0.0, "window_s": 0.0}
     layers: Dict[str, Dict[str, float]] = {}
     sites: Dict[str, dict] = {}
     fabric = {"fast_frames": 0, "reference_frames": 0}
@@ -144,12 +138,9 @@ def aggregate_perf(rows: Iterable[dict]) -> dict:
     for row in rows:
         if not isinstance(row, dict):
             continue
-        totals["cells"] += 1
-        for key in ("execute_s", "restore_s", "serialize_s", "snapshot_s"):
-            totals[key] += float(row.get(key) or 0.0)
         profile = profile_view(row.get("profile"))
-        for key in ("events", "calls", "self_s", "window_s"):
-            totals[key] += profile[key]
+        for key in profiled:
+            profiled[key] += profile[key]
         for layer, stats in profile["layers"].items():
             dst = layers.setdefault(layer, {"calls": 0, "self_s": 0.0})
             dst["calls"] += stats["calls"]
@@ -168,10 +159,7 @@ def aggregate_perf(rows: Iterable[dict]) -> dict:
         cells.append(
             {
                 "cell": _cell_label(row),
-                "execute_s": float(row.get("execute_s") or 0.0),
-                "restore_s": float(row.get("restore_s") or 0.0),
-                "serialize_s": float(row.get("serialize_s") or 0.0),
-                "snapshot_s": float(row.get("snapshot_s") or 0.0),
+                **{key: float(row.get(key) or 0.0) for key in _TIMES},
                 "events": profile["events"],
                 "warm_status": row.get("warm_status"),
             }
@@ -181,7 +169,7 @@ def aggregate_perf(rows: Iterable[dict]) -> dict:
     # with identical structure; display views re-sort by cost locally.
     cells.sort(key=lambda c: c["cell"])
     return {
-        "totals": totals,
+        "totals": {"cells": len(cells), **_time_totals(cells), **profiled},
         "layers": {k: layers[k] for k in sorted(layers)},
         "sites": sorted(
             sites.values(), key=lambda r: (-r["self_s"], r["site"])
@@ -192,24 +180,45 @@ def aggregate_perf(rows: Iterable[dict]) -> dict:
     }
 
 
-def perf_view(rows: List[dict], ledger: Optional[dict]) -> dict:
-    """The aggregate a report renders: the per-cell records when there
-    are any, else the ledger's own rollup (e.g. a store whose ``perf/``
-    records were pruned, or an in-memory campaign)."""
-    agg = aggregate_perf(rows)
-    if rows or not ledger:
-        return agg
-    profile = profile_view(ledger.get("profile"))
+def _time_totals(cells: List[dict]) -> Dict[str, float]:
+    """The cells' wall-clock columns summed in list order, so a ledger's
+    ``cell_rows`` sum to exactly the totals :func:`aggregate_perf` gave."""
     return {
-        "totals": dict(
-            agg["totals"],
+        key: sum((float(c.get(key) or 0.0) for c in cells), 0.0)
+        for key in _TIMES
+    }
+
+
+def ledger_view(ledger: Optional[dict]) -> dict:
+    """The aggregate every reader renders, rebuilt from a ledger in
+    :func:`aggregate_perf`'s layout.
+
+    A v3 ledger lists every profiled cell under ``cell_rows``.  A v1/v2
+    ledger kept only the ten costliest under ``top_cells``, so its
+    wall-clock totals come from the campaign ``timing`` section.
+    """
+    ledger = ledger if isinstance(ledger, dict) else {}
+    profile = profile_view(ledger.get("profile"))
+    legacy = "cell_rows" not in ledger
+    rows = ledger.get("top_cells" if legacy else "cell_rows")
+    cells = [c for c in rows or [] if isinstance(c, dict)]
+    if legacy:
+        timing = ledger.get("timing") or {}
+        times = {key: float(timing.get(key) or 0.0) for key in _TIMES}
+    else:
+        times = _time_totals(cells)
+    counts = ledger.get("cells") or {}
+    return {
+        "totals": {
+            "cells": int(counts.get("profiled") or 0) or len(cells),
+            **times,
             **{k: profile[k] for k in ("events", "calls", "self_s", "window_s")},
-        ),
+        },
         "layers": profile["layers"],
         "sites": profile["sites"],
         "fabric": profile["fabric"],
         "engine": profile["engine"],
-        "cells": [c for c in ledger.get("top_cells") or [] if isinstance(c, dict)],
+        "cells": cells,
     }
 
 
@@ -224,7 +233,8 @@ def campaign_ledger(report, settings=None) -> dict:
     Joins the per-cell profiler records with the report's
     campaign-level accounting (wall clock, cache hits, warm-start
     traffic, replication budget).  Written to :data:`LEDGER_NAME` by a
-    profiled campaign; read back by ``perf-report`` / ``perf-compare``.
+    profiled campaign; read back by ``perf-report``, ``perf-compare``
+    and the dashboard through :func:`ledger_view`.
     """
     agg = aggregate_perf(report.perf)
     ledger = {
@@ -264,14 +274,8 @@ def campaign_ledger(report, settings=None) -> dict:
             "fabric": agg["fabric"],
             "engine": agg["engine"],
         },
-        # Top 10 by execute time, then label-sorted so the committed
-        # ledger is byte-stable whenever the same rows make the cut.
-        "top_cells": sorted(
-            sorted(agg["cells"], key=lambda c: (-c["execute_s"], c["cell"]))[
-                :10
-            ],
-            key=lambda c: c["cell"],
-        ),
+        # Every profiled cell, label-sorted (see aggregate_perf).
+        "cell_rows": agg["cells"],
     }
     if settings is not None:
         ledger["settings"] = {
@@ -294,21 +298,6 @@ def load_ledger(cache_dir) -> Optional[dict]:
     except (OSError, ValueError):
         return None
     return data if isinstance(data, dict) else None
-
-
-def _store_rows(cache_dir) -> List[dict]:
-    """Per-cell perf records from the store, identity merged in."""
-    from ..experiments.store import DiskStore
-
-    rows: List[dict] = []
-    for key, record in DiskStore(Path(cache_dir)).iter_perf():
-        if not isinstance(record, dict):
-            continue
-        merged = dict(record)
-        for field in ("version", "fault", "rep", "seed"):
-            merged.setdefault(field, (key or {}).get(field))
-        rows.append(merged)
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -377,50 +366,47 @@ def _cell_lines(cells: List[dict], top: int = 15) -> List[str]:
     return lines
 
 
-def render_perf_report(
-    rows: List[dict], ledger: Optional[dict] = None, source: str = ""
-) -> str:
-    """Text report over per-cell perf records plus the optional ledger."""
+def render_perf_report(ledger: Optional[dict], source: str = "") -> str:
+    """Text report over one campaign's ledger."""
     lines = [f"layer profile — {source}" if source else "layer profile"]
-    if not rows and not ledger:
+    if not ledger:
         lines.append(
-            "no profiler data found (no perf/ records and no "
-            f"{LEDGER_NAME}); run the campaign with --profile to collect"
+            f"no profiler data found (no readable {LEDGER_NAME}); "
+            "run the campaign with --profile to collect"
         )
         return "\n".join(lines)
-    if ledger:
-        cells = ledger.get("cells") or {}
-        timing = ledger.get("timing") or {}
+    cells = ledger.get("cells") or {}
+    timing = ledger.get("timing") or {}
+    lines.append(
+        f"campaign: {cells.get('total', '?')} cells "
+        f"({cells.get('executed', '?')} executed, "
+        f"{cells.get('cached', '?')} cached) on "
+        f"{ledger.get('jobs', '?')} job(s), "
+        f"wall-clock {float(ledger.get('wall_clock_s') or 0.0):.2f}s"
+    )
+    lines.append(
+        f"  execute {float(timing.get('execute_s') or 0.0):.2f}s, "
+        f"warm-restore {float(timing.get('restore_s') or 0.0):.2f}s "
+        f"(speedup {float(timing.get('speedup') or 0.0):.2f}x, "
+        f"parallelism {float(timing.get('parallelism') or 0.0):.2f}x)"
+    )
+    warm = ledger.get("warm_start") or {}
+    if warm:
+        traffic = ", ".join(f"{k}: {v}" for k, v in sorted(warm.items()))
+        lines.append(f"  warm-start checkpoints — {traffic}")
+    reps = ledger.get("replication") or {}
+    if reps.get("reps_ceiling"):
         lines.append(
-            f"campaign: {cells.get('total', '?')} cells "
-            f"({cells.get('executed', '?')} executed, "
-            f"{cells.get('cached', '?')} cached) on "
-            f"{ledger.get('jobs', '?')} job(s), "
-            f"wall-clock {float(ledger.get('wall_clock_s') or 0.0):.2f}s"
+            f"  replication ({reps.get('policy', '?')}): "
+            f"{reps.get('reps_spent', 0)} reps of "
+            f"{reps.get('reps_ceiling', 0)} ceiling "
+            f"({100.0 * float(reps.get('saved_fraction') or 0.0):.0f}% "
+            "saved)"
         )
-        lines.append(
-            f"  execute {float(timing.get('execute_s') or 0.0):.2f}s, "
-            f"warm-restore {float(timing.get('restore_s') or 0.0):.2f}s "
-            f"(speedup {float(timing.get('speedup') or 0.0):.2f}x, "
-            f"parallelism {float(timing.get('parallelism') or 0.0):.2f}x)"
-        )
-        warm = ledger.get("warm_start") or {}
-        if warm:
-            traffic = ", ".join(f"{k}: {v}" for k, v in sorted(warm.items()))
-            lines.append(f"  warm-start checkpoints — {traffic}")
-        reps = ledger.get("replication") or {}
-        if reps.get("reps_ceiling"):
-            lines.append(
-                f"  replication ({reps.get('policy', '?')}): "
-                f"{reps.get('reps_spent', 0)} reps of "
-                f"{reps.get('reps_ceiling', 0)} ceiling "
-                f"({100.0 * float(reps.get('saved_fraction') or 0.0):.0f}% "
-                "saved)"
-            )
-    agg = perf_view(rows, ledger)
+    agg = ledger_view(ledger)
     totals = agg["totals"]
     line = (
-        f"profiled: {totals['cells'] or len(agg['cells'])} cell record(s), "
+        f"profiled: {totals['cells']} cell record(s), "
         f"{totals['events']} events, {totals['calls']} hooked calls, "
         f"{totals['self_s']:.4f}s self time"
     )
@@ -460,11 +446,7 @@ def perf_report_from_store(cache_dir) -> str:
     cache_dir = Path(cache_dir)
     if not cache_dir.is_dir():
         raise ValueError(f"{cache_dir}: not a directory")
-    return render_perf_report(
-        _store_rows(cache_dir),
-        ledger=load_ledger(cache_dir),
-        source=str(cache_dir),
-    )
+    return render_perf_report(load_ledger(cache_dir), source=str(cache_dir))
 
 
 # ----------------------------------------------------------------------
@@ -483,116 +465,57 @@ _COMPARED_TOTALS = (
 )
 
 
-def _delta(a, b) -> dict:
+def _delta_line(label: str, a, b, unit: str = "s") -> str:
     a, b = float(a or 0.0), float(b or 0.0)
-    return {"a": a, "b": b, "delta": b - a, "relative": (b - a) / a if a else None}
-
-
-def _compare(dir_a: Path, dir_b: Path) -> Tuple[dict, List[str]]:
-    """The A/B deltas, plus the sides ("A"/"B") with no profiler data."""
-    sides = {}
-    for name, cache_dir in (("A", dir_a), ("B", dir_b)):
-        agg, ledger = aggregate_perf(_store_rows(cache_dir)), load_ledger(cache_dir)
-        sides[name] = (agg, ledger or {}, bool(agg["totals"]["cells"] or ledger))
-    (agg_a, ledger_a, has_a), (agg_b, ledger_b, has_b) = sides["A"], sides["B"]
-    layers = sorted(set(agg_a["layers"]) | set(agg_b["layers"]))
-    payload = {
-        "kind": "perf-compare",
-        "a": str(dir_a),
-        "b": str(dir_b),
-        "comparable": has_a and has_b,
-        "wall_clock_s": _delta(
-            ledger_a.get("wall_clock_s"), ledger_b.get("wall_clock_s")
-        ),
-        "totals": {
-            key: _delta(agg_a["totals"][key], agg_b["totals"][key])
-            for key, _unit in _COMPARED_TOTALS
-        },
-        "layers": {
-            layer: _delta(
-                (agg_a["layers"].get(layer) or {}).get("self_s"),
-                (agg_b["layers"].get(layer) or {}).get("self_s"),
-            )
-            for layer in layers
-        },
-        "fabric": {
-            key: _delta(agg_a["fabric"][key], agg_b["fabric"][key])
-            for key in ("fast_frames", "reference_frames")
-        },
-    }
-    return payload, [name for name, side in sides.items() if not side[2]]
-
-
-def _delta_line(label: str, d: dict, unit: str = "s") -> str:
-    if d["relative"] is not None:
-        rel = f"{100.0 * d['relative']:+7.1f}%"
-    elif d["b"] > 0:
+    if a:
+        rel = f"{100.0 * (b - a) / a:+7.1f}%"
+    elif b > 0:
         rel = "   new"
     else:
         rel = "     ="
-    return f"  {label:28s} {d['a']:12.4f}{unit} {d['b']:12.4f}{unit} {rel}"
+    return f"  {label:28s} {a:12.4f}{unit} {b:12.4f}{unit} {rel}"
 
 
 def perf_compare(dir_a, dir_b) -> Tuple[str, bool]:
     """Compare two profiled cache dirs; returns ``(text, comparable)``.
 
-    ``comparable`` is False when either side has no profiler data at
-    all — the CLI maps that to a non-zero exit so CI catches a
-    perf-smoke job that silently profiled nothing.
+    ``comparable`` is False when either side has no ledger — the CLI
+    maps that to a non-zero exit so CI catches a perf-smoke job that
+    silently profiled nothing.
     """
     dir_a, dir_b = Path(dir_a), Path(dir_b)
-    cmp, missing = _compare(dir_a, dir_b)
+    ledger_a, ledger_b = load_ledger(dir_a), load_ledger(dir_b)
     lines = [f"perf-compare — A: {dir_a}  B: {dir_b}"]
-    if missing:
-        for name in missing:
-            d = dir_a if name == "A" else dir_b
-            lines.append(f"{name} ({d}): no profiler data (run with --profile)")
+    if not (ledger_a and ledger_b):
+        for name, d, ledger in (("A", dir_a, ledger_a), ("B", dir_b, ledger_b)):
+            if not ledger:
+                lines.append(
+                    f"{name} ({d}): no profiler data (run with --profile)"
+                )
         return "\n".join(lines), False
+    agg_a, agg_b = ledger_view(ledger_a), ledger_view(ledger_b)
     lines.append(f"  {'metric':28s} {'A':>13s} {'B':>13s} {'Δ':>8s}")
-    wall = cmp["wall_clock_s"]
-    if wall["a"] or wall["b"]:
-        lines.append(_delta_line("wall_clock", wall))
+    wall_a, wall_b = ledger_a.get("wall_clock_s"), ledger_b.get("wall_clock_s")
+    if wall_a or wall_b:
+        lines.append(_delta_line("wall_clock", wall_a, wall_b))
     for key, unit in _COMPARED_TOTALS:
-        lines.append(_delta_line(key, cmp["totals"][key], unit))
-    if cmp["layers"]:
+        lines.append(
+            _delta_line(key, agg_a["totals"][key], agg_b["totals"][key], unit)
+        )
+    layers = sorted(set(agg_a["layers"]) | set(agg_b["layers"]))
+    if layers:
         lines.append("self-time by layer:")
-        for layer, d in cmp["layers"].items():
-            lines.append(_delta_line(f"layer.{layer}", d))
+    for layer in layers:
+        lines.append(
+            _delta_line(
+                f"layer.{layer}",
+                (agg_a["layers"].get(layer) or {}).get("self_s"),
+                (agg_b["layers"].get(layer) or {}).get("self_s"),
+            )
+        )
     lines.append("fabric frames:")
-    for key, d in cmp["fabric"].items():
-        lines.append(_delta_line(key, d, unit=" "))
+    for key in ("fast_frames", "reference_frames"):
+        lines.append(
+            _delta_line(key, agg_a["fabric"][key], agg_b["fabric"][key], " ")
+        )
     return "\n".join(lines), True
-
-
-# ----------------------------------------------------------------------
-# Machine-readable views (--json)
-# ----------------------------------------------------------------------
-
-
-def perf_report_json(cache_dir) -> str:
-    """``perf-report --json``: the aggregated ledger as stable JSON.
-
-    Key order is sorted and the per-cell rows are label-sorted (see
-    :func:`aggregate_perf`), so tracking the bench trajectory is a
-    ``jq``/diff affair instead of scraping the text report.
-    """
-    cache_dir = Path(cache_dir)
-    if not cache_dir.is_dir():
-        raise ValueError(f"{cache_dir}: not a directory")
-    payload = {
-        "kind": "perf-report",
-        "source": str(cache_dir),
-        "aggregate": aggregate_perf(_store_rows(cache_dir)),
-        "ledger": load_ledger(cache_dir),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def perf_compare_json(dir_a, dir_b) -> Tuple[str, bool]:
-    """``perf-compare --json``: the A/B deltas as stable JSON.
-
-    Same comparability contract as :func:`perf_compare`: the flag is
-    False (CLI exits non-zero) when either side has no perf data.
-    """
-    cmp, missing = _compare(Path(dir_a), Path(dir_b))
-    return json.dumps(cmp, indent=2, sort_keys=True), not missing

@@ -134,9 +134,10 @@ def _profiled_cell(worker: Callable[..., dict], *args) -> dict:
     The profiler's hooks exist only for the duration of the call (see
     :mod:`repro.obs.profiler`).  The returned payload carries the cell's
     wall-clock breakdown and profile digest under ``"perf"``; the runner
-    strips it into the store's volatile ``perf/`` namespace, so it never
-    enters the persisted payload.  The store-serialize cost is measured
-    on the exact bytes the store will write.
+    strips it onto ``report.perf`` (and from there into the campaign
+    ledger), so it never enters the persisted payload.  The
+    store-serialize cost is measured on the exact bytes the store will
+    write.
     """
     from ..obs.profiler import LayerProfiler
 
@@ -372,8 +373,8 @@ class CampaignReport:
     #: bands on AT/AA/P are computed from
     replicates: Dict[str, List[ProfileSet]] = field(default_factory=dict)
     #: per-cell profiler records (profiled campaigns only): the
-    #: cell identity plus the wall-clock breakdown and profile digest
-    #: that also land in the store's volatile ``perf/`` namespace
+    #: cell identity plus the wall-clock breakdown and profile digest,
+    #: rolled into the ``BENCH_campaign.json`` ledger
     perf: List[dict] = field(default_factory=list)
 
     @property
@@ -559,7 +560,6 @@ class CampaignRunner:
         store: Optional[ResultStore] = None,
         jobs: int = 1,
         use_cache: bool = True,
-        on_cell: Optional[Callable[[CellRecord], None]] = None,
         trace_dir: Optional[str] = None,
         spans_dir: Optional[str] = None,
         span_sample: int = 1,
@@ -570,7 +570,6 @@ class CampaignRunner:
         self.store = store if store is not None else MemoryStore()
         self.jobs = max(1, int(jobs))
         self.use_cache = use_cache
-        self.on_cell = on_cell
         self.trace_dir = str(trace_dir) if trace_dir is not None else None
         self.spans_dir = str(spans_dir) if spans_dir is not None else None
         if span_sample < 1:
@@ -649,8 +648,6 @@ class CampaignRunner:
         report.cells.append(rec)
         if not cached:
             self._count_warm(rec.warm)
-        if self.on_cell is not None:
-            self.on_cell(rec)
 
     def _execute_wave(
         self,
@@ -678,8 +675,8 @@ class CampaignRunner:
         for cell, payload in results.items():
             # The profiler's perf record travels back on the payload but
             # never *in* it: it is volatile wall-clock, so it is stripped
-            # into the store's perf/ namespace before the payload is
-            # persisted or fingerprinted.
+            # onto the report (for the campaign ledger) before the
+            # payload is persisted or fingerprinted.
             perf = payload.pop("perf", None)
             if perf is not None:
                 report.perf.append(
@@ -691,8 +688,6 @@ class CampaignRunner:
                         **perf,
                     }
                 )
-                if self.use_cache:
-                    self.store.put_perf(cell.key(self._settings_key), perf)
             if self.use_cache:
                 self.store.put(cell.key(self._settings_key), payload)
             self._record(report, cell, payload, cached=False)
@@ -1014,10 +1009,11 @@ class CampaignRunner:
         return out, report
 
     def _write_ledger(self, report: CampaignReport) -> None:
-        """Consolidate the run's perf records into ``BENCH_campaign.json``.
+        """Roll the run's perf records into ``BENCH_campaign.json``.
 
-        Only disk-backed campaigns persist the ledger (it sits beside the
-        store's namespaces, where ``perf-compare`` finds it); either way
+        The ledger is the only profiler record.  Only disk-backed
+        campaigns persist it (it sits beside the store's namespaces,
+        where ``perf-report`` and ``perf-compare`` find it); either way
         the report carries a one-line pointer so a profiled run is never
         silent about where its measurements went.
         """
@@ -1031,8 +1027,8 @@ class CampaignRunner:
                 encoding="utf-8",
             )
             report.notices.append(
-                f"profiler: {len(report.perf)} cell record(s) in "
-                f"perf/, campaign ledger at {path} — "
+                f"profiler: {len(report.perf)} cell record(s) in the "
+                f"campaign ledger at {path} — "
                 "read with `python -m repro perf-report`"
             )
         else:
@@ -1050,7 +1046,6 @@ def run_campaign(
     jobs: int = 1,
     store: Optional[ResultStore] = None,
     use_cache: bool = True,
-    on_cell: Optional[Callable[[CellRecord], None]] = None,
     trace_dir: Optional[str] = None,
     spans_dir: Optional[str] = None,
     span_sample: int = 1,
@@ -1063,7 +1058,6 @@ def run_campaign(
         store=store,
         jobs=jobs,
         use_cache=use_cache,
-        on_cell=on_cell,
         trace_dir=trace_dir,
         spans_dir=spans_dir,
         span_sample=span_sample,

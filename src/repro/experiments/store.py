@@ -83,23 +83,15 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: (schema v5) — beside the two-hex-char cell shards, like `warmstart/`.
 SUMMARY_DIR = "repetition"
 
-#: Subdirectory of a DiskStore holding per-cell wall-clock perf records
-#: (the layer-profiler digests; see repro.obs.profiler).  Like
-#: ``warmstart/`` and ``repetition/``, it sits beside the two-hex-char
-#: cell shards, so ``iter_cells`` and ``store-diff`` never see it.  No
-#: schema bump accompanies it: perf records are volatile host timings,
-#: never part of the deterministic payload, so existing cached cells
-#: stay valid.
-PERF_DIR = "perf"
-
 #: Payload keys that legitimately differ between two executions of the
 #: *same* cell: host wall-clock (total / warm-restore split), warm-start
 #: checkpoint provenance, and the in-flight profiler record (the
-#: runner strips "perf" into the PERF_DIR namespace before put(), this
-#: entry is defense in depth).  Everything else is simulation output and
-#: must be bit-identical run to run — that is the contract
-#: :func:`payload_fingerprint` checks and the CI warm/cold double-run
-#: diff enforces.
+#: runner strips "perf" onto the campaign report, whose
+#: ``BENCH_campaign.json`` ledger is the only profiler record, before
+#: put(); this entry is defense in depth).  Everything else is
+#: simulation output and must be bit-identical run to run — that is the
+#: contract :func:`payload_fingerprint` checks and the CI warm/cold
+#: double-run diff enforces.
 VOLATILE_PAYLOAD_KEYS = ("elapsed", "restore_elapsed", "warm_start", "perf")
 
 
@@ -210,17 +202,6 @@ class ResultStore:
     def put_summary(self, key: SummaryKey, payload: dict) -> None:
         pass
 
-    # -- volatile perf records (--profile) ---------------------------
-    def get_perf(self, key: CellKey) -> Optional[dict]:
-        return None
-
-    def put_perf(self, key: CellKey, record: dict) -> None:
-        pass
-
-    def iter_perf(self):
-        """Yield ``(key_info, record)`` per stored perf record."""
-        return iter(())
-
 
 class MemoryStore(ResultStore):
     """Process-local store; survives nothing, costs nothing."""
@@ -228,7 +209,6 @@ class MemoryStore(ResultStore):
     def __init__(self) -> None:
         self._cells: Dict[CellKey, dict] = {}
         self._summaries: Dict[SummaryKey, dict] = {}
-        self._perf: Dict[CellKey, dict] = {}
 
     def get(self, key: CellKey) -> Optional[dict]:
         return self._cells.get(key)
@@ -242,29 +222,9 @@ class MemoryStore(ResultStore):
     def put_summary(self, key: SummaryKey, payload: dict) -> None:
         self._summaries[key] = payload
 
-    def get_perf(self, key: CellKey) -> Optional[dict]:
-        return self._perf.get(key)
-
-    def put_perf(self, key: CellKey, record: dict) -> None:
-        self._perf[key] = record
-
-    def iter_perf(self):
-        for key, record in self._perf.items():
-            yield (
-                {
-                    "version": key.version,
-                    "fault": key.fault,
-                    "seed": key.seed,
-                    "schema": key.schema,
-                    "rep": key.rep,
-                },
-                record,
-            )
-
     def clear(self) -> None:
         self._cells.clear()
         self._summaries.clear()
-        self._perf.clear()
 
     def __len__(self) -> int:
         return len(self._cells)
@@ -368,59 +328,6 @@ class DiskStore(ResultStore):
                 continue
             yield data["summary_key"], data["payload"]
 
-    # -- volatile perf records (--profile) ---------------------------
-    def _perf_path(self, key: CellKey) -> Path:
-        return self.cache_dir / PERF_DIR / f"{key.digest()}.json"
-
-    def get_perf(self, key: CellKey) -> Optional[dict]:
-        try:
-            with open(self._perf_path(key), "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(data, dict) or "perf" not in data:
-            return None
-        return data["perf"]
-
-    def put_perf(self, key: CellKey, record: dict) -> None:
-        self._write_record(
-            self._perf_path(key),
-            {
-                "key": {
-                    "version": key.version,
-                    "fault": key.fault,
-                    "seed": key.seed,
-                    "schema": key.schema,
-                    "rep": key.rep,
-                },
-                "perf": record,
-            },
-        )
-
-    def iter_perf(self):
-        """Yield ``(key_info, record)`` per readable stored perf record.
-
-        A reporting walk like :meth:`iter_cells` — unreadable or foreign
-        files are skipped, and newest-schema filtering is the caller's
-        concern (perf records carry their cell's schema in ``key``).
-        """
-        root = self.cache_dir / PERF_DIR
-        if not root.is_dir():
-            return
-        for path in sorted(root.glob("*.json")):
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    data = json.load(fh)
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                continue
-            if (
-                not isinstance(data, dict)
-                or "perf" not in data
-                or "key" not in data
-            ):
-                continue
-            yield data["key"], data["perf"]
-
     @staticmethod
     def _write_record(path: Path, record: dict) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -496,19 +403,15 @@ class DiskStore(ResultStore):
     @staticmethod
     def _is_shard(path: Path) -> bool:
         """Cell shards are the two-hex-char directories; siblings like
-        ``warmstart/``, ``repetition/`` and ``perf/`` are other
-        namespaces."""
+        ``warmstart/`` and ``repetition/`` are other namespaces (and a
+        ``perf/`` left by older versions is ignored)."""
         return path.is_dir() and len(path.name) == 2
 
     def clear(self) -> None:
-        """Remove every cached cell, repetition summary, and perf record
-        (the directory itself is kept)."""
+        """Remove every cached cell and repetition summary (the directory
+        itself is kept)."""
         for shard in self.cache_dir.iterdir():
-            if (
-                not self._is_shard(shard)
-                and shard.name != SUMMARY_DIR
-                and shard.name != PERF_DIR
-            ):
+            if not self._is_shard(shard) and shard.name != SUMMARY_DIR:
                 continue
             for cell in shard.glob("*.json"):
                 try:

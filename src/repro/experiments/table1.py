@@ -9,11 +9,12 @@ TCP), not absolute hardware-era req/s.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..press.cluster import PressCluster
 from ..press.config import ALL_VERSIONS, ALL_VERSIONS_EXTENDED, PAPER_TABLE1_THROUGHPUT
+from .phase1 import build_cluster
 from .settings import DEFAULT_SETTINGS, Phase1Settings
 
 #: Offered load relative to estimated capacity for the peak measurement.
@@ -40,11 +41,9 @@ def measure_peak(
     window: float = 60.0,
 ) -> float:
     """Near-peak delivered throughput for one version (paper units)."""
-    cluster = PressCluster(
+    cluster = build_cluster(
         ALL_VERSIONS_EXTENDED[version],
-        scale=settings.scale,
-        seed=settings.seed,
-        utilization=PEAK_UTILIZATION,
+        dataclasses.replace(settings, utilization=PEAK_UTILIZATION),
     )
     cluster.start()
     cluster.run_until(warm + window)

@@ -39,6 +39,7 @@ from ..faults.spec import FaultKind, FaultSpec
 from ..press.cluster import PressCluster
 from ..press.config import ALL_VERSIONS, ALL_VERSIONS_EXTENDED
 from .campaign import measure_profile_set
+from .phase1 import build_cluster
 from .settings import (
     DEFAULT_SETTINGS,
     DEFAULT_TARGET,
@@ -85,13 +86,14 @@ class ValidationResult:
 def _mttr_faithful_cluster(
     config, settings: Phase1Settings, seed_offset: int
 ) -> PressCluster:
-    return PressCluster(
+    return build_cluster(
         config,
-        scale=settings.scale,
-        seed=settings.seed + seed_offset,
-        utilization=settings.utilization,
-        restart_delay=MTTR_SECONDS,
-        reboot_time=MTTR_SECONDS,
+        dataclasses.replace(
+            settings,
+            seed=settings.seed + seed_offset,
+            restart_delay=MTTR_SECONDS,
+            reboot_time=MTTR_SECONDS,
+        ),
     )
 
 

@@ -27,8 +27,9 @@ pickle by reference: a warm-start checkpoint captured under the profiler
 restores the same queued work without it, and vice versa.  The profiler
 only reads clocks and public counters, so a profiled cell is
 byte-identical to an unprofiled one (``tests/obs/
-test_profiler_determinism.py``, CI ``perf-smoke``); its wall-clock
-output lives in the result store's volatile ``perf/`` namespace.
+test_profiler_determinism.py``, CI ``observers-invisible``); its
+wall-clock output lands in the campaign's ``BENCH_campaign.json``
+ledger, never in a cell payload.
 
 The hook table mirrors ``perfbench/layer_tracer.py``, which stays the
 independent referee (``perfbench/run.py --trace 1``).  Here a hook whose

@@ -16,8 +16,9 @@ from repro.analysis.dashboard import dashboard_from_store, render_dashboard
 from repro.analysis.perf import perf_compare, perf_report_from_store
 
 #: A schema-v8 store written by a profiled ``shards=2`` campaign before
-#: LP sharding was removed: one baseline cell, its perf record, and the
-#: ledger, each still carrying the retired ``"lp"`` section.
+#: LP sharding was removed: one baseline cell, its perf/ record (which
+#: the readers now ignore), and the v1 ledger, each still carrying the
+#: retired ``"lp"`` section.
 LEGACY_LP_STORE = Path(__file__).parent / "legacy_lp_store"
 
 
@@ -71,18 +72,23 @@ def test_render_dashboard_flags_stale_schema_generations():
 
 
 def test_render_dashboard_with_malformed_perf_rows():
-    """Perf rows that are stale, empty, or garbage degrade gracefully."""
-    perf = [
-        ({"version": "V", "fault": "f"}, {}),
-        ({}, {"execute_s": "0.5"}),  # stringly-typed stale record
-        ({"version": "V"}, None),  # unreadable record half
-    ]
-    html = render_dashboard([], perf=perf)
+    """Ledger rows that are stale, empty, or garbage degrade gracefully."""
+    ledger = {
+        "cell_rows": [
+            {},
+            {"cell": "V/f#r0", "execute_s": "0.5"},  # stringly-typed
+            None,  # unreadable row
+        ],
+        "profile": "not-a-dict",
+    }
+    html = render_dashboard([], ledger=ledger)
     assert "<h2>performance (layer profiler)</h2>" in html
+    assert "V/f#r0" in html
 
 
 def test_render_dashboard_from_ledger_only():
-    """A ledger without perf/ rows (pruned store) still fills the panel."""
+    """A v1/v2 ledger (ten ``top_cells``, no ``cell_rows``) still
+    fills the panel."""
     ledger = {
         "wall_clock_s": 2.0,
         "jobs": 2,
@@ -128,7 +134,9 @@ def test_perf_report_survives_a_corrupt_ledger_and_records(tmp_path):
         "utf-8",
     )
     text = perf_report_from_store(tmp_path)
-    assert "1 cell record(s)" in text
+    # The ledger is the only record: perf/ left by older versions is
+    # ignored, so a corrupt ledger means no profiler data.
+    assert "no profiler data found" in text
 
 
 def test_perf_compare_of_two_empty_dirs_is_not_comparable(tmp_path):

@@ -1,18 +1,7 @@
-"""Tests for reports and data export."""
-
-import csv
-import io
-import json
+"""Tests for the text reports."""
 
 import pytest
 
-from repro.analysis.export import (
-    profiles_to_csv,
-    result_to_dict,
-    results_to_json,
-    timeline_to_csv,
-    timeline_to_dict,
-)
 from repro.analysis.report import (
     campaign_report,
     category_breakdown,
@@ -23,7 +12,6 @@ from repro.core.faultload import ComponentFault, FaultLoad
 from repro.core.model import ProfileSet, evaluate
 from repro.core.stages import SevenStageProfile, Stage
 from repro.faults.spec import FaultKind
-from repro.sim.monitor import Annotation, Timeline
 
 
 @pytest.fixture
@@ -50,19 +38,6 @@ def result(profiles):
     return evaluate(profiles, load)
 
 
-@pytest.fixture
-def timeline():
-    return Timeline(
-        version="TCP-PRESS",
-        fault="node-crash",
-        bucket_width=1.0,
-        series=[(0.0, 100.0), (1.0, 0.0), (2.0, 50.0)],
-        failures=[(0.0, 0.0), (1.0, 20.0), (2.0, 0.0)],
-        annotations=[Annotation(1.0, "fault-injected", "x")],
-        availability=0.9,
-    )
-
-
 def test_profile_table_lists_stages(profiles):
     out = profile_table(profiles)
     assert "node-crash" in out
@@ -87,29 +62,3 @@ def test_campaign_report_covers_both_phases(profiles):
     out = campaign_report({"TCP-PRESS": profiles})
     assert "PHASE 1" in out and "PHASE 2" in out
     assert "1/day" in out and "1/month" in out
-
-
-def test_timeline_csv_roundtrips(timeline):
-    rows = list(csv.reader(io.StringIO(timeline_to_csv(timeline))))
-    assert rows[0] == ["time_s", "throughput_rps", "failures_rps"]
-    assert rows[2] == ["1.0", "0.00", "20.00"]
-    assert len(rows) == 4
-
-
-def test_profiles_csv_has_all_stages(profiles):
-    rows = list(csv.reader(io.StringIO(profiles_to_csv(profiles))))
-    assert len(rows) == 1 + 2 * 7  # header + 2 faults x 7 stages
-
-
-def test_result_json_parses(result):
-    data = json.loads(results_to_json([result]))
-    assert data[0]["version"] == "TCP-PRESS"
-    assert 0 <= data[0]["availability"] <= 1
-    assert len(data[0]["contributions"]) == 2
-
-
-def test_timeline_dict(timeline):
-    d = timeline_to_dict(timeline)
-    assert d["fault"] == "node-crash"
-    assert d["annotations"][0]["label"] == "fault-injected"
-    assert d["series"][0] == [0.0, 100.0]

@@ -1,9 +1,10 @@
 """The campaign perf ledger and the perf-report / perf-compare views.
 
 One small profiled campaign per module; assertions cover the per-cell
-perf records (wall-clock breakdown + profiler digest), the consolidated
-``BENCH_campaign.json`` ledger, the report's execute/warm-restore
-split (``speedup`` vs ``parallelism``), and both CLI views.
+perf records (wall-clock breakdown + profiler digest), the
+``BENCH_campaign.json`` ledger that is their only persisted record, the
+report's execute/warm-restore split (``speedup`` vs ``parallelism``),
+and both CLI views.
 """
 
 import json
@@ -14,8 +15,11 @@ import pytest
 from repro.__main__ import main
 from repro.analysis.perf import (
     LEDGER_NAME,
+    LEDGER_VERSION,
+    _layer_lines,
     aggregate_perf,
     campaign_ledger,
+    ledger_view,
     load_ledger,
     perf_compare,
     perf_report_from_store,
@@ -38,8 +42,9 @@ FAST = Phase1Settings(
 )
 
 #: Store written before LP sharding was removed (see the dashboard
-#: robustness tests); its perf record and ledger carry an ``"lp"``
-#: section the current code no longer reads.
+#: robustness tests); its v1 ledger carries an ``"lp"`` section the
+#: current code no longer reads, beside a ``perf/`` directory of
+#: per-cell records that it ignores.
 LEGACY_LP_STORE = (
     Path(__file__).parent.parent / "analysis" / "legacy_lp_store"
 )
@@ -98,6 +103,7 @@ def test_ledger_written_beside_the_store(profiled):
     path, report = profiled
     ledger = load_ledger(path)
     assert ledger is not None, f"{LEDGER_NAME} missing or unreadable"
+    assert ledger["ledger_version"] == LEDGER_VERSION == 3
     assert ledger["cells"]["profiled"] == len(report.perf)
     assert ledger["timing"]["execute_s"] == pytest.approx(
         report.execute_seconds
@@ -112,13 +118,26 @@ def test_ledger_written_beside_the_store(profiled):
 
 
 def test_perf_records_round_trip_through_the_store(profiled):
+    """Every executed cell's breakdown is in the ledger; nothing else
+    is written."""
     path, report = profiled
-    store = DiskStore(path)
-    rows = list(store.iter_perf())
-    assert len(rows) == len(report.perf)
-    for key, record in rows:
-        assert key["version"] in VERSIONS
-        assert "execute_s" in record and "profile" in record
+    assert not (path / "perf").exists()
+    rows = load_ledger(path)["cell_rows"]
+    assert rows == aggregate_perf(report.perf)["cells"]
+    assert len(rows) == report.executed
+    assert all(row["cell"].split("/")[0] in VERSIONS for row in rows)
+
+
+def test_perf_report_totals_and_layers_equal_the_runs_aggregate(profiled):
+    path, report = profiled
+    agg = aggregate_perf(report.perf)
+    view = ledger_view(load_ledger(path))
+    assert view["totals"] == agg["totals"]
+    assert view["layers"] == agg["layers"]
+    text = perf_report_from_store(path)
+    assert f"profiled: {agg['totals']['cells']} cell record(s)" in text
+    for line in _layer_lines(agg["layers"], agg["totals"]["self_s"]):
+        assert line in text
 
 
 def test_perf_report_prints_the_acceptance_surface(profiled):
@@ -156,7 +175,6 @@ def test_perf_compare_of_a_legacy_lp_ledger_against_a_new_one(profiled):
     assert comparable
     assert "lp." not in text
     main(["perf-compare", str(LEGACY_LP_STORE), str(path)])
-    main(["perf-compare", "--json", str(LEGACY_LP_STORE), str(path)])
 
 
 def test_memory_store_campaign_still_reports_perf():

@@ -162,14 +162,6 @@ class TestReport:
         assert warm.cell_seconds == 0.0
         assert all(c.cached for c in warm.cells)
 
-    def test_on_cell_progress_callback(self):
-        seen = []
-        runner = CampaignRunner(
-            SETTINGS, store=MemoryStore(), on_cell=seen.append
-        )
-        runner.run(VERSIONS, FAULTS)
-        assert len(seen) == SETTINGS.replications * (len(FAULTS) + 1)
-
     @pytest.mark.parametrize("span_sample", [0, -3])
     def test_rejects_a_non_positive_span_sample(self, span_sample):
         with pytest.raises(ValueError, match="span_sample must be >= 1"):

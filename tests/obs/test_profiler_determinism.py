@@ -6,7 +6,7 @@ mutates component state, or perturbs iteration order, so every
 simulation output is byte-identical with and without it — across the
 fabric fast path, warm-start checkpoints captured or restored on either
 side of the wrapping, pool workers, and the campaign cache.  The perf
-records themselves land in the store's volatile ``perf/`` namespace,
+records themselves land only in the ``BENCH_campaign.json`` ledger,
 which ``store-diff`` and payload fingerprints ignore.
 """
 
@@ -195,11 +195,14 @@ def test_profiled_pool_campaign_payloads_match_plain(tmp_path):
 
 
 def test_perf_namespace_never_reaches_cell_payloads(tmp_path):
-    """Perf records live in perf/, not in the deterministic payloads."""
+    """Perf records live in the ledger, not in the deterministic
+    payloads (and no ``perf/`` namespace is written)."""
+    from repro.analysis.perf import load_ledger
+
     _campaign(tmp_path, True)
     store = DiskStore(tmp_path)
-    assert (tmp_path / "perf").is_dir()
-    assert list(store.iter_perf()), "no perf records persisted"
+    assert not (tmp_path / "perf").exists()
+    assert load_ledger(tmp_path)["cell_rows"], "no perf records persisted"
     for _key, payload in store.iter_cells():
         assert "perf" not in payload
 
