@@ -29,6 +29,7 @@ from repro.sim.ids import global_id_state
 LAYOUT_DIGESTS = {
     11: "4314246d8cecc765",
     12: "66b64edd7c68ff0c",
+    13: "66b64edd7c68ff0c",
 }
 
 SETTINGS = Phase1Settings(scale=SMOKE_SCALE, seed=5, warm=15.0, replications=1)

@@ -290,12 +290,13 @@ def test_header_mismatch_reports_invalidated_not_miss(tmp_path):
     )
     blob, status = cache._load(digest)
     assert blob is None and status == STATUS_INVALIDATED
-    # v9 to v11 checkpoints from this very interpreter: a v9 Engine
+    # v9 to v12 checkpoints from this very interpreter: a v9 Engine
     # still carries the removed ``profiler`` attach point, a v10 Engine
-    # the removed ``metrics``/``spans`` attach points, and v11 the old
-    # ``Event``, ``ClientMachine`` and ``QuantileSketch`` layouts.
-    assert snapshot.FORMAT_VERSION == 12
-    for old in (9, 10, 11):
+    # the removed ``metrics``/``spans`` attach points, v11 the old
+    # ``Event``, ``ClientMachine`` and ``QuantileSketch`` layouts, and
+    # v12 instances that restore into per-instance dicts.
+    assert snapshot.FORMAT_VERSION == 13
+    for old in (9, 10, 11, 12):
         stale = _header().replace(
             f"format={snapshot.FORMAT_VERSION} ".encode(),
             f"format={old} ".encode(),

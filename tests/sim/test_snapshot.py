@@ -6,14 +6,17 @@ component state digests.  These tests exercise the subsystem from the
 bare engine up to a full PRESS cluster of every version.
 """
 
-import pickle
+import enum
+import gc
+import types
 
 import pytest
 
 from repro.press.cluster import SMOKE_SCALE, PressCluster
 from repro.press.config import ALL_VERSIONS
+from repro.sim import engine as engine_module
 from repro.sim import snapshot
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import Engine, Event, SimulationError
 from repro.sim.rng import RngRegistry
 
 
@@ -91,7 +94,7 @@ def test_non_importable_closure_round_trips():
 
 
 # ----------------------------------------------------------------------
-# Digests and summaries
+# Digests
 # ----------------------------------------------------------------------
 
 
@@ -101,21 +104,6 @@ def test_state_digest_tracks_snapshot_state():
     e1.call_after(1.0, lambda: None)
     e1.run()
     assert snapshot.state_digest(e1) != snapshot.state_digest(e2)
-
-
-def test_checkpoint_digest_sensitivity():
-    base = snapshot.checkpoint_digest("TCP-PRESS", (1, 2), 7)
-    assert base == snapshot.checkpoint_digest("TCP-PRESS", (1, 2), 7)
-    assert base != snapshot.checkpoint_digest("VIA-PRESS", (1, 2), 7)
-    assert base != snapshot.checkpoint_digest("TCP-PRESS", (1, 3), 7)
-    assert base != snapshot.checkpoint_digest("TCP-PRESS", (1, 2), 8)
-
-
-def test_blob_summary_counts_ops():
-    blob = snapshot.capture({"a": 1, "b": [1, 2, 3]})
-    info = snapshot.blob_summary(blob)
-    assert info["bytes"] == len(blob)
-    assert info["pickle_ops"] > 0
 
 
 def test_rng_registry_round_trips_through_pickle():
@@ -164,6 +152,103 @@ def test_cluster_snapshot_state_is_json_safe():
 
     c = _cluster("TCP-PRESS")
     json.dumps(c.snapshot_state())
+
+
+# ----------------------------------------------------------------------
+# Restored instances keep the fresh attribute layout
+# ----------------------------------------------------------------------
+
+
+def _restore_noting_rebuilds(blob: bytes, monkeypatch) -> tuple:
+    """Restore ``blob``; also return the ids of the objects it rebuilt
+    through :func:`snapshot._set_attrs` (one entry per setter call)."""
+    rebuilt = []
+    set_attrs = snapshot._set_attrs
+
+    def noting(obj, state):
+        rebuilt.append(id(obj))
+        set_attrs(obj, state)
+
+    monkeypatch.setattr(snapshot, "_set_attrs", noting)
+    restored = snapshot.restore(blob)
+    monkeypatch.setattr(snapshot, "_set_attrs", set_attrs)
+    return restored, rebuilt
+
+
+def _plain_repro_instances(root) -> dict:
+    """id -> object for every instance of a ``repro`` class without
+    ``__slots__`` reachable from ``root`` (classes, modules and
+    functions are not followed)."""
+    stop = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, found, todo = set(), {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, stop):
+            continue
+        seen.add(id(obj))
+        cls = type(obj)
+        if (
+            cls.__module__.startswith("repro.")
+            and not isinstance(obj, enum.Enum)
+            and not any("__slots__" in klass.__dict__ for klass in cls.__mro__)
+        ):
+            found[id(obj)] = obj
+        todo.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.mark.parametrize("version", ["TCP-PRESS", "VIA-PRESS-5"])
+def test_restore_rebuilds_every_plain_instance_attribute_by_attribute(
+    version, monkeypatch
+):
+    """Pickle's default ``BUILD`` would leave restored objects with
+    per-instance dicts, which run every callback slower than fresh
+    ones; each plain ``repro`` instance must come back through the
+    attribute-by-attribute setter instead, exactly once."""
+    c = _cluster(version)
+    blob = snapshot.capture(c)
+    c2, rebuilt = _restore_noting_rebuilds(blob, monkeypatch)
+    plain = _plain_repro_instances(c2)
+    assert len(plain) > 50
+    assert len(rebuilt) == len(set(rebuilt))
+    assert set(rebuilt) == set(plain)
+    assert snapshot.state_digest(c2) == snapshot.state_digest(c)
+
+
+def test_engine_getstate_is_honoured(monkeypatch):
+    """The engine's own ``__getstate__`` (which drops the timer
+    freelist) decides what the setter rebuilds it from."""
+    e = Engine()
+    for i in range(5):
+        e.call_after(float(i), lambda: None)
+    e.run()
+    assert e._freelist
+    e2, rebuilt = _restore_noting_rebuilds(snapshot.capture(e), monkeypatch)
+    assert id(e2) in rebuilt
+    assert e2._freelist == []
+    assert e2.snapshot_state() == e.snapshot_state()
+
+
+def test_subclass_of_a_slotted_base_keeps_the_default_reduction(monkeypatch):
+    """A ``repro`` class with ``__slots__`` anywhere in its MRO keeps its
+    slot values only through pickle's default reduction; a plain one
+    beside it takes the setter."""
+    slotted = type("SlottedChild", (Event,), {"__module__": engine_module.__name__})
+    plain = type("PlainThing", (), {"__module__": engine_module.__name__})
+    monkeypatch.setattr(engine_module, "SlottedChild", slotted, raising=False)
+    monkeypatch.setattr(engine_module, "PlainThing", plain, raising=False)
+    e = Engine()
+    child = slotted(e)
+    child.value = 7  # a slot of Event
+    child.extra = "in the instance dict"
+    thing = plain()
+    thing.note = "plain"
+    blob = snapshot.capture((child, thing))
+    (child2, thing2), rebuilt = _restore_noting_rebuilds(blob, monkeypatch)
+    assert (child2.value, child2.extra) == (7, "in the instance dict")
+    assert child2.engine is not e and thing2.note == "plain"
+    assert id(child2) not in rebuilt
+    assert id(thing2) in rebuilt and id(child2.engine) in rebuilt
 
 
 def test_capture_wraps_pickling_errors():
