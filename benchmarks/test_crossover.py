@@ -5,7 +5,9 @@ of a TCP-based system before their performabilities equalize.
 
 import pytest
 
-from repro.experiments.performability import run_crossover
+from repro.analysis.report import crossover_summary
+from repro.experiments.campaign import full_campaign_with_report
+from repro.experiments.performability import crossover_bands, run_crossover
 
 from .conftest import run_once
 
@@ -16,6 +18,12 @@ def test_crossover(benchmark, bench_settings, campaign):
     print("§9 crossover multipliers (VIA fault rate vs. TCP-PRESS):")
     for version, m in multipliers.items():
         print(f"  {version:14s} {m:5.2f}x   (paper: ~4x)")
+    # The same campaign again, from the session store: its replicates
+    # give the band without re-simulating.
+    sets, report = full_campaign_with_report(bench_settings)
+    print("replicate bands:")
+    print(crossover_summary(crossover_bands(sets, report.replicates),
+                            report.replicates))
 
     # The multiplier is noise-sensitive (log-scale metric over measured
     # stall profiles); across seeds it lands in roughly 4-8x.  The

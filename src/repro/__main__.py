@@ -15,7 +15,6 @@ Usage::
     python -m repro trace-validate traces/
     python -m repro crossover
     python -m repro validate
-    python -m repro stability --sweep-seeds 3
 
 Global flags such as ``--scale N`` (CPU/byte scale factor; larger =
 faster, default 200), ``--seed N`` and ``--replications N`` go before
@@ -293,35 +292,17 @@ def cmd_trace_validate(args) -> None:
 
 
 def cmd_crossover(args) -> None:
-    from .experiments.performability import run_crossover
+    from .analysis.report import crossover_summary
+    from .experiments.campaign import full_campaign_with_report
+    from .experiments.performability import crossover_bands
 
+    campaign, report = full_campaign_with_report(_settings(args))
+    bands = crossover_bands(campaign, report.replicates)
     print("§9 crossover multipliers (VIA fault rates vs. TCP-PRESS):")
-    for version, multiplier in run_crossover(_settings(args)).items():
-        print(f"  {version:14s} {multiplier:5.2f}x   (paper: ~4x)")
-
-
-def cmd_stability(args) -> None:
-    from .experiments.stability import (
-        crossover_quantity,
-        format_sweep,
-        performability_quantity,
-        sweep,
-    )
-
-    seeds = list(range(args.seed, args.seed + args.sweep_seeds))
-    settings = _settings(args)
-    print(
-        format_sweep(
-            sweep(performability_quantity(), seeds, settings),
-            title=f"performability across seeds {seeds}:",
-        )
-    )
-    print(
-        format_sweep(
-            sweep(crossover_quantity(), seeds, settings),
-            title="§9 crossover multiplier across seeds:",
-        )
-    )
+    for version, band in bands.items():
+        print(f"  {version:14s} {band.value:5.2f}x   (paper: ~4x)")
+    print("replicate bands:")
+    print(crossover_summary(bands, report.replicates))
 
 
 def cmd_validate(args) -> None:
@@ -495,12 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("crossover", help="the §9 ~4x crossover multipliers")
     sub.add_parser("validate", help="validate the model against simulation")
-
-    p_stab = sub.add_parser(
-        "stability", help="seed-sweep error bars for the headline numbers"
-    )
-    p_stab.add_argument("--sweep-seeds", type=int, default=3,
-                        help="number of consecutive seeds to sweep")
     return parser
 
 
@@ -540,7 +515,6 @@ def main(argv=None) -> None:
         "trace-validate": cmd_trace_validate,
         "crossover": cmd_crossover,
         "validate": cmd_validate,
-        "stability": cmd_stability,
     }[args.command]
     # The flags configure this command only: a second main() in the
     # same process starts from the defaults again.
@@ -548,6 +522,12 @@ def main(argv=None) -> None:
     try:
         _configure_campaign(args)
         handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (``| head``).  Point stdout at devnull
+        # so the interpreter's flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     finally:
         campaign._defaults.clear()
         campaign._defaults.update(saved)

@@ -125,8 +125,12 @@ def campaign_report(
 
     ``replicates`` (optional, from ``CampaignReport.replicates``) maps a
     version to its per-replication ProfileSets; when given, the phase-2
-    summaries carry Student-t CI bands on AA, AT, and P.
+    summaries carry Student-t CI bands on AA, AT, and P, and the §9
+    crossover block (printed when the campaign holds TCP-PRESS and a VIA
+    version) carries one on each VIA version's multiplier.
     """
+    from ..experiments.performability import VIA_VERSIONS, crossover_bands
+
     sections = ["=" * 72, "PHASE 1 — measured seven-stage profiles", "=" * 72]
     for version in campaign:
         sections.append(profile_table(campaign[version]))
@@ -142,7 +146,46 @@ def campaign_report(
                 )
             sections.append(result_summary(result, bands))
             sections.append("")
+    if "TCP-PRESS" in campaign and any(v in campaign for v in VIA_VERSIONS):
+        sections.append(
+            "--- §9 crossover: VIA fault-rate multiplier vs. TCP-PRESS"
+            " (paper: ~4x) ---"
+        )
+        try:
+            bands = crossover_bands(campaign, replicates or {})
+        except ValueError as exc:
+            sections.append(f"  no crossover in the merged campaign: {exc}")
+        else:
+            sections.append(crossover_summary(bands, replicates))
+        sections.append("")
     return "\n".join(sections)
+
+
+def crossover_summary(
+    bands: Mapping,
+    replicates: Optional[Mapping[str, Iterable[ProfileSet]]] = None,
+) -> str:
+    """One row per VIA version of
+    :func:`~repro.experiments.performability.crossover_bands`: the merged
+    multiplier, ± the CI half width when at least two TCP-PRESS/VIA
+    replicate pairs cross in [1, 64]x, and how many of the pairs did.
+    """
+    reps = {v: list(sets) for v, sets in (replicates or {}).items()}
+    lines = []
+    for version, band in bands.items():
+        pairs = min(len(reps.get("TCP-PRESS", ())), len(reps.get(version, ())))
+        pm = f" ±{band.half_width:.2f}" if band.n >= 2 else ""
+        lines.append(
+            f"  {version:14s} {band.value:5.2f}x{pm}"
+            f"  ({band.n} of {pairs} replicate pair(s) cross in [1, 64]x)"
+        )
+    banded = [b for b in bands.values() if b.n >= 2]
+    if banded:
+        lines.append(
+            f"  (±: {banded[0].confidence:.0%} Student-t CI over the"
+            " crossing pairs)"
+        )
+    return "\n".join(lines)
 
 
 def repetition_report(report) -> str:

@@ -7,8 +7,8 @@ the paper reuses its measurements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Tuple
 
 from ..core.faultload import (
     DAY,
@@ -20,9 +20,9 @@ from ..core.faultload import (
     system_bug_component,
 )
 from ..core.metric import performability_of
-from ..core.model import PerformabilityResult, ProfileSet, evaluate
+from ..core.model import ProfileSet, evaluate
 from ..core.sensitivity import crossover_multiplier
-from ..faults.spec import FAULT_CATALOG, FaultKind, category_of
+from ..faults.spec import FaultKind
 from .campaign import full_campaign
 from .settings import DEFAULT_SETTINGS, Phase1Settings
 
@@ -45,7 +45,7 @@ class MetricBand:
     exist.
     """
 
-    metric: str  # "AA" | "AT" | "P"
+    metric: str  # "AA" | "AT" | "P" | "crossover"
     value: float
     mean: float
     half_width: float
@@ -69,6 +69,22 @@ def _usable_load(load: FaultLoad, profiles: ProfileSet) -> FaultLoad:
     return FaultLoad(components=tuple(c for c in load if c.key in profiles))
 
 
+def _band(
+    metric: str, value: float, samples: List[float], confidence: float
+) -> MetricBand:
+    """``value`` with the Student-t band over its per-replicate ``samples``."""
+    from .repeaters import ci_half_width, sample_stats
+
+    return MetricBand(
+        metric=metric,
+        value=value,
+        mean=sample_stats(samples)[0] if samples else value,
+        half_width=ci_half_width(samples, confidence),
+        n=len(samples),
+        confidence=confidence,
+    )
+
+
 def banded_evaluation(
     profiles: ProfileSet,
     replicates: List[ProfileSet],
@@ -82,8 +98,6 @@ def banded_evaluation(
     the same fault load; the per-replicate metrics give the Student-t
     half widths around the merged point estimates.
     """
-    from .repeaters import ci_half_width, sample_stats
-
     merged = evaluate(profiles, _usable_load(load, profiles))
     point = {
         "AA": merged.availability,
@@ -96,19 +110,10 @@ def banded_evaluation(
         samples["AA"].append(r.availability)
         samples["AT"].append(r.average_throughput)
         samples["P"].append(performability_of(r))
-    out: Dict[str, MetricBand] = {}
-    for metric in ("AA", "AT", "P"):
-        xs = samples[metric]
-        mean = sample_stats(xs)[0] if xs else point[metric]
-        out[metric] = MetricBand(
-            metric=metric,
-            value=point[metric],
-            mean=mean,
-            half_width=ci_half_width(xs, confidence),
-            n=len(xs),
-            confidence=confidence,
-        )
-    return out
+    return {
+        metric: _band(metric, point[metric], samples[metric], confidence)
+        for metric in ("AA", "AT", "P")
+    }
 
 #: Base per-node application fault rate used in the §6.3 sensitivity
 #: figures.  The paper studies the 1/day..1/month band and does not state
@@ -294,6 +299,50 @@ CROSSOVER_KINDS = (
 )
 
 
+def crossover_bands(
+    campaign: Mapping[str, ProfileSet],
+    replicates: Mapping[str, List[ProfileSet]],
+    confidence: float = 0.95,
+    tcp_version: str = "TCP-PRESS",
+    app_mttf: float = WEEK,
+) -> Dict[str, MetricBand]:
+    """The §9 crossover of every VIA version in ``campaign``, banded by
+    replicate spread.
+
+    ``value`` is the merged campaign's multiplier; like
+    :func:`~repro.core.sensitivity.crossover_multiplier`, this raises
+    ValueError when it has none in [1, 64].  Replicate *i* pairs
+    ``replicates[tcp_version][i]`` with ``replicates[via][i]`` (as
+    collected on ``CampaignReport.replicates``); a pair without a
+    crossover in range is left out of the band, so ``n`` counts the
+    pairs that cross.
+    """
+    base = FaultLoad.table3(app_fault_mttf=app_mttf)
+
+    def crossover(tcp: ProfileSet, via: ProfileSet) -> float:
+        via_base = _usable_load(base, via)
+        return crossover_multiplier(
+            tcp,
+            via,
+            _usable_load(base, tcp),
+            lambda m: via_base.scaled(m, CROSSOVER_KINDS),
+        )
+
+    out: Dict[str, MetricBand] = {}
+    for via_version in (v for v in VIA_VERSIONS if v in campaign):
+        value = crossover(campaign[tcp_version], campaign[via_version])
+        samples = []
+        for tcp, via in zip(
+            replicates.get(tcp_version, ()), replicates.get(via_version, ())
+        ):
+            try:
+                samples.append(crossover(tcp, via))
+            except ValueError:
+                continue
+        out[via_version] = _band("crossover", value, samples, confidence)
+    return out
+
+
 def run_crossover(
     settings: Phase1Settings = DEFAULT_SETTINGS,
     tcp_version: str = "TCP-PRESS",
@@ -301,14 +350,7 @@ def run_crossover(
 ) -> Dict[str, float]:
     """Multiplier on VIA's switch/link/application fault rates at which
     its performability drops to the TCP baseline (paper: ≈ 4×)."""
-    camp = full_campaign(settings)
-    base = FaultLoad.table3(app_fault_mttf=app_mttf)
-    out = {}
-    for via_version in VIA_VERSIONS:
-        out[via_version] = crossover_multiplier(
-            camp[tcp_version],
-            camp[via_version],
-            base,
-            lambda m: base.scaled(m, CROSSOVER_KINDS),
-        )
-    return out
+    bands = crossover_bands(
+        full_campaign(settings), {}, tcp_version=tcp_version, app_mttf=app_mttf
+    )
+    return {version: band.value for version, band in bands.items()}

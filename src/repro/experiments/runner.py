@@ -801,7 +801,7 @@ class CampaignRunner:
         """The scalar a stream's stopping rule judges.
 
         Baseline streams are judged on Tn, fault streams on the run's
-        availability — the quantities whose stability bounds the AT/AA/P
+        availability — the quantities whose spread bounds the AT/AA/P
         estimates downstream.  (Pre-v3 payloads without a timeline can
         only appear under the fixed policy, where samples never change
         the schedule.)

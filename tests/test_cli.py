@@ -1,8 +1,15 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.__main__ import build_parser, main
 
@@ -393,3 +400,26 @@ def test_store_diff_reports_a_v4_store_as_invalidated(capsys, tmp_path):
         f"schema v{SCHEMA_VERSION}" in out
     )
     assert "re-run these cells rather than re-reading them" in out
+
+
+# ----------------------------------------------------------------------
+# piped output
+# ----------------------------------------------------------------------
+
+
+def test_a_reader_that_closes_early_gets_no_traceback():
+    # The report is larger than stdout's buffer, so ``head`` has exited
+    # before the later prints flush into the closed pipe.
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        f"{shlex.quote(sys.executable)} -m repro --scale 1000 "
+        "--replications 1 campaign --versions TCP-PRESS | head -1",
+        shell=True,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.stdout == "=" * 72 + "\n"
+    assert "Traceback" not in done.stderr, done.stderr
+    assert "BrokenPipeError" not in done.stderr, done.stderr
