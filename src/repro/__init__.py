@@ -28,21 +28,11 @@ Quickstart::
     print(cluster.monitor.availability())
 """
 
-from . import (
-    analysis,
-    core,
-    experiments,
-    faults,
-    net,
-    osim,
-    press,
-    sim,
-    transports,
-    workload,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
+#: Every subpackage is imported on first access (see :mod:`repro._lazy`).
 __all__ = [
     "sim",
     "net",
@@ -56,3 +46,4 @@ __all__ = [
     "analysis",
     "__version__",
 ]
+_, __getattr__, __dir__ = lazy_exports(__name__, {})

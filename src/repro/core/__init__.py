@@ -1,64 +1,41 @@
 """The paper's methodology: 7-stage model, fault loads, performability."""
 
-from .extract import DEFAULT_ENVIRONMENT, Environment, ExperimentRecord, extract_profile
-from .faultload import (
-    APPLICATION_FAULT_SPLIT,
-    APPLICATION_FAULTS,
-    DAY,
-    HOUR,
-    MINUTE,
-    MONTH,
-    NON_APPLICATION_FAULTS,
-    WEEK,
-    YEAR,
-    ComponentFault,
-    FaultLoad,
-    packet_drop_component,
-    software_bug_component,
-    system_bug_component,
-)
-from .metric import IDEAL_AVAILABILITY, performability, performability_of
-from .model import (
-    FaultContribution,
-    MissingProfile,
-    PerformabilityResult,
-    ProfileSet,
-    evaluate,
-)
-from .sensitivity import crossover_multiplier, sweep_app_fault_rate
-from .stages import STAGES, SevenStageProfile, Stage, StagePoint
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Stage",
-    "STAGES",
-    "StagePoint",
-    "SevenStageProfile",
-    "FaultLoad",
-    "ComponentFault",
-    "APPLICATION_FAULT_SPLIT",
-    "APPLICATION_FAULTS",
-    "NON_APPLICATION_FAULTS",
-    "packet_drop_component",
-    "software_bug_component",
-    "system_bug_component",
-    "MINUTE",
-    "HOUR",
-    "DAY",
-    "WEEK",
-    "MONTH",
-    "YEAR",
-    "ProfileSet",
-    "evaluate",
-    "PerformabilityResult",
-    "FaultContribution",
-    "MissingProfile",
-    "performability",
-    "performability_of",
-    "IDEAL_AVAILABILITY",
-    "Environment",
-    "DEFAULT_ENVIRONMENT",
-    "ExperimentRecord",
-    "extract_profile",
-    "crossover_multiplier",
-    "sweep_app_fault_rate",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "stages": ("Stage", "STAGES", "StagePoint", "SevenStageProfile"),
+        "faultload": (
+            "FaultLoad",
+            "ComponentFault",
+            "APPLICATION_FAULT_SPLIT",
+            "APPLICATION_FAULTS",
+            "NON_APPLICATION_FAULTS",
+            "packet_drop_component",
+            "software_bug_component",
+            "system_bug_component",
+            "MINUTE",
+            "HOUR",
+            "DAY",
+            "WEEK",
+            "MONTH",
+            "YEAR",
+        ),
+        "model": (
+            "ProfileSet",
+            "evaluate",
+            "PerformabilityResult",
+            "FaultContribution",
+            "MissingProfile",
+        ),
+        "metric": ("performability", "performability_of", "IDEAL_AVAILABILITY"),
+        "extract": (
+            "Environment",
+            "DEFAULT_ENVIRONMENT",
+            "ExperimentRecord",
+            "extract_profile",
+        ),
+        "sensitivity": ("crossover_multiplier", "sweep_app_fault_rate"),
+    },
+)

@@ -1,104 +1,63 @@
 """Experiment harness: one entry point per table/figure of the paper."""
 
-from .campaign import (
-    clear_cache,
-    configure,
-    full_campaign,
-    full_campaign_with_report,
-    measure_profile_set,
-)
-from .runner import CampaignReport, CampaignRunner, CellRecord, cell_seed, run_campaign
-from .store import CellKey, DiskStore, MemoryStore, ResultStore, open_store
-from .performability import (
-    CROSSOVER_KINDS,
-    SENSITIVITY_BASE_APP_MTTF,
-    TCP_VERSIONS,
-    VIA_VERSIONS,
-    Figure6Row,
-    SensitivityFigure,
-    format_figure6,
-    format_sensitivity,
-    run_crossover,
-    run_figure6,
-    run_figure7,
-    run_figure8,
-    run_figure9,
-    run_figure10,
-)
-from .phase1 import run_baseline, run_by_name, run_single_fault
-from .settings import (
-    CAMPAIGN_FAULTS,
-    DEFAULT_SETTINGS,
-    DEFAULT_TARGET,
-    FAULT_MTTR,
-    Phase1Settings,
-)
-from .table1 import Table1Row, format_table1, measure_peak, run_table1
-from .validation import (
-    ValidationResult,
-    run_monte_carlo,
-    run_sequential_validation,
-)
-from .timelines import (
-    TimelineFigure,
-    format_timeline_figure,
-    run_figure2,
-    run_figure3,
-    run_figure4,
-    run_figure5,
-    run_timeline_figure,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Phase1Settings",
-    "DEFAULT_SETTINGS",
-    "DEFAULT_TARGET",
-    "CAMPAIGN_FAULTS",
-    "FAULT_MTTR",
-    "run_baseline",
-    "run_single_fault",
-    "run_by_name",
-    "full_campaign",
-    "full_campaign_with_report",
-    "measure_profile_set",
-    "clear_cache",
-    "configure",
-    "run_campaign",
-    "CampaignRunner",
-    "CampaignReport",
-    "CellRecord",
-    "cell_seed",
-    "CellKey",
-    "ResultStore",
-    "MemoryStore",
-    "DiskStore",
-    "open_store",
-    "run_table1",
-    "measure_peak",
-    "format_table1",
-    "Table1Row",
-    "run_timeline_figure",
-    "run_figure2",
-    "run_figure3",
-    "run_figure4",
-    "run_figure5",
-    "TimelineFigure",
-    "format_timeline_figure",
-    "run_figure6",
-    "run_figure7",
-    "run_figure8",
-    "run_figure9",
-    "run_figure10",
-    "run_crossover",
-    "run_sequential_validation",
-    "run_monte_carlo",
-    "ValidationResult",
-    "format_figure6",
-    "format_sensitivity",
-    "Figure6Row",
-    "SensitivityFigure",
-    "TCP_VERSIONS",
-    "VIA_VERSIONS",
-    "SENSITIVITY_BASE_APP_MTTF",
-    "CROSSOVER_KINDS",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "settings": (
+            "Phase1Settings",
+            "DEFAULT_SETTINGS",
+            "DEFAULT_TARGET",
+            "CAMPAIGN_FAULTS",
+            "FAULT_MTTR",
+        ),
+        "phase1": ("run_baseline", "run_single_fault", "run_by_name"),
+        "campaign": (
+            "full_campaign",
+            "full_campaign_with_report",
+            "measure_profile_set",
+            "clear_cache",
+            "configure",
+        ),
+        "runner": (
+            "run_campaign",
+            "CampaignRunner",
+            "CampaignReport",
+            "CellRecord",
+            "cell_seed",
+        ),
+        "store": ("CellKey", "ResultStore", "MemoryStore", "DiskStore", "open_store"),
+        "table1": ("run_table1", "measure_peak", "format_table1", "Table1Row"),
+        "timelines": (
+            "run_timeline_figure",
+            "run_figure2",
+            "run_figure3",
+            "run_figure4",
+            "run_figure5",
+            "TimelineFigure",
+            "format_timeline_figure",
+        ),
+        "performability": (
+            "run_figure6",
+            "run_figure7",
+            "run_figure8",
+            "run_figure9",
+            "run_figure10",
+            "run_crossover",
+            "format_figure6",
+            "format_sensitivity",
+            "Figure6Row",
+            "SensitivityFigure",
+            "TCP_VERSIONS",
+            "VIA_VERSIONS",
+            "SENSITIVITY_BASE_APP_MTTF",
+            "CROSSOVER_KINDS",
+        ),
+        "validation": (
+            "run_sequential_validation",
+            "run_monte_carlo",
+            "ValidationResult",
+        ),
+    },
+)

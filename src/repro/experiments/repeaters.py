@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Callable, List, Optional, Sequence, Tuple
 
 #: Stopping reasons recorded per stream (persisted in the result store
@@ -139,6 +138,8 @@ def student_t_quantile(p: float, df: int) -> float:
     if df > 200:
         # Indistinguishable from normal at double precision tolerances
         # that matter here, and the normal inverse is exact in stdlib.
+        from statistics import NormalDist
+
         return NormalDist().inv_cdf(p)
     if p == 0.5:
         return 0.0

@@ -51,9 +51,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-from ..sim import snapshot
 from ..sim.ids import global_id_state, restore_global_id_state
 from .settings import Phase1Settings
+
+# repro.sim.snapshot (and with it pickle) is imported where a checkpoint
+# is captured or restored, so a cell that takes none loads neither.
 
 #: Statuses a checkpoint lookup can report (cell payload provenance).
 STATUS_HIT = "hit"
@@ -71,6 +73,8 @@ def _header() -> bytes:
     versions whose bytecode the blob embeds.  A mismatch is a *visible*
     invalidation, not a silent miss.
     """
+    from ..sim import snapshot
+
     return (
         f"repro-warmstart format={snapshot.FORMAT_VERSION} "
         f"python={sys.version_info[0]}.{sys.version_info[1]} "
@@ -197,6 +201,8 @@ class WarmStartCache:
             blob = self._capture(version, settings, keep_events)
             self._store(digest, blob)
             capture_s = time.perf_counter() - start
+        from ..sim import snapshot
+
         cluster, obs, id_state = snapshot.restore(blob)
         # Continue process-global id streams (request ids, message ids,
         # connection generations) exactly where the captured run stood.
@@ -220,6 +226,8 @@ class WarmStartCache:
     def _capture(
         self, version: str, settings: Phase1Settings, keep_events: bool
     ) -> bytes:
+        from ..sim import snapshot
+
         cluster, obs = simulate_warm(version, settings, keep_events)
         return snapshot.capture((cluster, obs, global_id_state()))
 

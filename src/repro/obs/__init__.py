@@ -29,58 +29,40 @@ See ``OBSERVABILITY.md`` at the repo root for the taxonomy, the naming
 convention, and how to open a trace in Perfetto.
 """
 
-from .bus import EventBus, EventRecorder, SimEvent
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, bound_counter
-from .exporters import (
-    chrome_trace,
-    export_run,
-    read_events_jsonl,
-    telemetry_summary,
-    validate_chrome_trace,
-    validate_events_jsonl,
-    validate_trace_dir,
-    write_chrome_trace,
-    write_events_jsonl,
+from .._lazy import lazy_exports
+
+#: Every name resolves on first access (see :mod:`repro._lazy`), so the
+#: engine's import of ``repro.obs.bus`` loads neither the exporters nor
+#: the observatory and the stage model behind it.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "bus": ("EventBus", "EventRecorder", "SimEvent"),
+        "metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "bound_counter",
+        ),
+        "exporters": (
+            "chrome_trace",
+            "export_run",
+            "read_events_jsonl",
+            "telemetry_summary",
+            "validate_chrome_trace",
+            "validate_events_jsonl",
+            "validate_trace_dir",
+            "write_chrome_trace",
+            "write_events_jsonl",
+        ),
+        "observatory": (
+            "DEFAULT_SLO",
+            "HealthWatchdog",
+            "Observatory",
+            "SLOConfig",
+            "StageDetector",
+            "StageTransition",
+        ),
+    },
 )
-
-__all__ = [
-    "EventBus",
-    "EventRecorder",
-    "SimEvent",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "bound_counter",
-    "chrome_trace",
-    "export_run",
-    "read_events_jsonl",
-    "telemetry_summary",
-    "validate_chrome_trace",
-    "validate_events_jsonl",
-    "validate_trace_dir",
-    "write_chrome_trace",
-    "write_events_jsonl",
-]
-
-#: Observatory symbols resolve lazily (PEP 562): the observatory module
-#: pulls stage-model types from ``repro.core``, which itself imports
-#: ``repro.sim.monitor`` → ``repro.obs.events`` — an eager import here
-#: would close that loop while this package is still initializing.
-_OBSERVATORY_EXPORTS = (
-    "DEFAULT_SLO",
-    "HealthWatchdog",
-    "Observatory",
-    "SLOConfig",
-    "StageDetector",
-    "StageTransition",
-)
-__all__ += list(_OBSERVATORY_EXPORTS)
-
-
-def __getattr__(name):
-    if name in _OBSERVATORY_EXPORTS:
-        from . import observatory
-
-        return getattr(observatory, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
