@@ -27,36 +27,11 @@ import argparse
 import os
 import sys
 
-from .experiments.settings import (
-    REPETITION_RULES,
-    Phase1Settings,
-    RepetitionPolicy,
-)
+from .experiments.settings import Phase1Settings
 from .experiments.store import CACHE_DIR_ENV
 from .faults.spec import FaultKind
 from .press.cluster import ExperimentScale
 from .press.config import ALL_VERSIONS_EXTENDED as VERSIONS
-
-
-def _repetition(args: argparse.Namespace):
-    """The adaptive policy from --reps-policy/--reps-max/--rep-budget,
-    or ``None`` (legacy fixed-``replications``)."""
-    if args.reps_policy == "fixed":
-        if args.rep_budget is not None:
-            sys.exit(
-                "repro: --rep-budget needs an adaptive --reps-policy "
-                f"(one of {[r for r in REPETITION_RULES if r != 'fixed']})"
-            )
-        return None
-    try:
-        return RepetitionPolicy(
-            rule=args.reps_policy,
-            min_reps=min(args.replications, args.reps_max),
-            max_reps=args.reps_max,
-            rep_budget=args.rep_budget,
-        )
-    except ValueError as exc:
-        sys.exit(f"repro: {exc}")
 
 
 def _settings(args: argparse.Namespace) -> Phase1Settings:
@@ -67,7 +42,7 @@ def _settings(args: argparse.Namespace) -> Phase1Settings:
             replications=args.replications,
             fastpath=not args.no_fastpath,
             n_nodes=args.nodes,
-            repetition=_repetition(args),
+            max_replications=args.reps_max,
         )
     except ValueError as exc:
         sys.exit(f"repro: {exc}")
@@ -338,24 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--replications", type=int, default=3)
     parser.add_argument(
-        "--reps-policy", choices=list(REPETITION_RULES), default="fixed",
-        help="replication stopping rule: fixed (exactly --replications "
-        "per stream, the default), rse (stop when the stream metric's "
-        "relative standard error converges), or ci (stop when its "
-        "Student-t CI half width converges); see EXPERIMENTS.md",
+        "--reps-max", type=int, default=None, metavar="N",
+        help="per-stream replication ceiling (default: --replications, "
+        "i.e. exactly --replications per stream); a larger N extends each "
+        "stream until its Student-t CI half width is within 2%% of the "
+        "mean, or N is reached; see EXPERIMENTS.md",
     )
     parser.add_argument(
-        "--reps-max", type=int, default=10,
-        help="per-stream replication ceiling for adaptive --reps-policy "
-        "(min is --replications; default 10)",
-    )
-    parser.add_argument(
-        "--rep-budget", type=int, default=None,
-        help="campaign-wide cap on extra replications beyond the "
-        "minimum, spent highest-variance-first (adaptive policies only)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="worker processes for campaign cells (1 = serial)",
     )
     parser.add_argument(

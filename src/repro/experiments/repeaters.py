@@ -1,32 +1,20 @@
-"""Adaptive replication: stopping rules and a campaign rep allocator.
+"""Adaptive replication: the per-stream stopping rule.
 
 Campaign cost used to scale linearly with a fixed ``replications`` count
 — wasteful for low-variance cells and statistically weak for
 high-variance ones.  Following the adaptive-stopping-rule approach of
 Mittal et al. (SC'23 workshops; the design SHARP's ``repeaters`` module
 implements), each campaign *stream* — the replication series of one
-(version, fault-or-baseline) pair — is instead extended one replication
-at a time until its metric is statistically stable:
+(version, fault-or-baseline) pair — may instead be extended one
+replication at a time until its metric is statistically stable.
 
-* :class:`FixedCountRule` — run exactly N replications (the legacy
-  behaviour; ``min == max == N``).
-* :class:`RelativeStandardErrorRule` — stop once the relative standard
-  error of the mean, ``(s / sqrt(n)) / |mean|``, falls below a target.
-* :class:`CIHalfWidthRule` — stop once the Student-t confidence
-  interval's half width, relative to the mean, falls below a target.
-  This is the rule the paper-style AT/AA/P bands are built from: the
-  interval the rule converged on is the band that gets reported.
-
-Every rule is bounded by ``min_reps``/``max_reps``: it never stops
-before ``min_reps`` samples exist (a variance estimate from one or two
-points is noise) and always stops at ``max_reps`` (reported as such, so
-an unconverged stream is visible rather than silent).
-
-On top of the per-stream rules sits :class:`RepBudget`: a campaign-level
-allocator that spends a global budget of *extra* replications (beyond
-each stream's ``min_reps``) on the highest-dispersion streams first, so
-a thousand-cell sweep can cap its total cost and still put the
-replications where they buy the most variance reduction.
+:class:`ReplicationRule` is the one rule.  It runs ``min_reps``
+replications, and with ``max_reps == min_reps`` stops there (the fixed
+mode).  Otherwise it stops once the Student-t confidence interval's
+half width, relative to the mean, falls to a target, or at ``max_reps``
+(reported as such, so an unconverged stream is visible rather than
+silent).  The interval the rule converged on is the per-stream band
+that gets reported.
 
 Everything here is pure arithmetic over the sample lists — no
 simulation, no randomness — so adaptive campaigns stay exactly as
@@ -38,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 #: Stopping reasons recorded per stream (persisted in the result store
 #: and asserted identical across runs by
@@ -46,7 +34,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 REASON_FIXED = "fixed-count"
 REASON_CONVERGED = "converged"
 REASON_MAX_REPS = "max-reps"
-REASON_BUDGET = "budget-exhausted"
+
+#: Confidence level of the Student-t interval the rule converges on.
+CONFIDENCE = 0.95
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +191,7 @@ def relative_standard_error(samples: Sequence[float]) -> float:
 
 
 # ----------------------------------------------------------------------
-# Decisions and rules
+# The replication rule
 # ----------------------------------------------------------------------
 
 
@@ -215,27 +205,23 @@ class Decision:
     mean: float
     std: float
     rse: float
-    half_width: float  #: Student-t CI half width at the rule's confidence
-
-    @property
-    def rel_half_width(self) -> float:
-        if self.mean == 0.0:
-            return math.inf if self.half_width > 0 else 0.0
-        return self.half_width / abs(self.mean)
-
-    #: The allocator ranks continue-requests by this: streams whose mean
-    #: is least pinned down get the next replication first.
-    @property
-    def dispersion(self) -> float:
-        return max(self.rse, self.rel_half_width)
+    half_width: float  #: Student-t CI half width at :data:`CONFIDENCE`
 
 
-class StoppingRule:
-    """Decides, per stream, whether another replication is needed."""
+class ReplicationRule:
+    """Decides, per stream, whether another replication is needed.
 
-    name: str = "rule"
+    A stream runs at least ``min_reps`` replications.  With
+    ``max_reps == min_reps`` that is all it runs (``fixed-count``);
+    otherwise it is extended one replication at a time until the
+    Student-t CI half width, relative to the mean, is at or below
+    ``target`` (``converged``) or ``max_reps`` is reached
+    (``max-reps``).  A stream never converges on fewer than two samples:
+    one sample has no variance estimate, so its zero half width says
+    nothing.
+    """
 
-    def __init__(self, min_reps: int, max_reps: int, confidence: float = 0.95):
+    def __init__(self, min_reps: int, max_reps: int, target: float = 0.02):
         if min_reps < 1:
             raise ValueError(
                 f"min_reps must be >= 1 (got {min_reps}): every stream "
@@ -245,194 +231,59 @@ class StoppingRule:
             raise ValueError(
                 f"max_reps ({max_reps}) must be >= min_reps ({min_reps})"
             )
-        if not 0.0 < confidence < 1.0:
-            raise ValueError(
-                f"confidence must be in (0, 1), got {confidence}"
-            )
-        self.min_reps = int(min_reps)
-        self.max_reps = int(max_reps)
-        self.confidence = float(confidence)
-
-    # -- shared bookkeeping -------------------------------------------
-    def _decision(
-        self, samples: Sequence[float], stop: bool, reason: str
-    ) -> Decision:
-        mean, std = sample_stats(samples)
-        return Decision(
-            stop=stop,
-            reason=reason,
-            n=len(samples),
-            mean=mean,
-            std=std,
-            rse=relative_standard_error(samples),
-            half_width=ci_half_width(samples, self.confidence),
-        )
-
-    def decide(self, samples: Sequence[float]) -> Decision:
-        n = len(samples)
-        if n < self.min_reps:
-            return self._decision(samples, False, "below-min-reps")
-        converged = self.converged(samples)
-        if converged:
-            return self._decision(samples, True, self.stop_reason())
-        if n >= self.max_reps:
-            return self._decision(samples, True, REASON_MAX_REPS)
-        return self._decision(samples, False, "unconverged")
-
-    # -- rule-specific ------------------------------------------------
-    def converged(self, samples: Sequence[float]) -> bool:
-        raise NotImplementedError
-
-    def stop_reason(self) -> str:
-        return REASON_CONVERGED
-
-
-class FixedCountRule(StoppingRule):
-    """Exactly N replications — the legacy ``replications: int`` mode."""
-
-    name = "fixed"
-
-    def __init__(self, count: int, confidence: float = 0.95):
-        super().__init__(count, count, confidence)
-
-    def converged(self, samples: Sequence[float]) -> bool:
-        return len(samples) >= self.max_reps
-
-    def stop_reason(self) -> str:
-        return REASON_FIXED
-
-
-class RelativeStandardErrorRule(StoppingRule):
-    """Stop when the RSE of the mean drops to ``target`` or below."""
-
-    name = "rse"
-
-    def __init__(
-        self,
-        target: float = 0.05,
-        min_reps: int = 3,
-        max_reps: int = 10,
-        confidence: float = 0.95,
-    ):
-        super().__init__(min_reps, max_reps, confidence)
-        if target <= 0.0:
-            raise ValueError(f"RSE target must be positive, got {target}")
-        self.target = float(target)
-
-    def converged(self, samples: Sequence[float]) -> bool:
-        return relative_standard_error(samples) <= self.target
-
-
-class CIHalfWidthRule(StoppingRule):
-    """Stop when the Student-t CI half width, relative to the mean,
-    drops to ``target`` or below."""
-
-    name = "ci"
-
-    def __init__(
-        self,
-        target: float = 0.02,
-        min_reps: int = 3,
-        max_reps: int = 10,
-        confidence: float = 0.95,
-    ):
-        super().__init__(min_reps, max_reps, confidence)
         if target <= 0.0:
             raise ValueError(
                 f"CI half-width target must be positive, got {target}"
             )
+        self.min_reps = int(min_reps)
+        self.max_reps = int(max_reps)
         self.target = float(target)
 
-    def converged(self, samples: Sequence[float]) -> bool:
-        mean, _ = sample_stats(samples)
-        half = ci_half_width(samples, self.confidence)
-        if mean == 0.0:
-            return half == 0.0
-        return half / abs(mean) <= self.target
-
-
-# ----------------------------------------------------------------------
-# Campaign-level budget allocation
-# ----------------------------------------------------------------------
-
-
-class RepBudget:
-    """A global budget of extra replications (beyond every stream's
-    ``min_reps``), spent highest-dispersion-first.
-
-    ``None`` means unbounded — every stream replicates until its rule
-    stops it.  The allocator is deterministic: requests are ranked by
-    ``(dispersion descending, stream label ascending)``, so two runs of
-    the same campaign always grant the same replications.
-    """
-
-    def __init__(self, budget: Optional[int]):
-        if budget is not None and budget < 0:
-            raise ValueError(f"rep budget must be >= 0, got {budget}")
-        self.budget = budget
-        self.spent = 0
-        self.denied = 0
-
     @property
-    def remaining(self) -> Optional[int]:
-        if self.budget is None:
-            return None
-        return max(0, self.budget - self.spent)
+    def name(self) -> str:
+        """``"fixed"`` or ``"ci"``: the policy reports and stores print."""
+        return "ci" if self.max_reps > self.min_reps else "fixed"
 
-    def allocate(
-        self, requests: Sequence[Tuple[str, Decision]]
-    ) -> Tuple[List[str], List[str]]:
-        """Split continue-requests into (granted, denied) stream labels.
+    def key(self) -> tuple:
+        """Stable identity tuple (the store's repetition-summary key)."""
+        return (self.name, self.min_reps, self.max_reps, self.target)
 
-        ``requests`` is ``(label, decision)`` per stream whose rule asked
-        for another replication this wave.  Grants debit the budget;
-        denials are terminal for the stream (the budget only shrinks).
-        """
-        ranked = sorted(
-            requests, key=lambda item: (-item[1].dispersion, item[0])
+    def decide(self, samples: Sequence[float]) -> Decision:
+        n = len(samples)
+        mean, std = sample_stats(samples)
+        half = ci_half_width(samples, CONFIDENCE)
+        stop = n >= self.min_reps
+        if not stop:
+            reason = "below-min-reps"
+        elif self.max_reps == self.min_reps:
+            reason = REASON_FIXED
+        elif n >= 2 and _converged(mean, half, self.target):
+            reason = REASON_CONVERGED
+        elif n >= self.max_reps:
+            reason = REASON_MAX_REPS
+        else:
+            stop, reason = False, "unconverged"
+        return Decision(
+            stop=stop,
+            reason=reason,
+            n=n,
+            mean=mean,
+            std=std,
+            rse=relative_standard_error(samples),
+            half_width=half,
         )
-        granted: List[str] = []
-        denied: List[str] = []
-        for label, _decision in ranked:
-            if self.remaining is None or self.remaining > 0:
-                self.spent += 1
-                granted.append(label)
-            else:
-                self.denied += 1
-                denied.append(label)
-        return granted, denied
 
 
-def make_rule(policy) -> StoppingRule:
-    """Build the stopping rule a :class:`RepetitionPolicy` describes.
-
-    (Imported lazily by type to keep settings ↔ repeaters dependency-
-    free in both directions.)
-    """
-    if policy.rule == "fixed":
-        return FixedCountRule(policy.max_reps, confidence=policy.confidence)
-    if policy.rule == "rse":
-        return RelativeStandardErrorRule(
-            target=policy.rse_target,
-            min_reps=policy.min_reps,
-            max_reps=policy.max_reps,
-            confidence=policy.confidence,
-        )
-    if policy.rule == "ci":
-        return CIHalfWidthRule(
-            target=policy.ci_rel_half_width,
-            min_reps=policy.min_reps,
-            max_reps=policy.max_reps,
-            confidence=policy.confidence,
-        )
-    raise ValueError(
-        f"unknown repetition rule {policy.rule!r}; "
-        "expected 'fixed', 'rse', or 'ci'"
-    )
+def _converged(mean: float, half_width: float, target: float) -> bool:
+    """Is the CI half width, relative to the mean, at or below target?
+    (A zero mean converges only on a zero-width interval.)"""
+    if mean == 0.0:
+        return half_width == 0.0
+    return half_width / abs(mean) <= target
 
 
 def run_rule(
-    rule: StoppingRule,
+    rule: ReplicationRule,
     sampler: Callable[[int], float],
 ) -> Tuple[List[float], Decision]:
     """Drive one rule over a synthetic sample source until it stops.

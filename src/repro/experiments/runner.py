@@ -48,12 +48,7 @@ from ..core.stages import SevenStageProfile, average_profiles
 from ..faults.spec import FaultKind
 from ..obs.metrics import MetricsRegistry
 from ..press.config import ALL_VERSIONS_EXTENDED
-from .repeaters import (
-    REASON_BUDGET,
-    Decision,
-    RepBudget,
-    make_rule,
-)
+from .repeaters import CONFIDENCE, Decision, ReplicationRule
 from .settings import CAMPAIGN_FAULTS, FAULT_MTTR, Phase1Settings
 from .store import CellKey, DiskStore, MemoryStore, ResultStore, SummaryKey
 from .warmstart import (
@@ -362,7 +357,7 @@ class CampaignReport:
     #: counts (mirrors the campaign.warm_start.* metrics counters);
     #: empty when warm-start was disabled or every cell was store-cached
     warm_start: Dict[str, int] = field(default_factory=dict)
-    #: the repetition rule that shaped the grid ("fixed" / "rse" / "ci")
+    #: the replication mode that shaped the grid ("fixed" / "ci")
     policy: str = "fixed"
     #: per-stream replication outcome (reps spent, stopping reason, CI)
     repetition: List[StreamRecord] = field(default_factory=list)
@@ -842,8 +837,7 @@ class CampaignRunner:
         self,
         stream: Tuple[str, Optional[str]],
         decision: Decision,
-        reason: str,
-        rule,
+        rule: ReplicationRule,
         report: CampaignReport,
     ) -> None:
         version, fault = stream
@@ -852,12 +846,12 @@ class CampaignRunner:
             fault=fault,
             metric="tn" if fault is None else "availability",
             reps=decision.n,
-            reason=reason,
+            reason=decision.reason,
             mean=decision.mean,
             std=decision.std,
             rse=decision.rse,
             ci_half_width=decision.half_width,
-            confidence=rule.confidence,
+            confidence=CONFIDENCE,
         )
         report.repetition.append(record)
         skipped = rule.max_reps - decision.n
@@ -869,7 +863,7 @@ class CampaignRunner:
                     version=version,
                     settings_key=self._settings_key,
                     fault=fault,
-                    policy_key=self.settings.repetition_policy().key(),
+                    policy_key=rule.key(),
                 ),
                 record.to_payload(),
             )
@@ -882,12 +876,14 @@ class CampaignRunner:
     ) -> Tuple[Dict[str, ProfileSet], CampaignReport]:
         versions = list(versions)
         faults = tuple(faults)
-        policy = self.settings.repetition_policy()
-        rule = make_rule(policy)
-        budget = RepBudget(policy.rep_budget)
+        rule = ReplicationRule(
+            self.settings.replications,
+            self.settings.max_replications or self.settings.replications,
+            self.settings.ci_rel_half_width,
+        )
         report = CampaignReport(
             jobs=self.jobs,
-            policy=policy.rule,
+            policy=rule.name,
             reps_ceiling_per_stream=rule.max_reps,
         )
         started = time.perf_counter()
@@ -901,64 +897,36 @@ class CampaignRunner:
             for v in versions
             for f in [None] + [k.value for k in faults]
         ]
-        labels = {s: f"{s[0]}/{s[1] or 'baseline'}" for s in streams}
-        by_label = {label: s for s, label in labels.items()}
         samples: Dict[Tuple[str, Optional[str]], List[float]] = {
             s: [] for s in streams
         }
         payloads: Dict[_Cell, dict] = {}
-        active = list(streams)
         try:
-            # Wave 0: the policy's minimum for every stream — in fixed
+            # Wave 0: the rule's minimum for every stream — in fixed
             # mode that is the whole grid, exactly the historical
-            # single-wave campaign.
-            self._run_wave(
-                [
-                    _Cell(v, f, rep, self._seed_for(v, rep))
-                    for (v, f) in streams
-                    for rep in range(rule.min_reps)
-                ],
-                report,
-                payloads,
-                samples,
-            )
+            # single-wave campaign.  Every later wave adds one
+            # replication to each stream the rule has not stopped.
+            wave = [
+                _Cell(v, f, rep, self._seed_for(v, rep))
+                for (v, f) in streams
+                for rep in range(rule.min_reps)
+            ]
             rep = rule.min_reps
-            while active:
-                requests: List[Tuple[str, Decision]] = []
-                decided: Dict[str, Decision] = {}
+            active = streams
+            while wave:
+                self._run_wave(wave, report, payloads, samples)
+                running = []
                 for stream in active:
                     decision = rule.decide(samples[stream])
                     if decision.stop:
-                        self._finalize_stream(
-                            stream, decision, decision.reason, rule, report
-                        )
+                        self._finalize_stream(stream, decision, rule, report)
                     else:
-                        requests.append((labels[stream], decision))
-                        decided[labels[stream]] = decision
-                granted, denied = budget.allocate(requests)
-                for label in denied:
-                    self.metrics.counter(
-                        "campaign.reps.budget_exhausted"
-                    ).inc()
-                    self._finalize_stream(
-                        by_label[label],
-                        decided[label],
-                        REASON_BUDGET,
-                        rule,
-                        report,
-                    )
-                active = [by_label[label] for label in granted]
-                if not active:
-                    break
-                self._run_wave(
-                    [
-                        _Cell(v, f, rep, self._seed_for(v, rep))
-                        for (v, f) in active
-                    ],
-                    report,
-                    payloads,
-                    samples,
-                )
+                        running.append(stream)
+                active = running
+                wave = [
+                    _Cell(v, f, rep, self._seed_for(v, rep))
+                    for (v, f) in active
+                ]
                 rep += 1
         finally:
             if self._spool is not None:
@@ -976,20 +944,15 @@ class CampaignRunner:
 
         report.notices.extend(self.store.drain_notices())
         self._finish_warm_report(report)
-        if policy.adaptive:
+        if rule.name != "fixed":
             saved = report.reps_saved_fraction * 100.0
-            notice = (
-                f"adaptive replication ({policy.rule}): "
+            report.notices.append(
+                f"adaptive replication ({rule.name}): "
                 f"{report.reps_spent} rep(s) across "
                 f"{len(report.repetition)} stream(s) vs "
                 f"{report.reps_ceiling} at fixed-{rule.max_reps} "
                 f"({saved:.0f}% saved)"
             )
-            if budget.denied:
-                notice += (
-                    f"; rep budget exhausted on {budget.denied} stream(s)"
-                )
-            report.notices.append(notice)
         errors = 0
         error_cells = 0
         for rec in report.cells:

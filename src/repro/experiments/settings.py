@@ -10,93 +10,6 @@ from ..core.faultload import HOUR, MINUTE
 from ..faults.spec import FaultKind
 from ..press.cluster import ExperimentScale, SMOKE_SCALE
 
-#: Stopping rules a campaign can replicate under (see
-#: :mod:`repro.experiments.repeaters` for the arithmetic).
-REPETITION_RULES = ("fixed", "rse", "ci")
-
-
-@dataclass(frozen=True)
-class RepetitionPolicy:
-    """How many replications each campaign stream runs, and why it stops.
-
-    ``rule="fixed"`` reproduces the legacy behaviour: exactly
-    ``max_reps`` replications per (version, fault) stream.  The adaptive
-    rules (``"rse"``, ``"ci"``) run at least ``min_reps``, then extend a
-    stream one replication at a time until its metric is statistically
-    stable — RSE of the mean, or Student-t CI half width relative to the
-    mean, at or below the rule's target — or ``max_reps`` is hit.
-
-    ``rep_budget`` (optional) caps the campaign-wide number of *extra*
-    replications beyond ``min_reps``; the allocator spends it on the
-    highest-variance streams first.
-    """
-
-    rule: str = "fixed"
-    min_reps: int = 3
-    max_reps: int = 3
-    #: RSE-rule target: stop at ``(s / sqrt(n)) / |mean| <= rse_target``.
-    rse_target: float = 0.05
-    #: CI-rule target: stop at ``half_width / |mean| <= ci_rel_half_width``.
-    ci_rel_half_width: float = 0.02
-    #: Confidence level of the Student-t interval (both rules report it).
-    confidence: float = 0.95
-    #: Global extra-rep budget (None = unbounded).
-    rep_budget: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.rule not in REPETITION_RULES:
-            raise ValueError(
-                f"repetition rule must be one of {REPETITION_RULES}, "
-                f"got {self.rule!r}"
-            )
-        if not isinstance(self.min_reps, int) or self.min_reps < 1:
-            raise ValueError(
-                f"min_reps must be a positive integer (got "
-                f"{self.min_reps!r}); a stream needs at least one "
-                "replication"
-            )
-        if not isinstance(self.max_reps, int) or self.max_reps < self.min_reps:
-            raise ValueError(
-                f"max_reps must be an integer >= min_reps "
-                f"({self.min_reps}), got {self.max_reps!r}"
-            )
-        if self.rse_target <= 0.0:
-            raise ValueError(
-                f"rse_target must be positive, got {self.rse_target}"
-            )
-        if self.ci_rel_half_width <= 0.0:
-            raise ValueError(
-                "ci_rel_half_width must be positive, got "
-                f"{self.ci_rel_half_width}"
-            )
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(
-                f"confidence must be in (0, 1), got {self.confidence}"
-            )
-        if self.rep_budget is not None and (
-            not isinstance(self.rep_budget, int) or self.rep_budget < 0
-        ):
-            raise ValueError(
-                f"rep_budget must be a non-negative integer or None, "
-                f"got {self.rep_budget!r}"
-            )
-
-    @property
-    def adaptive(self) -> bool:
-        return self.rule != "fixed"
-
-    def key(self) -> tuple:
-        """Stable identity tuple (store summary keys, cache digests)."""
-        return (
-            self.rule,
-            self.min_reps,
-            self.max_reps,
-            self.rse_target,
-            self.ci_rel_half_width,
-            self.confidence,
-            self.rep_budget,
-        )
-
 
 @dataclass(frozen=True)
 class Phase1Settings:
@@ -137,10 +50,13 @@ class Phase1Settings:
     # Cluster size (`--nodes`).  The paper's testbed has 4 nodes; larger
     # clusters run in the same single event loop.
     n_nodes: int = 4
-    # Replication policy.  ``None`` means "fixed at ``replications``" —
-    # the legacy mode; an adaptive :class:`RepetitionPolicy` makes the
-    # campaign runner extend each stream until its stopping rule fires.
-    repetition: Optional[RepetitionPolicy] = None
+    # Per-stream replication ceiling.  ``None`` means "equal to
+    # ``replications``": every stream runs exactly ``replications``.  A
+    # larger value makes the campaign runner extend each stream until the
+    # Student-t CI half width of its metric, relative to the mean, is at
+    # most ``ci_rel_half_width`` (see :mod:`repro.experiments.repeaters`).
+    max_replications: Optional[int] = None
+    ci_rel_half_width: float = 0.02
 
     def __post_init__(self) -> None:
         if not isinstance(self.replications, int) or self.replications < 1:
@@ -149,31 +65,35 @@ class Phase1Settings:
                 f"{self.replications!r}); use replications=1 for a "
                 "single run per stream"
             )
+        if self.max_replications is not None and (
+            not isinstance(self.max_replications, int)
+            or self.max_replications < self.replications
+        ):
+            raise ValueError(
+                "max_replications must be an integer >= replications "
+                f"({self.replications}), got {self.max_replications!r}"
+            )
+        if self.ci_rel_half_width <= 0.0:
+            raise ValueError(
+                "ci_rel_half_width must be positive, got "
+                f"{self.ci_rel_half_width}"
+            )
         if not isinstance(self.n_nodes, int) or self.n_nodes < 2:
             raise ValueError(
                 f"n_nodes must be an integer >= 2 (got {self.n_nodes!r}); "
                 "PRESS needs at least one peer to forward to"
             )
 
-    def repetition_policy(self) -> RepetitionPolicy:
-        """The effective policy: ``repetition``, or fixed-``replications``."""
-        if self.repetition is not None:
-            return self.repetition
-        return RepetitionPolicy(
-            rule="fixed",
-            min_reps=self.replications,
-            max_reps=self.replications,
-        )
-
     def sim_key(self) -> tuple:
         """Everything that determines a *single cell's* simulation.
 
-        Grid-layout knobs (``replications``, ``repetition``) are
-        deliberately absent: one simulated run does not depend on how
-        many siblings it has, so a fixed-10 campaign and an adaptive
-        campaign over the same settings share cached cells and warm
-        checkpoints — the whole point of adaptive replication is that
-        the grid shape may change without invalidating the physics.
+        Grid-layout knobs (``replications``, ``max_replications``,
+        ``ci_rel_half_width``) are deliberately absent: one simulated run
+        does not depend on how many siblings it has, so a fixed-10
+        campaign and an adaptive campaign over the same settings share
+        cached cells and warm checkpoints — the whole point of adaptive
+        replication is that the grid shape may change without
+        invalidating the physics.
         """
         return (
             self.scale.cpu_factor,
@@ -192,13 +112,6 @@ class Phase1Settings:
             # hit a cache entry produced by the mode it is checking.
             self.fastpath,
             self.n_nodes,
-        )
-
-    def cache_key(self) -> tuple:
-        """Full campaign identity: the simulation key plus grid layout."""
-        return self.sim_key() + (
-            self.replications,
-            self.repetition_policy().key(),
         )
 
 

@@ -72,6 +72,7 @@ import io
 import json
 import marshal
 import pickle
+import sys
 import types
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
@@ -249,11 +250,16 @@ def _set_attrs(obj: Any, state: dict) -> None:
 
     Unlike pickle's ``BUILD``, which fills ``obj.__dict__`` and so turns
     it into a per-instance dict, this leaves the attributes as inline
-    values, laid out like those of a freshly built instance.
+    values, laid out like those of a freshly built instance.  Names are
+    interned first, as compiled code's identifiers are: pickle's own
+    copies would otherwise become the class's shared keys and the
+    interpreter's type attribute cache entries, and stay alive there
+    after the restore.
     """
     setattr_ = object.__setattr__
+    intern = sys.intern
     for name, value in state.items():
-        setattr_(obj, name, value)
+        setattr_(obj, intern(name), value)
 
 
 class SnapshotPickler(pickle.Pickler):

@@ -2,16 +2,16 @@
 
 Three contracts:
 
-* determinism — an adaptive policy with ``max == min == 3`` is
-  byte-identical to the legacy fixed-3 campaign (payload fingerprints
-  and traces), and serial == parallel == warm-start-off under every
-  policy;
+* determinism — an explicit ``max_replications == replications == 3``
+  is byte-identical to the default fixed-3 campaign (payload
+  fingerprints and traces), and serial == parallel == warm-start-off
+  in both modes;
 * the acceptance experiment — on the demo grid the CI-half-width policy
   reaches the fixed-10 AT/AA/P point estimates within its own reported
   CI bands while spending ≥30% fewer replications (and, because cells
   are keyed by ``sim_key()``, re-uses the fixed campaign's cells
   outright);
-* the budget allocator and the ``campaign.reps.*`` counters.
+* the stopping reasons and the ``campaign.reps.*`` counters.
 """
 
 from __future__ import annotations
@@ -24,14 +24,9 @@ from repro.core.faultload import MONTH, FaultLoad
 from repro.core.metric import performability_of
 from repro.core.model import evaluate
 from repro.experiments.performability import banded_evaluation, _usable_load
-from repro.experiments.repeaters import (
-    REASON_BUDGET,
-    REASON_CONVERGED,
-    REASON_FIXED,
-    REASON_MAX_REPS,
-)
+from repro.experiments.repeaters import REASON_FIXED, REASON_MAX_REPS
 from repro.experiments.runner import CampaignRunner, run_campaign
-from repro.experiments.settings import Phase1Settings, RepetitionPolicy
+from repro.experiments.settings import Phase1Settings
 from repro.experiments.store import DiskStore, MemoryStore, payload_fingerprint
 from repro.faults.spec import FaultKind
 
@@ -57,7 +52,7 @@ def _fingerprints(store: MemoryStore) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Byte-identity: adaptive(min==max==3) == legacy fixed-3
+# Byte-identity: explicit max_replications=3 == default fixed-3
 # ----------------------------------------------------------------------
 
 
@@ -66,10 +61,7 @@ def test_adaptive_fixed3_is_byte_identical_to_legacy_fixed3():
     legacy_sets, legacy_rep = run_campaign(
         TINY, VERSIONS, FAULTS, store=legacy_store
     )
-    pinned = dataclasses.replace(
-        TINY,
-        repetition=RepetitionPolicy(rule="fixed", min_reps=3, max_reps=3),
-    )
+    pinned = dataclasses.replace(TINY, max_replications=3)
     adaptive_sets, adaptive_rep = run_campaign(
         pinned, VERSIONS, FAULTS, store=adaptive_store
     )
@@ -92,10 +84,7 @@ def test_adaptive_fixed3_traces_match_legacy(tmp_path):
         (FaultKind.APP_CRASH,),
         trace_dir=str(legacy_dir),
     )
-    pinned = dataclasses.replace(
-        TINY,
-        repetition=RepetitionPolicy(rule="fixed", min_reps=3, max_reps=3),
-    )
+    pinned = dataclasses.replace(TINY, max_replications=3)
     run_campaign(
         pinned,
         VERSIONS,
@@ -108,21 +97,14 @@ def test_adaptive_fixed3_traces_match_legacy(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Serial == parallel == no-warm-start, per policy
+# Serial == parallel == no-warm-start, in both modes
 # ----------------------------------------------------------------------
 
-POLICIES = [
-    None,  # legacy fixed-replications
-    RepetitionPolicy(rule="rse", min_reps=2, max_reps=4, rse_target=0.05),
-    RepetitionPolicy(
-        rule="ci", min_reps=2, max_reps=4, ci_rel_half_width=0.08
-    ),
-]
+#: (replications, max_replications, ci_rel_half_width).
+POLICIES = [(2, None, 0.02), (2, 4, 0.08), (1, 3, 0.08)]
 
 
-@pytest.mark.parametrize(
-    "policy", POLICIES, ids=["fixed", "rse", "ci"]
-)
+@pytest.mark.parametrize("policy", POLICIES, ids=["fixed", "ci", "ci-from-one"])
 def test_serial_parallel_warmstart_agree(policy):
     # TINY's warm boundary (warm + fault_at = 15s) deliberately lands
     # inside the observatory's 20s SLO calibration window.  Restoring a
@@ -130,7 +112,13 @@ def test_serial_parallel_warmstart_agree(policy):
     # counters (request/message ids) collided with ids still live in the
     # restored state — the position-dependent pool-worker bug fixed by
     # snapshotting `repro.sim.ids` state in the warm blob.
-    settings = dataclasses.replace(TINY, replications=2, repetition=policy)
+    min_reps, max_reps, target = policy
+    settings = dataclasses.replace(
+        TINY,
+        replications=min_reps,
+        max_replications=max_reps,
+        ci_rel_half_width=target,
+    )
     results = []
     for kwargs in (
         {"jobs": 1},
@@ -149,6 +137,8 @@ def test_serial_parallel_warmstart_agree(policy):
             )
         )
     assert results[0] == results[1] == results[2]
+    # One sample has no variance estimate: no stream converges on it.
+    assert all(reps >= 2 for _, reps, _ in results[0][2])
 
 
 # ----------------------------------------------------------------------
@@ -164,10 +154,7 @@ def test_ci_policy_matches_fixed10_within_bands_and_saves_reps(tmp_path):
     assert fixed_rep.reps_spent == 10 * len(fixed_rep.repetition)
 
     adaptive = dataclasses.replace(
-        demo,
-        repetition=RepetitionPolicy(
-            rule="ci", min_reps=3, max_reps=10, ci_rel_half_width=0.05
-        ),
+        demo, replications=3, max_replications=10, ci_rel_half_width=0.05
     )
     ci_sets, ci_rep = run_campaign(adaptive, versions, FAULTS, store=store)
 
@@ -201,37 +188,29 @@ def test_ci_policy_matches_fixed10_within_bands_and_saves_reps(tmp_path):
 
 def test_adaptive_campaign_is_itself_deterministic(tmp_path):
     """Two runs of one adaptive campaign agree on reps, reasons, and
-    cell content, under each adaptive rule."""
-    for rule in ("rse", "ci"):
-        adaptive = dataclasses.replace(
-            TINY,
-            repetition=RepetitionPolicy(
-                rule=rule, min_reps=2, max_reps=5, rse_target=0.03
-            ),
+    cell content."""
+    adaptive = dataclasses.replace(TINY, replications=2, max_replications=5)
+    outcomes = []
+    for d in ("a", "b"):
+        store = DiskStore(tmp_path / d)
+        _, report = run_campaign(adaptive, VERSIONS, FAULTS, store=store)
+        outcomes.append(
+            (
+                [(r.label, r.reps, r.reason) for r in report.repetition],
+                {
+                    k: payload_fingerprint(p)
+                    for k, p in (
+                        ((kk["version"], kk["fault"], kk["seed"]), pp)
+                        for kk, pp in store.iter_cells()
+                    )
+                },
+            )
         )
-        outcomes = []
-        for d in ("a", "b"):
-            store = DiskStore(tmp_path / rule / d)
-            _, report = run_campaign(
-                adaptive, VERSIONS, FAULTS, store=store
-            )
-            outcomes.append(
-                (
-                    [(r.label, r.reps, r.reason) for r in report.repetition],
-                    {
-                        k: payload_fingerprint(p)
-                        for k, p in (
-                            ((kk["version"], kk["fault"], kk["seed"]), pp)
-                            for kk, pp in store.iter_cells()
-                        )
-                    },
-                )
-            )
-        assert outcomes[0] == outcomes[1], rule
+    assert outcomes[0] == outcomes[1]
 
 
 # ----------------------------------------------------------------------
-# Budget allocation through the runner
+# Stopping reasons and counters through the runner
 # ----------------------------------------------------------------------
 
 
@@ -239,71 +218,40 @@ def _runner(settings, **kwargs) -> CampaignRunner:
     return CampaignRunner(settings, store=MemoryStore(), **kwargs)
 
 
-def test_zero_budget_pins_every_stream_to_min_reps():
+def test_unreachable_target_runs_every_stream_to_max_reps():
     settings = dataclasses.replace(
         TINY,
-        repetition=RepetitionPolicy(
-            rule="ci",
-            min_reps=2,
-            max_reps=6,
-            ci_rel_half_width=1e-9,  # unreachable: every stream asks on
-            rep_budget=0,
-        ),
+        replications=2,
+        max_replications=4,
+        ci_rel_half_width=1e-9,  # unreachable: no stream converges
     )
     runner = _runner(settings)
     _, report = runner.run(VERSIONS, FAULTS)
-    assert all(r.reps == 2 for r in report.repetition)
-    assert all(r.reason == REASON_BUDGET for r in report.repetition)
-    assert "budget exhausted" in " ".join(report.notices)
+    assert all(r.reps == 4 for r in report.repetition)
+    assert all(r.reason == REASON_MAX_REPS for r in report.repetition)
+    assert report.policy == "ci"
+    assert "0% saved" in " ".join(report.notices)
     streams = len(report.repetition)
     assert runner.metrics.counter("campaign.reps.scheduled").value == (
-        2 * streams
-    )
-    assert (
-        runner.metrics.counter("campaign.reps.budget_exhausted").value
-        == streams
-    )
-    # Unspent ceiling shows up as skipped reps.
-    assert runner.metrics.counter("campaign.reps.skipped").value == (
         4 * streams
     )
+    assert runner.metrics.counter("campaign.reps.skipped").value == 0
 
 
-def test_small_budget_feeds_highest_dispersion_stream_first():
+@pytest.mark.parametrize(
+    "max_reps,mode", [(None, "fixed"), (3, "ci")], ids=["fixed", "ci"]
+)
+def test_store_summaries_name_the_mode(tmp_path, max_reps, mode):
+    """The dashboard reads the mode and ceiling from each stream
+    summary's policy key."""
     settings = dataclasses.replace(
-        TINY,
-        repetition=RepetitionPolicy(
-            rule="ci",
-            min_reps=2,
-            max_reps=3,
-            ci_rel_half_width=1e-9,
-            rep_budget=1,
-        ),
+        TINY, replications=2, max_replications=max_reps
     )
-    runner = _runner(settings)
-    _, report = runner.run(VERSIONS, FAULTS)
-    by_label = {r.label: r for r in report.repetition}
-    extended = [r for r in report.repetition if r.reps == 3]
-    assert len(extended) == 1
-    # The extra rep went to the stream whose mean was least pinned down.
-    decisions = {
-        r.label: max(
-            r.rse,
-            r.ci_half_width / abs(r.mean) if r.mean else float("inf"),
-        )
-        for r in report.repetition
-    }
-    # All other streams stopped on the empty budget.
-    denied = [r for r in report.repetition if r.reason == REASON_BUDGET]
-    assert len(denied) == len(report.repetition) - 1
-    assert by_label[extended[0].label].reason in (
-        REASON_MAX_REPS,
-        REASON_BUDGET,
-        REASON_CONVERGED,
-    )
-    assert runner.metrics.counter("campaign.reps.scheduled").value == (
-        2 * len(report.repetition) + 1
-    )
+    store = DiskStore(tmp_path)
+    run_campaign(settings, VERSIONS, (FaultKind.APP_CRASH,), store=store)
+    policies = [key["policy"] for key, _ in store.iter_summaries()]
+    assert len(policies) == 2  # baseline + application-crash
+    assert all(p[0] == mode and p[2] == (max_reps or 2) for p in policies)
 
 
 def test_counters_stay_zero_for_fixed_policy_extras():
@@ -311,9 +259,6 @@ def test_counters_stay_zero_for_fixed_policy_extras():
     _, report = runner.run(VERSIONS, (FaultKind.APP_CRASH,))
     assert runner.metrics.counter("campaign.reps.scheduled").value == 4
     assert runner.metrics.counter("campaign.reps.skipped").value == 0
-    assert (
-        runner.metrics.counter("campaign.reps.budget_exhausted").value == 0
-    )
     assert report.reps_spent == 4
     assert report.reps_saved_fraction == 0.0
 
@@ -336,16 +281,16 @@ def test_replications_non_integer_raises():
 
 def test_replications_one_is_the_boundary():
     settings = Phase1Settings(replications=1)
-    policy = settings.repetition_policy()
-    assert (policy.min_reps, policy.max_reps, policy.rule) == (1, 1, "fixed")
+    assert (settings.replications, settings.max_replications) == (1, None)
+    # max_replications may equal replications (fixed) or exceed it.
+    Phase1Settings(replications=1, max_replications=1)
+    Phase1Settings(replications=1, max_replications=2)
 
 
-def test_repetition_policy_validation_messages():
-    with pytest.raises(ValueError, match="min_reps must be a positive"):
-        RepetitionPolicy(rule="rse", min_reps=0, max_reps=5)
-    with pytest.raises(ValueError, match="max_reps must be an integer"):
-        RepetitionPolicy(rule="ci", min_reps=4, max_reps=2)
-    with pytest.raises(ValueError, match="repetition rule"):
-        RepetitionPolicy(rule="bogus")
-    with pytest.raises(ValueError, match="rep_budget"):
-        RepetitionPolicy(rule="rse", rep_budget=-1)
+def test_max_replications_validation_messages():
+    with pytest.raises(ValueError, match="max_replications must be an"):
+        Phase1Settings(replications=4, max_replications=2)
+    with pytest.raises(ValueError, match="max_replications must be an"):
+        Phase1Settings(replications=2, max_replications=2.5)
+    with pytest.raises(ValueError, match="ci_rel_half_width"):
+        Phase1Settings(ci_rel_half_width=0.0)

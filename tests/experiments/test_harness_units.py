@@ -33,13 +33,18 @@ class TestSettings:
         assert FaultKind.APP_HANG in DURATION_FAULTS
 
     def test_cache_key_distinguishes_settings(self):
-        a = DEFAULT_SETTINGS.cache_key()
-        b = dataclasses.replace(DEFAULT_SETTINGS, seed=99).cache_key()
-        c = dataclasses.replace(DEFAULT_SETTINGS, replications=1).cache_key()
-        assert len({a, b, c}) == 3
+        """Cells are cached under ``sim_key()``: the simulation inputs
+        change it, the replication layout does not."""
+        a = DEFAULT_SETTINGS.sim_key()
+        b = dataclasses.replace(DEFAULT_SETTINGS, seed=99).sim_key()
+        c = dataclasses.replace(
+            DEFAULT_SETTINGS, replications=1, max_replications=5
+        ).sim_key()
+        assert a != b
+        assert a == c
 
     def test_cache_key_is_hashable(self):
-        hash(DEFAULT_SETTINGS.cache_key())
+        hash(DEFAULT_SETTINGS.sim_key())
 
 
 class TestTable1Formatting:

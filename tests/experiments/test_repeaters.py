@@ -1,13 +1,13 @@
-"""Statistical tests for the adaptive-replication stopping rules.
+"""Statistical tests for the adaptive-replication stopping rule.
 
-The rules are pure arithmetic over sample lists, so they can be driven
+The rule is pure arithmetic over sample lists, so it can be driven
 with synthetic distributions (constant, normal, heavy-tailed lognormal,
 bimodal) far faster than with simulations.  Three families of claims:
 
-* bounds — every rule terminates within ``max_reps`` and never stops
+* bounds — the rule terminates within ``max_reps`` and never stops
   below ``min_reps``, for arbitrary sample sequences (hypothesis);
-* convergence — on concrete distributions the adaptive rules spend
-  replications where the variance is, and the fixed rule ignores it;
+* convergence — on concrete distributions the adaptive mode spends
+  replications where the variance is, and the fixed mode ignores it;
 * calibration — the Student-t arithmetic matches published critical
   values, and CI coverage across seeded trials lands near the nominal
   confidence level.
@@ -23,24 +23,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.experiments.repeaters import (
-    REASON_BUDGET,
     REASON_CONVERGED,
     REASON_FIXED,
     REASON_MAX_REPS,
-    CIHalfWidthRule,
-    Decision,
-    FixedCountRule,
-    RelativeStandardErrorRule,
-    RepBudget,
+    ReplicationRule,
     ci_half_width,
-    make_rule,
     relative_standard_error,
     run_rule,
     sample_stats,
     student_t_cdf,
     student_t_quantile,
 )
-from repro.experiments.settings import RepetitionPolicy
 
 # ----------------------------------------------------------------------
 # Synthetic sample sources (deterministic per seed)
@@ -67,10 +60,9 @@ def bimodal(seed: int, lo: float = 10.0, hi: float = 90.0):
     return lambda i: (hi if rng.random() < 0.5 else lo) + rng.gauss(0, 1)
 
 
-ADAPTIVE_RULES = [
-    lambda: RelativeStandardErrorRule(target=0.05, min_reps=3, max_reps=10),
-    lambda: CIHalfWidthRule(target=0.05, min_reps=3, max_reps=10),
-]
+def adaptive_rule() -> ReplicationRule:
+    return ReplicationRule(min_reps=3, max_reps=10, target=0.05)
+
 
 DISTRIBUTIONS = [
     lambda seed: constant(),
@@ -180,9 +172,8 @@ samples_strategy = st.lists(
 def test_rules_never_stop_below_min_reps(xs, min_reps, extra):
     max_reps = min_reps + extra
     for rule in (
-        RelativeStandardErrorRule(0.05, min_reps, max_reps),
-        CIHalfWidthRule(0.05, min_reps, max_reps),
-        FixedCountRule(max_reps),
+        ReplicationRule(min_reps, max_reps, 0.05),
+        ReplicationRule(max_reps, max_reps),
     ):
         decision = rule.decide(xs)
         if len(xs) < rule.min_reps:
@@ -190,14 +181,13 @@ def test_rules_never_stop_below_min_reps(xs, min_reps, extra):
             assert decision.reason == "below-min-reps"
         if len(xs) >= rule.max_reps:
             assert decision.stop
+        if decision.reason == REASON_CONVERGED:
+            assert len(xs) >= 2
 
 
-@given(st.integers(min_value=0, max_value=2 ** 31), st.integers(0, 3),
-       st.integers(0, 1))
-def test_rules_terminate_within_max_reps_on_any_distribution(
-    seed, dist_idx, rule_idx
-):
-    rule = ADAPTIVE_RULES[rule_idx]()
+@given(st.integers(min_value=0, max_value=2 ** 31), st.integers(0, 3))
+def test_rules_terminate_within_max_reps_on_any_distribution(seed, dist_idx):
+    rule = adaptive_rule()
     sampler = DISTRIBUTIONS[dist_idx](seed)
     samples, decision = run_rule(rule, sampler)
     assert rule.min_reps <= len(samples) <= rule.max_reps
@@ -212,23 +202,40 @@ def test_rules_terminate_within_max_reps_on_any_distribution(
 
 
 def test_constant_stream_stops_at_min_reps():
-    for make in ADAPTIVE_RULES:
-        rule = make()
-        samples, decision = run_rule(rule, constant())
-        assert len(samples) == rule.min_reps
-        assert decision.reason == REASON_CONVERGED
-        assert decision.rse == 0.0
+    rule = adaptive_rule()
+    samples, decision = run_rule(rule, constant())
+    assert len(samples) == rule.min_reps
+    assert decision.reason == REASON_CONVERGED
+    assert decision.rse == 0.0
+
+
+def test_one_sample_never_converges():
+    """One sample has no variance estimate (its CI half width reads
+    0.0), so a stream with ``min_reps=1`` must still take a second."""
+    rule = ReplicationRule(min_reps=1, max_reps=10, target=0.02)
+    decision = rule.decide([0.997])
+    assert not decision.stop
+    assert decision.reason == "unconverged"
+    samples, decision = run_rule(rule, constant(0.997))
+    assert len(samples) == 2
+    assert decision.reason == REASON_CONVERGED
+
+
+def test_zero_mean_converges_only_on_a_zero_width_interval():
+    rule = ReplicationRule(min_reps=2, max_reps=5)
+    assert rule.decide([0.0, 0.0]).reason == REASON_CONVERGED
+    assert rule.decide([-1.0, 1.0]).reason == "unconverged"
 
 
 def test_tight_normal_converges_early_loose_lognormal_does_not():
     """Adaptive reps go where the variance is."""
     normal_reps, lognormal_reps, hit_max = [], [], 0
     for seed in range(20):
-        rule = CIHalfWidthRule(target=0.05, min_reps=3, max_reps=10)
-        samples, _ = run_rule(rule, normal(seed, mean=100.0, sd=2.0))
+        samples, _ = run_rule(
+            adaptive_rule(), normal(seed, mean=100.0, sd=2.0)
+        )
         normal_reps.append(len(samples))
-        rule = CIHalfWidthRule(target=0.05, min_reps=3, max_reps=10)
-        samples, decision = run_rule(rule, lognormal(seed))
+        samples, decision = run_rule(adaptive_rule(), lognormal(seed))
         lognormal_reps.append(len(samples))
         hit_max += decision.reason == REASON_MAX_REPS
     assert sum(normal_reps) < sum(lognormal_reps)
@@ -240,16 +247,15 @@ def test_tight_normal_converges_early_loose_lognormal_does_not():
 def test_bimodal_needs_more_reps_than_unimodal_at_same_mean():
     uni, bi = [], []
     for seed in range(20):
-        rule = RelativeStandardErrorRule(target=0.03, min_reps=3, max_reps=15)
+        rule = ReplicationRule(min_reps=3, max_reps=15, target=0.06)
         uni.append(len(run_rule(rule, normal(seed, mean=50.0, sd=3.0))[0]))
-        rule = RelativeStandardErrorRule(target=0.03, min_reps=3, max_reps=15)
         bi.append(len(run_rule(rule, bimodal(seed))[0]))
     assert sum(uni) < sum(bi)
 
 
 def test_fixed_rule_spends_exactly_count_everywhere():
     for dist in DISTRIBUTIONS:
-        samples, decision = run_rule(FixedCountRule(4), dist(99))
+        samples, decision = run_rule(ReplicationRule(4, 4), dist(99))
         assert len(samples) == 4
         assert decision.reason == REASON_FIXED
 
@@ -273,17 +279,9 @@ def test_ci_coverage_near_nominal_on_normal_samples():
     assert 0.91 <= covered / trials <= 0.99
 
 
-def test_rse_rule_stops_with_rse_at_or_below_target():
-    for seed in range(30):
-        rule = RelativeStandardErrorRule(target=0.05, min_reps=3, max_reps=40)
-        samples, decision = run_rule(rule, normal(seed, mean=100.0, sd=15.0))
-        if decision.reason == REASON_CONVERGED:
-            assert relative_standard_error(samples) <= 0.05
-
-
 def test_ci_rule_stops_with_relative_half_width_at_or_below_target():
     for seed in range(30):
-        rule = CIHalfWidthRule(target=0.05, min_reps=3, max_reps=60)
+        rule = ReplicationRule(min_reps=3, max_reps=60, target=0.05)
         samples, decision = run_rule(rule, normal(seed, mean=100.0, sd=15.0))
         if decision.reason == REASON_CONVERGED:
             mean, _ = sample_stats(samples)
@@ -291,97 +289,27 @@ def test_ci_rule_stops_with_relative_half_width_at_or_below_target():
 
 
 # ----------------------------------------------------------------------
-# Validation and the budget allocator
+# Validation and the fixed/ci modes
 # ----------------------------------------------------------------------
 
 
 def test_rule_constructor_validation():
     with pytest.raises(ValueError, match="min_reps"):
-        RelativeStandardErrorRule(0.05, min_reps=0, max_reps=5)
+        ReplicationRule(min_reps=0, max_reps=5)
     with pytest.raises(ValueError, match="max_reps"):
-        CIHalfWidthRule(0.05, min_reps=5, max_reps=4)
-    with pytest.raises(ValueError, match="confidence"):
-        FixedCountRule(3, confidence=1.0)
+        ReplicationRule(min_reps=5, max_reps=4)
     with pytest.raises(ValueError, match="target"):
-        RelativeStandardErrorRule(target=0.0)
+        ReplicationRule(3, 10, target=0.0)
     with pytest.raises(ValueError, match="target"):
-        CIHalfWidthRule(target=-1.0)
+        ReplicationRule(3, 10, target=-1.0)
 
 
-def test_make_rule_maps_policies_to_rules():
-    assert isinstance(
-        make_rule(RepetitionPolicy(rule="fixed", min_reps=3, max_reps=3)),
-        FixedCountRule,
-    )
-    rse = make_rule(
-        RepetitionPolicy(rule="rse", min_reps=2, max_reps=7, rse_target=0.1)
-    )
-    assert isinstance(rse, RelativeStandardErrorRule)
-    assert (rse.min_reps, rse.max_reps, rse.target) == (2, 7, 0.1)
-    ci = make_rule(
-        RepetitionPolicy(
-            rule="ci", min_reps=3, max_reps=9, ci_rel_half_width=0.04
-        )
-    )
-    assert isinstance(ci, CIHalfWidthRule)
-    assert (ci.min_reps, ci.max_reps, ci.target) == (3, 9, 0.04)
-
-
-def _decision(dispersion: float) -> Decision:
-    # rel_half_width = half_width / |mean|; rse kept below it.
-    return Decision(
-        stop=False,
-        reason="unconverged",
-        n=3,
-        mean=1.0,
-        std=0.1,
-        rse=0.0,
-        half_width=dispersion,
-    )
-
-
-def test_budget_grants_highest_dispersion_first():
-    budget = RepBudget(2)
-    granted, denied = budget.allocate(
-        [("a", _decision(0.1)), ("b", _decision(0.5)), ("c", _decision(0.3))]
-    )
-    assert granted == ["b", "c"]
-    assert denied == ["a"]
-    assert budget.spent == 2
-    assert budget.remaining == 0
-    assert budget.denied == 1
-
-
-def test_budget_tie_breaks_by_label():
-    budget = RepBudget(1)
-    granted, denied = budget.allocate(
-        [("z", _decision(0.2)), ("a", _decision(0.2))]
-    )
-    assert granted == ["a"]
-    assert denied == ["z"]
-
-
-def test_budget_none_is_unbounded():
-    budget = RepBudget(None)
-    granted, denied = budget.allocate(
-        [(f"s{i}", _decision(0.1)) for i in range(50)]
-    )
-    assert len(granted) == 50 and not denied
-    assert budget.remaining is None
-
-
-def test_budget_zero_denies_everything():
-    budget = RepBudget(0)
-    granted, denied = budget.allocate([("a", _decision(0.4))])
-    assert not granted and denied == ["a"]
-
-
-def test_budget_rejects_negative():
-    with pytest.raises(ValueError, match=">= 0"):
-        RepBudget(-1)
-
-
-def test_budget_reason_constant_is_stable():
-    # Persisted in stores and asserted by CI; renaming it is a schema
-    # change, not a refactor.
-    assert REASON_BUDGET == "budget-exhausted"
+def test_rule_mode_follows_the_bounds():
+    """``min == max`` is the fixed mode; a higher ceiling is the CI rule.
+    The name and key are what reports and store summaries print."""
+    fixed = ReplicationRule(3, 3)
+    assert fixed.name == "fixed"
+    assert fixed.key() == ("fixed", 3, 3, 0.02)
+    ci = ReplicationRule(3, 9, target=0.04)
+    assert ci.name == "ci"
+    assert ci.key() == ("ci", 3, 9, 0.04)

@@ -18,7 +18,7 @@ from repro.experiments.store import (
 
 KEY = CellKey(
     version="TCP-PRESS",
-    settings_key=DEFAULT_SETTINGS.cache_key(),
+    settings_key=DEFAULT_SETTINGS.sim_key(),
     fault="link-down",
     seed=12345,
 )
@@ -40,7 +40,7 @@ class TestCellKey:
                 KEY,
                 settings_key=dataclasses.replace(
                     DEFAULT_SETTINGS, utilization=0.5
-                ).cache_key(),
+                ).sim_key(),
             ),
         ]
         digests = {KEY.digest()} | {v.digest() for v in variants}
@@ -75,14 +75,14 @@ class TestDiskStore:
         assert DiskStore(tmp_path).get(KEY) == PAYLOAD
 
     def test_settings_change_invalidates(self, tmp_path):
-        """A different settings.cache_key() is a different universe."""
+        """A different settings.sim_key() is a different universe."""
         store = DiskStore(tmp_path)
         store.put(KEY, PAYLOAD)
         other = dataclasses.replace(
             KEY,
             settings_key=dataclasses.replace(
                 DEFAULT_SETTINGS, fault_at=61.0
-            ).cache_key(),
+            ).sim_key(),
         )
         assert store.get(other) is None
 

@@ -8,6 +8,7 @@ bare engine up to a full PRESS cluster of every version.
 
 import enum
 import gc
+import sys
 import types
 
 import pytest
@@ -249,6 +250,26 @@ def test_subclass_of_a_slotted_base_keeps_the_default_reduction(monkeypatch):
     assert child2.engine is not e and thing2.note == "plain"
     assert id(child2) not in rebuilt
     assert id(thing2) in rebuilt and id(child2.engine) in rebuilt
+
+
+def test_restore_interns_attribute_names(monkeypatch):
+    """Restored attribute names are the interned strings compiled code
+    uses, not pickle's copies: those would otherwise become the class's
+    shared keys and type attribute cache entries and outlive the
+    restore."""
+
+    def fresh_class():
+        return type("FreshThing", (), {"__module__": engine_module.__name__})
+
+    monkeypatch.setattr(engine_module, "FreshThing", fresh_class(), raising=False)
+    thing = engine_module.FreshThing()
+    thing.restored_attr_name = 1
+    blob = snapshot.capture(thing)
+    # A class without instances takes its shared keys from the first
+    # attributes set on it, here the restore's.
+    monkeypatch.setattr(engine_module, "FreshThing", fresh_class())
+    (name,) = vars(snapshot.restore(blob))
+    assert name is sys.intern("restored_attr_name")
 
 
 def test_capture_wraps_pickling_errors():

@@ -11,7 +11,7 @@ import pytest
 
 import repro
 
-from repro.__main__ import build_parser, main
+from repro.__main__ import _settings, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -268,20 +268,31 @@ def test_non_positive_scale_is_a_clean_cli_error(scale):
 
 def test_parser_accepts_replication_flags():
     args = build_parser().parse_args(
-        ["--reps-policy", "ci", "--reps-max", "8", "--rep-budget", "20",
-         "campaign"]
+        ["--replications", "2", "--reps-max", "8", "campaign"]
     )
-    assert args.reps_policy == "ci"
-    assert args.reps_max == 8
-    assert args.rep_budget == 20
+    assert (args.replications, args.reps_max) == (2, 8)
+    settings = _settings(args)
+    assert (settings.replications, settings.max_replications) == (2, 8)
+    # Without --reps-max every stream runs exactly --replications.
+    assert build_parser().parse_args(["campaign"]).reps_max is None
 
 
-def test_rep_budget_requires_an_adaptive_policy():
+@pytest.mark.parametrize(
+    "argv",
+    [["--replications", "5", "--reps-max", "3"], ["--reps-max", "0"]],
+    ids=["below-replications", "zero"],
+)
+def test_reps_max_below_replications_is_a_clean_cli_error(argv):
+    args = build_parser().parse_args(argv + ["table1"])
     with pytest.raises(SystemExit) as exc:
-        main(["--rep-budget", "5", "table1"])
-    assert "--rep-budget needs an adaptive --reps-policy" in str(
-        exc.value.code
-    )
+        _settings(args)
+    assert str(exc.value.code).startswith("repro: max_replications")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_non_positive_jobs_is_rejected(jobs):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--jobs", jobs, "campaign"])
 
 
 def test_zero_replications_is_a_clean_cli_error():
@@ -291,18 +302,16 @@ def test_zero_replications_is_a_clean_cli_error():
 
 
 def test_campaign_command_prints_the_replication_table(capsys):
-    # Budget 0 pins every stream to its min of 2 reps: streams whose
-    # rule asks for a third are denied, which drives the budget path
-    # end to end at near-fixed cost.
+    # Two replications per stream, extended to at most three while the
+    # stream's CI half width is wider than the target.
     out = run_cli(
         capsys, "--scale", "200", "--seed", "3", "--replications", "2",
-        "--reps-policy", "ci", "--reps-max", "3", "--rep-budget", "0",
-        "campaign", "--versions", "TCP-PRESS",
+        "--reps-max", "3", "campaign", "--versions", "TCP-PRESS",
     )
     assert "replication (ci policy):" in out
-    assert "budget-exhausted" in out
+    assert "converged" in out and "max-reps" in out
     assert "reps spent:" in out and "% saved" in out
-    assert "rep budget exhausted on" in out
+    assert "adaptive replication (ci):" in out
 
 
 # ----------------------------------------------------------------------
