@@ -249,7 +249,7 @@ def cmd_dashboard(args) -> None:
 
     try:
         out = dashboard_from_store(args.store, args.out)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         sys.exit(f"dashboard: {exc}")
     print(f"dashboard: {out}")
 

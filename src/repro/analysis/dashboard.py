@@ -466,33 +466,32 @@ def _attribution_section(cells: List[_Cell]) -> List[str]:
     return out
 
 
-def _performance_section(ledger: Optional[dict]) -> List[str]:
+def _performance_section(ledger: Optional[dict], problem: str) -> List[str]:
     """Layer-profiler rollup (``--profile`` campaigns only)."""
-    from .perf import ledger_view
-
-    if not ledger:
+    if ledger is None:
         return [
-            "<p class='cellnote'>no profiler data stored (run the "
-            "campaign with --profile to collect wall-clock profiles)</p>"
+            f"<p class='cellnote'>no profiler data stored "
+            f"({escape(problem or 'no campaign ledger')}; run the campaign "
+            "with --profile to collect wall-clock profiles)</p>"
         ]
-    timing = ledger.get("timing") or {}
+    timing = ledger["timing"]
     out = [
-        f"<p>wall-clock {_fmt(ledger.get('wall_clock_s'), 2)}s on "
-        f"{ledger.get('jobs', '?')} job(s): execute "
-        f"{_fmt(timing.get('execute_s'), 2)}s, warm-restore "
-        f"{_fmt(timing.get('restore_s'), 2)}s "
-        f"(speedup {_fmt(timing.get('speedup'), 2)}x, parallelism "
-        f"{_fmt(timing.get('parallelism'), 2)}x).</p>"
+        f"<p>wall-clock {_fmt(ledger['wall_clock_s'], 2)}s on "
+        f"{ledger['jobs']} job(s): execute "
+        f"{_fmt(timing['execute_s'], 2)}s, warm-restore "
+        f"{_fmt(timing['restore_s'], 2)}s "
+        f"(speedup {_fmt(timing['speedup'], 2)}x, parallelism "
+        f"{_fmt(timing['parallelism'], 2)}x).</p>"
     ]
-    agg = ledger_view(ledger)
-    if agg["layers"]:
-        total_s = agg["totals"]["self_s"]
+    profile = ledger["profile"]
+    if profile["layers"]:
+        total_s = profile["self_s"]
         out.append(
             "<table><tr><th class='label'>layer</th><th>calls</th>"
             "<th>self time (s)</th><th>share %</th></tr>"
         )
         ordered = sorted(
-            agg["layers"].items(), key=lambda kv: (-kv[1]["self_s"], kv[0])
+            profile["layers"].items(), key=lambda kv: (-kv[1]["self_s"], kv[0])
         )
         for layer, stats in ordered:
             self_s = stats["self_s"]
@@ -503,14 +502,14 @@ def _performance_section(ledger: Optional[dict]) -> List[str]:
                 f"<td>{self_s:.4f}</td><td>{share}</td></tr>"
             )
         out.append("</table>")
-    fast = agg["fabric"]["fast_frames"]
-    ref = agg["fabric"]["reference_frames"]
+    fast = profile["fabric"]["fast_frames"]
+    ref = profile["fabric"]["reference_frames"]
     if fast or ref:
         out.append(
             f"<p>fabric fastpath: {fast} frames, {ref} reference-path "
             f"frames (fastpath share {100.0 * fast / (fast + ref):.1f}%).</p>"
         )
-    eng = agg["engine"]
+    eng = profile["engine"]
     if any(eng.values()):
         out.append(
             f"<p>engine: {eng['events_processed']} events "
@@ -518,27 +517,25 @@ def _performance_section(ledger: Optional[dict]) -> List[str]:
             f"{eng['freelist_reuse']} freelist reuses, "
             f"{eng['compactions']} heap compaction(s).</p>"
         )
-    if agg["cells"]:
+    if ledger["cell_rows"]:
         out.append(
             "<table><tr><th class='label'>cell</th><th>execute (s)</th>"
             "<th>restore (s)</th><th>serialize (s)</th>"
             "<th>snapshot (s)</th><th>events</th></tr>"
         )
-        # The aggregate keeps cells label-sorted (byte-stable ledgers);
-        # the panel shows the expensive ones first.
+        # The ledger keeps cells label-sorted (byte-stable files); the
+        # panel shows the expensive ones first.
         by_cost = sorted(
-            agg["cells"],
-            key=lambda c: (-float(c.get("execute_s") or 0.0),
-                           str(c.get("cell"))),
+            ledger["cell_rows"], key=lambda c: (-c["execute_s"], c["cell"])
         )
         for c in by_cost[:15]:
             out.append(
-                f"<tr><td class='label'>{escape(str(c.get('cell')))}</td>"
-                f"<td>{_fmt(c.get('execute_s'), 3)}</td>"
-                f"<td>{_fmt(c.get('restore_s'), 3)}</td>"
-                f"<td>{_fmt(c.get('serialize_s'), 3)}</td>"
-                f"<td>{_fmt(c.get('snapshot_s'), 3)}</td>"
-                f"<td>{int(c.get('events') or 0)}</td></tr>"
+                f"<tr><td class='label'>{escape(c['cell'])}</td>"
+                f"<td>{_fmt(c['execute_s'], 3)}</td>"
+                f"<td>{_fmt(c['restore_s'], 3)}</td>"
+                f"<td>{_fmt(c['serialize_s'], 3)}</td>"
+                f"<td>{_fmt(c['snapshot_s'], 3)}</td>"
+                f"<td>{c['events']}</td></tr>"
             )
         out.append("</table>")
     return out
@@ -550,8 +547,13 @@ def render_dashboard(
     source: str = "",
     summaries: Iterable[Tuple[dict, dict]] = (),
     ledger: Optional[dict] = None,
+    ledger_problem: str = "",
 ) -> str:
-    """Render the raw ``(key, payload)`` rows into one HTML document."""
+    """Render the raw ``(key, payload)`` rows into one HTML document.
+
+    ``ledger`` is a campaign perf ledger as :func:`~.perf.load_ledger`
+    returns it; without one, ``ledger_problem`` says why.
+    """
     kept, stale = _collect(cells)
     versions = sorted({c.version for c in kept})
     faults = sorted({c.fault for c in kept if c.fault is not None})
@@ -597,7 +599,7 @@ def render_dashboard(
     ]
     body += [
         "<h2>performance (layer profiler)</h2>",
-        *_performance_section(ledger),
+        *_performance_section(ledger, ledger_problem),
     ]
     return (
         "<!DOCTYPE html><html><head><meta charset='utf-8'>"
@@ -614,7 +616,7 @@ def dashboard_from_store(cache_dir, out_path=None) -> Path:
     holds no readable cells.
     """
     from ..experiments.store import DiskStore
-    from .perf import load_ledger
+    from .perf import LedgerError, load_ledger
 
     cache_dir = Path(cache_dir)
     if not cache_dir.is_dir():
@@ -623,11 +625,16 @@ def dashboard_from_store(cache_dir, out_path=None) -> Path:
     rows = list(store.iter_cells())
     if not rows:
         raise ValueError(f"{cache_dir}: no campaign cells found")
+    try:
+        ledger, problem = load_ledger(cache_dir), ""
+    except LedgerError as exc:
+        ledger, problem = None, str(exc)
     html_text = render_dashboard(
         rows,
         source=str(cache_dir),
         summaries=list(store.iter_summaries()),
-        ledger=load_ledger(cache_dir),
+        ledger=ledger,
+        ledger_problem=problem,
     )
     out = Path(out_path) if out_path else cache_dir / "dashboard.html"
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -978,28 +978,36 @@ class CampaignRunner:
         campaigns persist it (it sits beside the store's namespaces,
         where ``perf-report`` and ``perf-compare`` find it); either way
         the report carries a one-line pointer so a profiled run is never
-        silent about where its measurements went.
+        silent about where its measurements went.  A run that executed
+        no cell profiled nothing, so it leaves the ledger of the last
+        profiled campaign in place.
         """
-        from ..analysis.perf import campaign_ledger
+        from ..analysis.perf import LEDGER_NAME, campaign_ledger
 
-        ledger = campaign_ledger(report, settings=self.settings)
-        if isinstance(self.store, DiskStore):
-            path = self.store.cache_dir / "BENCH_campaign.json"
-            path.write_text(
-                json.dumps(ledger, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            report.notices.append(
-                f"profiler: {len(report.perf)} cell record(s) in the "
-                f"campaign ledger at {path} — "
-                "read with `python -m repro perf-report`"
-            )
-        else:
+        if not isinstance(self.store, DiskStore):
             report.notices.append(
                 f"profiler: {len(report.perf)} cell record(s) "
                 "profiled (in-memory store; use --cache-dir to persist "
                 "a campaign ledger)"
             )
+            return
+        path = self.store.cache_dir / LEDGER_NAME
+        if not report.perf:
+            report.notices.append(
+                f"profiler: no cell executed, so nothing was profiled; "
+                f"the campaign ledger at {path} is left as it was"
+            )
+            return
+        ledger = campaign_ledger(report, settings=self.settings)
+        path.write_text(
+            json.dumps(ledger, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+        report.notices.append(
+            f"profiler: {len(report.perf)} cell record(s) in the "
+            f"campaign ledger at {path} — "
+            "read with `python -m repro perf-report`"
+        )
 
 
 def run_campaign(

@@ -21,7 +21,7 @@ content address over ``(version, settings.sim_key(), keep_events)``;
 anything that could change the warm trajectory changes the file name.
 
 Each file opens with a one-line ASCII header naming the snapshot format
-and the Python/marshal versions that produced the blob.  The header is
+and the Python version that produced the blob.  The header is
 deliberately *not* part of the file name: when any of those versions
 change, the lookup finds the old file, sees the mismatch, and reports an
 **invalidated** checkpoint (recounted in the campaign report) instead of
@@ -42,7 +42,6 @@ fully cold runs (no checkpointing at all) is enforced by
 from __future__ import annotations
 
 import hashlib
-import marshal
 import os
 import sys
 import tempfile
@@ -69,16 +68,15 @@ def _header() -> bytes:
     """First line of every checkpoint file.
 
     Names every process-level ingredient the blob depends on beyond the
-    keyed settings: the snapshot wire format and the Python/marshal
-    versions whose bytecode the blob embeds.  A mismatch is a *visible*
+    keyed settings: the snapshot wire format and the Python version
+    whose pickled objects the blob holds.  A mismatch is a *visible*
     invalidation, not a silent miss.
     """
     from ..sim import snapshot
 
     return (
         f"repro-warmstart format={snapshot.FORMAT_VERSION} "
-        f"python={sys.version_info[0]}.{sys.version_info[1]} "
-        f"marshal={marshal.version}\n"
+        f"python={sys.version_info[0]}.{sys.version_info[1]}\n"
     ).encode("ascii")
 
 

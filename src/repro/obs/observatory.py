@@ -55,12 +55,7 @@ from dataclasses import dataclass, field
 from typing import Deque, List, Optional, Tuple
 
 from ..core.extract import DEFAULT_ENVIRONMENT, Environment
-from .attribution import (
-    DEFAULT_ATTRIBUTION,
-    AttributionConfig,
-    AttributionProbe,
-    LatencyProbe,
-)
+from .attribution import AttributionProbe, LatencyProbe
 from .events import (
     ANNOTATION,
     FAULT_CLEARED,
@@ -544,18 +539,12 @@ class Observatory:
     ``attach(bus)`` hook the phase-1 drivers accept as ``recorder=``.
     """
 
-    def __init__(
-        self,
-        recorder=None,
-        env: Environment = DEFAULT_ENVIRONMENT,
-        slo: SLOConfig = DEFAULT_SLO,
-        attribution: AttributionConfig = DEFAULT_ATTRIBUTION,
-    ):
+    def __init__(self, recorder=None, env: Environment = DEFAULT_ENVIRONMENT):
         self.recorder = recorder
         self.detector = StageDetector(env=env)
-        self.watchdog = HealthWatchdog(slo=slo)
+        self.watchdog = HealthWatchdog()
         self.latency = LatencyProbe(detector=self.detector)
-        self.attribution = AttributionProbe(config=attribution)
+        self.attribution = AttributionProbe()
         self.bus = None
 
     def attach(self, bus) -> "Observatory":

@@ -14,17 +14,19 @@ times add up to the profiled window.  The ``sim`` layer is
 ``Engine.run``: the event loop plus any callback no other layer claims.
 
 The accounting is one self-time dict and one call-count dict, both keyed
-by hook; layer totals and the costliest *sites* are sums over them, and
-the fabric's frame counts are hook call counts (``Fabric._fast_deliver``
-per fast-path frame, ``Fabric._at_switch`` per reference-path frame).
+by hook; layer totals are sums over them, each hook that ran is a
+*site*, and the fabric's frame counts are hook call counts
+(``Fabric._fast_deliver`` per fast-path frame, ``Fabric._at_switch`` per
+reference-path frame).
 
 Nothing is attached to the engine: the hooks exist only between
 :meth:`~LayerProfiler.install` and :meth:`~LayerProfiler.uninstall`, so
 an unprofiled run executes exactly the code it would without this
 module.  Wrappers keep the wrapped function's name and qualified name,
 and the class that *defines* a method is the one patched, so callbacks
-pickle by reference: a warm-start checkpoint captured under the profiler
-restores the same queued work without it, and vice versa.  The profiler
+pickle by reference, the only way the snapshot pickler encodes a
+function: a warm-start checkpoint captured under the profiler restores
+the same queued work without it, and vice versa.  The profiler
 only reads clocks and public counters, so a profiled cell is
 byte-identical to an unprofiled one (``tests/obs/
 test_profiler_determinism.py``, CI ``observers-invisible``); its
@@ -119,7 +121,8 @@ class LayerProfiler:
 
     ``run(fn, *args)`` installs every hook, calls ``fn`` as the root
     span, and uninstalls again; :meth:`digest` renders the result
-    JSON-ready for the per-cell perf record.
+    JSON-ready for the per-cell perf record, which
+    :func:`repro.analysis.perf.aggregate_perf` sums as it is.
     """
 
     def __init__(self) -> None:
@@ -233,8 +236,8 @@ class LayerProfiler:
                 row["self_s"] += self.self_s[key]
         return {layer: out[layer] for layer in LAYERS if layer in out}
 
-    def sites(self, top: int = 20) -> List[dict]:
-        """The ``top`` hooks with the most self time."""
+    def sites(self) -> List[dict]:
+        """Every hook that ran, costliest self time first."""
         rows = [
             {
                 "site": key,
@@ -246,10 +249,12 @@ class LayerProfiler:
             if n
         ]
         rows.sort(key=lambda r: (-r["self_s"], r["site"]))
-        return rows[:top]
+        return rows
 
-    def digest(self, top: int = 20) -> dict:
-        """JSON-ready summary for the per-cell perf record."""
+    def digest(self) -> dict:
+        """JSON-ready summary for the per-cell perf record, with every
+        site that ran: only the campaign ledger cuts the sites, to the
+        :data:`~repro.analysis.perf.TOP_SITES` costliest sums."""
         eng = self.engine
         return {
             "window_s": self.window_s,
@@ -257,7 +262,7 @@ class LayerProfiler:
             "calls": sum(self.calls.values()),
             "events": eng["events_processed"],
             "layers": self.layers(),
-            "sites": self.sites(top),
+            "sites": self.sites(),
             "fabric": {
                 "fast_frames": self.calls.get(_FAST_FRAME, 0),
                 "reference_frames": self.calls.get(_REFERENCE_FRAME, 0),

@@ -17,7 +17,7 @@ anything outside itself: no file descriptors, no wall-clock reads, no
 real I/O.  Its full state therefore *is* its object graph, and Python's
 pickle machinery already round-trips that graph faithfully — including
 ``random.Random`` internals, bound methods, heap tuples and reference
-cycles.  Only three constructs need help:
+cycles.  Three constructs need a rule of their own:
 
 * **Plain instances** must come back in the fast attribute layout.  A
   freshly built CPython 3.11+ object keeps its attributes as inline
@@ -31,23 +31,23 @@ cycles.  Only three constructs need help:
   ``NEWOBJ`` as usual, and then :func:`_set_attrs`, one
   ``object.__setattr__`` per item in state order, which leaves it laid
   out like a fresh one.
-* **Closures and lambdas** are not picklable by reference.  The hot
-  paths schedule only bound methods and ``__slots__`` callables (see the
-  fabric's ``_DeliverCb``), but defensive coverage matters more than
-  style: :class:`SnapshotPickler` serializes any non-importable function
-  by value — ``marshal``-ed code object plus captured cell contents —
-  and rebuilds it against its module's globals on load.
+* **Functions** pickle by reference only, as pickle does them.  The
+  hot paths schedule only bound methods and ``__slots__`` callables
+  (see the fabric's ``_DeliverCb``), so no checkpoint holds a local
+  function, a lambda or a closure; if one leaks in, capture fails with
+  :class:`SnapshotError`.
 * **Live generators** cannot be serialized at all (their frame is
   interpreter state).  The simulation graph holds none; if one leaks in,
-  capture fails loudly rather than write a checkpoint that cannot resume.
+  capture fails the same way rather than write a checkpoint that cannot
+  resume.
 
 Checkpoints are an internal format: they are only valid for the exact
 interpreter and code that wrote them.  The warm-start cache
 (:mod:`repro.experiments.warmstart`) writes the snapshot
-:data:`FORMAT_VERSION`, the Python version and the marshal format into
-each checkpoint's header (``_header``) and names the checkpoint after
-its simulation inputs (``warm_digest``): a checkpoint from another
-format or interpreter is reported invalidated, not resumed.
+:data:`FORMAT_VERSION` and the Python version into each checkpoint's
+header (``_header``) and names the checkpoint after its simulation
+inputs (``warm_digest``): a checkpoint from another format or
+interpreter is reported invalidated, not resumed.
 
 Verification
 ------------
@@ -67,10 +67,8 @@ from __future__ import annotations
 
 import copyreg
 import hashlib
-import importlib
 import io
 import json
-import marshal
 import pickle
 import sys
 import types
@@ -170,53 +168,6 @@ class Snapshottable(Protocol):
     def snapshot_state(self) -> dict: ...
 
 
-def _rebuild_function(
-    code_bytes: bytes,
-    module: str,
-    name: str,
-    defaults,
-    kwdefaults,
-    n_cells,
-):
-    """Reconstruct the *skeleton* of a by-value-pickled function.
-
-    Closure cells are created empty and filled afterwards by
-    :func:`_fill_closure` (the reduce tuple's state setter).  The
-    two-phase build lets the pickler memoize the function object before
-    its closure values are serialized, so self-referential closures — a
-    local function whose cell holds the function itself — round-trip
-    instead of recursing forever.
-    """
-    code = marshal.loads(code_bytes)
-    mod = importlib.import_module(module)
-    if n_cells is None:
-        cells = None
-    else:
-        cells = tuple(types.CellType() for _ in range(n_cells))
-    fn = types.FunctionType(code, mod.__dict__, name, defaults, cells)
-    if kwdefaults:
-        fn.__kwdefaults__ = kwdefaults
-    return fn
-
-
-def _fill_closure(fn, closure_values) -> None:
-    """State setter: pour captured values into the skeleton's cells."""
-    if closure_values is not None:
-        for cell, value in zip(fn.__closure__, closure_values):
-            cell.cell_contents = value
-
-
-def _lookup_qualname(module: str, qualname: str):
-    """The object ``module.qualname`` refers to, or None."""
-    try:
-        obj = importlib.import_module(module)
-        for part in qualname.split("."):
-            obj = getattr(obj, part)
-        return obj
-    except Exception:
-        return None
-
-
 #: ``object.__getstate__`` (Python 3.11+); Python 3.10 has none.
 _OBJECT_GETSTATE = getattr(object, "__getstate__", None)
 
@@ -263,14 +214,14 @@ def _set_attrs(obj: Any, state: dict) -> None:
 
 
 class SnapshotPickler(pickle.Pickler):
-    """Pickler that rebuilds plain instances attribute by attribute,
-    serializes closures by value and rejects generators.
+    """Pickler that rebuilds plain instances attribute by attribute and
+    rejects generators.
 
-    Importable functions still pickle by reference (cheap, and they pick
-    up code fixes on restore — which is fine, because a layout change
-    bumps :data:`FORMAT_VERSION` and so invalidates old checkpoints).  Only
-    functions that *cannot* be found under their qualified name — local
-    functions, lambdas, decorated wrappers — are encoded by value.
+    Functions pickle by reference, as pickle does them; one that cannot
+    be found under its qualified name (a local function, a lambda, a
+    closure) fails the capture.  A reference picks up code fixes on
+    restore, which is fine, because a layout change bumps
+    :data:`FORMAT_VERSION` and so invalidates old checkpoints.
     """
 
     def reducer_override(self, obj):
@@ -283,29 +234,6 @@ class SnapshotPickler(pickle.Pickler):
                 # applied by _set_attrs instead of ``BUILD``.
                 return (copyreg.__newobj__, (cls,), state, None, None, _set_attrs)
             return NotImplemented
-        if isinstance(obj, types.FunctionType):
-            if _lookup_qualname(obj.__module__, obj.__qualname__) is obj:
-                return NotImplemented  # importable: pickle by reference
-            closure = obj.__closure__
-            if closure is None:
-                values = None
-            else:
-                values = tuple(cell.cell_contents for cell in closure)
-            return (
-                _rebuild_function,
-                (
-                    marshal.dumps(obj.__code__),
-                    obj.__module__,
-                    obj.__name__,
-                    obj.__defaults__,
-                    obj.__kwdefaults__,
-                    None if closure is None else len(closure),
-                ),
-                values,  # state, applied after memoization ...
-                None,
-                None,
-                _fill_closure,  # ... by this setter (see _rebuild_function)
-            )
         if isinstance(obj, types.GeneratorType):
             raise pickle.PicklingError(
                 f"cannot snapshot live generator {obj!r}: generator frames "
@@ -326,7 +254,10 @@ def capture(root: Any) -> bytes:
         SnapshotPickler(buf, protocol=_PICKLE_PROTOCOL).dump(root)
     except SnapshotError:
         raise
-    except (pickle.PicklingError, SimulationError, TypeError, ValueError) as exc:
+    except (
+        pickle.PicklingError, SimulationError, AttributeError, TypeError,
+        ValueError,
+    ) as exc:
         raise SnapshotError(f"cannot capture simulation state: {exc}") from exc
     return buf.getvalue()
 

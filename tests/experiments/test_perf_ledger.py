@@ -8,7 +8,7 @@ and both CLI views.
 """
 
 import json
-from pathlib import Path
+import shutil
 
 import pytest
 
@@ -16,10 +16,10 @@ from repro.__main__ import main
 from repro.analysis.perf import (
     LEDGER_NAME,
     LEDGER_VERSION,
+    TOP_SITES,
     _layer_lines,
     aggregate_perf,
     campaign_ledger,
-    ledger_view,
     load_ledger,
     perf_compare,
     perf_report_from_store,
@@ -39,14 +39,6 @@ FAST = Phase1Settings(
     post_recovery=60.0,
     tail=40.0,
     replications=1,
-)
-
-#: Store written before LP sharding was removed (see the dashboard
-#: robustness tests); its v1 ledger carries an ``"lp"`` section the
-#: current code no longer reads, beside a ``perf/`` directory of
-#: per-cell records that it ignores.
-LEGACY_LP_STORE = (
-    Path(__file__).parent.parent / "analysis" / "legacy_lp_store"
 )
 
 VERSIONS = ["TCP-PRESS"]
@@ -131,9 +123,15 @@ def test_perf_records_round_trip_through_the_store(profiled):
 def test_perf_report_totals_and_layers_equal_the_runs_aggregate(profiled):
     path, report = profiled
     agg = aggregate_perf(report.perf)
-    view = ledger_view(load_ledger(path))
-    assert view["totals"] == agg["totals"]
-    assert view["layers"] == agg["layers"]
+    ledger = load_ledger(path)
+    profile = ledger["profile"]
+    assert ledger["cells"]["profiled"] == agg["totals"]["cells"]
+    for key in ("events", "calls", "self_s", "window_s"):
+        assert profile[key] == agg["totals"][key], key
+    for key in ("execute_s", "restore_s", "serialize_s", "snapshot_s"):
+        rows = ledger["cell_rows"]
+        assert sum(row[key] for row in rows) == agg["totals"][key], key
+    assert profile["layers"] == agg["layers"]
     text = perf_report_from_store(path)
     assert f"profiled: {agg['totals']['cells']} cell record(s)" in text
     for line in _layer_lines(agg["layers"], agg["totals"]["self_s"]):
@@ -168,13 +166,38 @@ def test_perf_compare_flags_an_unprofiled_side(profiled, tmp_path):
     assert "no profiler data" in text
 
 
-def test_perf_compare_of_a_legacy_lp_ledger_against_a_new_one(profiled):
-    """A pre-removal store still compares: the CLI exits 0."""
+def test_cell_records_carry_every_site_and_only_the_ledger_truncates(
+    profiled,
+):
+    """Per-cell digests are whole; the campaign's top sites are the
+    costliest of the sums over every cell."""
+    path, report = profiled
+    assert max(len(row["profile"]["sites"]) for row in report.perf) > TOP_SITES
+    sums = {}
+    for row in report.perf:
+        for site in row["profile"]["sites"]:
+            sums[site["site"]] = sums.get(site["site"], 0.0) + site["self_s"]
+    top = sorted(sums, key=lambda name: (-sums[name], name))[:TOP_SITES]
+    assert [s["site"] for s in load_ledger(path)["profile"]["sites"]] == top
+
+
+def test_a_rerun_that_executes_nothing_keeps_the_ledger(profiled, tmp_path):
+    """Every cell from cache: nothing was profiled, so the last profiled
+    campaign's ledger stays, and the notice says so."""
     path, _report = profiled
-    text, comparable = perf_compare(LEGACY_LP_STORE, path)
-    assert comparable
-    assert "lp." not in text
-    main(["perf-compare", str(LEGACY_LP_STORE), str(path)])
+    store = tmp_path / "store"
+    shutil.copytree(path, store)
+    before = (store / LEDGER_NAME).read_bytes()
+    _sets, report = run_campaign(
+        FAST,
+        versions=VERSIONS,
+        faults=FAULTS,
+        store=DiskStore(store),
+        profile=True,
+    )
+    assert report.executed == 0 and report.perf == []
+    assert (store / LEDGER_NAME).read_bytes() == before
+    assert any("left as it was" in n for n in report.notices)
 
 
 def test_memory_store_campaign_still_reports_perf():
@@ -200,21 +223,3 @@ def test_unprofiled_report_builds_an_empty_ledger():
     ledger = campaign_ledger(report)
     assert ledger["cells"]["profiled"] == 0
     assert ledger["profile"]["layers"] == {}
-
-
-def test_aggregate_perf_tolerates_partial_records():
-    """Stale/truncated perf rows degrade to zeros, never KeyError."""
-    agg = aggregate_perf(
-        [
-            {},
-            {"execute_s": 1.0},
-            {"profile": {"layers": {"net": {"events": 3, "self_s": 0.5}}}},
-            # A pre-removal record: its "lp" section is ignored.
-            {"profile": {"lp": {"shards": 2, "lp_events": [4, 6]}}},
-            "not-a-dict",
-        ]
-    )
-    assert agg["totals"]["cells"] == 4
-    assert agg["totals"]["execute_s"] == 1.0
-    assert agg["layers"]["net"]["calls"] == 3
-    assert "lp" not in agg

@@ -305,6 +305,14 @@ def test_header_mismatch_reports_invalidated_not_miss(tmp_path):
         (tmp_path / f"{digest}.ckpt").write_bytes(stale + b"not a real snapshot")
         blob, status = cache._load(digest)
         assert blob is None and status == STATUS_INVALIDATED
+    # Checkpoints whose header still names the marshal format (their
+    # blobs never held code objects) are invalidated once, then rewritten.
+    assert b"marshal" not in _header()
+    (tmp_path / f"{digest}.ckpt").write_bytes(
+        _header()[:-1] + b" marshal=4\nnot a real snapshot"
+    )
+    blob, status = cache._load(digest)
+    assert blob is None and status == STATUS_INVALIDATED
     missing = warm_digest("VIA-PRESS-5", SETTINGS, False)
     blob, status = cache._load(missing)
     assert blob is None and status == STATUS_MISS

@@ -242,7 +242,7 @@ def test_layers_group_self_time_by_module(profiled_steady):
     assert {"sim", "obs"} <= set(layers)
     for layer, row in layers.items():
         assert row["self_s"] == pytest.approx(expected[layer])
-    top = profiler.sites(top=5)
+    top = profiler.sites()[:5]
     assert len(top) == 5
     assert [s["self_s"] for s in top] == sorted(
         (s["self_s"] for s in top), reverse=True

@@ -26,19 +26,17 @@ from repro.sim.rng import RngRegistry
 # ----------------------------------------------------------------------
 
 
-def _chain(e: Engine, log: list, label: str, until: int) -> None:
-    def tick():
-        log.append((label, e.now, len(log)))
-        if len(log) < until:
-            e.call_after(0.25, tick)
-
-    e.call_after(0.25, tick)
+def _tick(e: Engine, log: list, label: str, until: int) -> None:
+    """A module-level callback, so a checkpoint pickles it by reference."""
+    log.append((label, e.now, len(log)))
+    if len(log) < until:
+        e.call_after(0.25, _tick, e, log, label, until)
 
 
 def test_engine_round_trip_continues_identically():
     e = Engine()
     log: list = []
-    _chain(e, log, "a", 40)
+    e.call_after(0.25, _tick, e, log, "a", 40)
     e.run(until=5.0)
     assert log, "warm segment should have fired events"
 
@@ -76,8 +74,9 @@ def test_generators_are_rejected_loudly():
         snapshot.capture({"live": gen})
 
 
-def test_non_importable_closure_round_trips():
-    """Defensive marshal fallback: a stray local closure still pickles."""
+def test_a_closure_fails_capture_with_snapshot_error():
+    """Functions pickle by reference only: a local closure in the graph
+    fails the capture, as a generator does."""
 
     def make_counter(start):
         count = [start]
@@ -88,10 +87,8 @@ def test_non_importable_closure_round_trips():
 
         return bump
 
-    bump = make_counter(10)
-    bump()
-    restored = snapshot.restore(snapshot.capture(bump))
-    assert restored() == bump()  # both advance from 11 -> 12
+    with pytest.raises(snapshot.SnapshotError, match="cannot capture"):
+        snapshot.capture({"callback": make_counter(10)})
 
 
 # ----------------------------------------------------------------------

@@ -178,6 +178,19 @@ def test_dashboard_command_exits_nonzero_on_empty_store(tmp_path):
     assert exc.value.code != 0
 
 
+def test_dashboard_command_into_a_directory_is_one_error_line(tmp_path):
+    """``--out`` naming a directory ends in one ``dashboard:`` line, not
+    an IsADirectoryError traceback."""
+    from repro.experiments.store import CellKey, DiskStore
+
+    store = tmp_path / "cache"
+    DiskStore(store).put(CellKey("TCP-PRESS", (), None, 1), {})
+    with pytest.raises(SystemExit) as exc:
+        main(["dashboard", str(store), "--out", str(tmp_path)])
+    assert str(exc.value.code).startswith("dashboard: ")
+    assert "\n" not in str(exc.value.code)
+
+
 def _write_traces(trace_dir):
     from repro.obs.bus import SimEvent
     from repro.obs.exporters import export_run
