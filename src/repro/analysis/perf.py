@@ -459,8 +459,8 @@ _COMPARED_TOTALS = (
     ("restore_s", "s"),
     ("serialize_s", "s"),
     ("snapshot_s", "s"),
-    ("events", " "),
-    ("calls", " "),
+    ("events", ""),
+    ("calls", ""),
 )
 
 
@@ -475,14 +475,17 @@ def _compared_totals(ledger: dict) -> Dict[str, float]:
 
 
 def _delta_line(label: str, a, b, unit: str = "s") -> str:
-    a, b = float(a or 0.0), float(b or 0.0)
+    """One A-vs-B row: seconds to four decimals, counts (``unit=""``)
+    as integers."""
     if a:
         rel = f"{100.0 * (b - a) / a:+7.1f}%"
     elif b > 0:
         rel = "   new"
     else:
         rel = "     ="
-    return f"  {label:28s} {a:12.4f}{unit} {b:12.4f}{unit} {rel}"
+    if unit:
+        return f"  {label:28s} {a:12.4f}{unit} {b:12.4f}{unit} {rel}"
+    return f"  {label:28s} {a:12d}  {b:12d}  {rel}"
 
 
 def perf_compare(dir_a, dir_b) -> Tuple[str, bool]:
@@ -525,16 +528,13 @@ def perf_compare(dir_a, dir_b) -> Tuple[str, bool]:
     if layers:
         lines.append("self-time by layer:")
     for layer in layers:
-        lines.append(
-            _delta_line(
-                f"layer.{layer}",
-                layers_a.get(layer, {}).get("self_s"),
-                layers_b.get(layer, {}).get("self_s"),
-            )
-        )
+        # A layer only one side ran costs that side 0 s.
+        a = layers_a[layer]["self_s"] if layer in layers_a else 0.0
+        b = layers_b[layer]["self_s"] if layer in layers_b else 0.0
+        lines.append(_delta_line(f"layer.{layer}", a, b))
     fabric_a = ledger_a["profile"]["fabric"]
     fabric_b = ledger_b["profile"]["fabric"]
     lines.append("fabric frames:")
     for key in ("fast_frames", "reference_frames"):
-        lines.append(_delta_line(key, fabric_a[key], fabric_b[key], " "))
+        lines.append(_delta_line(key, fabric_a[key], fabric_b[key], ""))
     return "\n".join(lines), True

@@ -23,7 +23,10 @@ This module
   cannot be spawned,
 * consults a :class:`~repro.experiments.store.ResultStore` before
   running anything, so a warm store replays a campaign with zero
-  simulation work, and
+  simulation work,
+* frees each cell's simulation at the cell boundary (see
+  :func:`_collected`), so a campaign holds one live cluster plus the
+  payloads it keeps, however many cells it runs, and
 * merges per-cell fitted profiles into :class:`ProfileSet`s exactly the
   way the serial code always has (throughputs averaged per fault,
   duration-weighted), so parallel and serial campaigns are
@@ -36,7 +39,7 @@ provenance; ``repro.analysis.report.campaign_timing_report`` renders it.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
+import gc
 import json
 import tempfile
 import time
@@ -48,6 +51,7 @@ from ..core.stages import SevenStageProfile, average_profiles
 from ..faults.spec import FaultKind
 from ..obs.metrics import MetricsRegistry
 from ..press.config import ALL_VERSIONS_EXTENDED
+from ..sim.rng import sha256
 from .repeaters import CONFIDENCE, Decision, ReplicationRule
 from .settings import CAMPAIGN_FAULTS, FAULT_MTTR, Phase1Settings
 from .store import CellKey, DiskStore, MemoryStore, ResultStore, SummaryKey
@@ -84,7 +88,7 @@ def cell_seed(
     trajectories judged under a different layout.
     """
     tag = f"{base_seed}|{version}|rep{rep}|warm={warm!r}|at={fault_at!r}"
-    digest = hashlib.sha256(tag.encode()).digest()
+    digest = sha256(tag.encode()).digest()
     return int.from_bytes(digest[:8], "little")
 
 
@@ -109,6 +113,23 @@ def _timeline_payload(
         "availability": round(availability, 6),
         "tn": round(tn, 3),
     }
+
+
+def _collected(fn: Callable[..., dict], *args) -> dict:
+    """``fn(*args)``, then free the garbage the call left behind.
+
+    A finished cell leaves its whole cluster behind as cyclic garbage
+    (engine <-> bus, NIC handlers <-> transports), which would otherwise
+    wait for CPython's gen-2 collector while the resident set grows
+    with the number of cells.  :meth:`CampaignRunner.run` freezes what
+    was alive before the campaign; re-freezing the survivors here (the
+    payloads and caches the campaign keeps) leaves the next collect only
+    the next cell's objects to scan.
+    """
+    payload = fn(*args)
+    gc.collect()
+    gc.freeze()
+    return payload
 
 
 def _warm_cell(
@@ -780,12 +801,13 @@ class CampaignRunner:
 
     def _map(self, fn: Callable[..., dict], calls: List[tuple]) -> List[dict]:
         """``[fn(*args) for args in calls]``, in order, through the pool
-        when there is more than one call and a pool can be had."""
+        when there is more than one call and a pool can be had.  Each
+        call's garbage is collected as it returns (:func:`_collected`)."""
         pool = self._pool() if len(calls) > 1 else None
         if pool is None:
-            return [fn(*args) for args in calls]
+            return [_collected(fn, *args) for args in calls]
         try:
-            futures = [pool.submit(fn, *args) for args in calls]
+            futures = [pool.submit(_collected, fn, *args) for args in calls]
             return [future.result() for future in futures]
         finally:
             pool.shutdown()
@@ -901,6 +923,9 @@ class CampaignRunner:
             s: [] for s in streams
         }
         payloads: Dict[_Cell, dict] = {}
+        # Everything alive before the campaign is not its garbage; pool
+        # workers fork after this and inherit the freeze.
+        gc.freeze()
         try:
             # Wave 0: the rule's minimum for every stream — in fixed
             # mode that is the whole grid, exactly the historical
@@ -929,6 +954,7 @@ class CampaignRunner:
                 ]
                 rep += 1
         finally:
+            gc.unfreeze()
             if self._spool is not None:
                 self._spool.cleanup()
                 self._spool = None

@@ -22,13 +22,14 @@ cell at once.  Two store flavors share one interface:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
+
+from ..sim.rng import sha256
 
 #: Bump when simulation/extraction changes invalidate previously cached
 #: cell results.  History:
@@ -108,7 +109,7 @@ def payload_fingerprint(payload: dict) -> str:
     canonical = json.dumps(
         deterministic, sort_keys=True, separators=(",", ":")
     )
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ class CellKey:
                 self.schema,
             )
         )
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return sha256(canonical.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ class SummaryKey:
                 self.schema,
             )
         )
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return sha256(canonical.encode()).hexdigest()
 
 
 class ResultStore:

@@ -41,7 +41,6 @@ fully cold runs (no checkpointing at all) is enforced by
 
 from __future__ import annotations
 
-import hashlib
 import os
 import sys
 import tempfile
@@ -51,6 +50,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from ..sim.ids import global_id_state, restore_global_id_state
+from ..sim.rng import sha256
 from .settings import Phase1Settings
 
 # repro.sim.snapshot (and with it pickle) is imported where a checkpoint
@@ -90,7 +90,7 @@ def warm_digest(version: str, settings: Phase1Settings, keep_events: bool) -> st
     carries more state than an untraced one).
     """
     canonical = repr((version, settings.sim_key(), bool(keep_events)))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 @dataclass(frozen=True)

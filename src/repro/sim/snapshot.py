@@ -66,7 +66,6 @@ three stages later as a diverged profile.
 from __future__ import annotations
 
 import copyreg
-import hashlib
 import io
 import json
 import pickle
@@ -75,6 +74,7 @@ import types
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
 from .engine import SimulationError
+from .rng import sha256
 
 #: Bump when the snapshot encoding (this module) or any snapshotted
 #: component changes its pickled layout in a way that invalidates
@@ -282,9 +282,9 @@ def state_digest(obj: Snapshottable) -> str:
     """
     state = obj.snapshot_state()
     payload = json.dumps(state, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return sha256(payload.encode()).hexdigest()[:16]
 
 
 def rng_digest(rng) -> str:
     """Short stable hash of a ``random.Random`` position."""
-    return hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()[:12]
+    return sha256(repr(rng.getstate()).encode()).hexdigest()[:12]

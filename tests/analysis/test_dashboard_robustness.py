@@ -228,6 +228,31 @@ def test_perf_compare_of_two_empty_dirs_is_not_comparable(tmp_path):
     assert "no profiler data" in text
 
 
+def test_perf_compare_prints_counts_as_integers(tmp_path):
+    """Count rows carry no decimals; a layer one side never ran is 0 s
+    on that side."""
+    profile_b = {
+        **V3_LEDGER["profile"],
+        "events": 1260204,
+        "layers": {"osim": {"calls": 3, "self_s": 0.5}},
+    }
+    for name, ledger in (
+        ("a", V3_LEDGER), ("b", {**V3_LEDGER, "profile": profile_b})
+    ):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / LEDGER_NAME).write_text(json.dumps(ledger), "utf-8")
+    text, comparable = perf_compare(tmp_path / "a", tmp_path / "b")
+    assert comparable
+    rows = {line.split()[0]: line.split()[1:] for line in text.splitlines()}
+    assert rows["events"] == ["10", "1260204", "+12601940.0%"]
+    assert rows["calls"] == ["10", "10", "+0.0%"]
+    assert rows["fast_frames"] == ["5", "5", "+0.0%"]
+    assert rows["reference_frames"] == ["1", "1", "+0.0%"]
+    assert rows["execute_s"] == ["1.5000s", "1.5000s", "+0.0%"]
+    assert rows["layer.net"] == ["1.0000s", "0.0000s", "-100.0%"]
+    assert rows["layer.osim"] == ["0.0000s", "0.5000s", "new"]
+
+
 @pytest.mark.parametrize("view", ["perf-report", "dashboard", "perf-compare"])
 @pytest.mark.parametrize("ledger", sorted(FOREIGN_LEDGERS))
 def test_ledger_rejected_in_one_line(view, ledger, tmp_path, capsys):

@@ -7,15 +7,18 @@ simulation runs.
 """
 
 import dataclasses
+import gc
 import json
 
 import pytest
 
+from repro.experiments import runner as runner_mod
 from repro.experiments.runner import CampaignRunner, run_campaign
 from repro.experiments.settings import Phase1Settings
 from repro.experiments.store import DiskStore, MemoryStore
 from repro.faults.spec import FaultKind
 from repro.press.cluster import SMOKE_SCALE
+from repro.sim.engine import Engine
 
 #: Small grid: 1 version x 2 faults x 2 reps (+2 baselines) = 6 cells.
 SETTINGS = Phase1Settings(
@@ -174,6 +177,56 @@ class TestReport:
         text = campaign_timing_report(report)
         assert "cells" in text and "wall-clock" in text
         assert "TCP-PRESS" in text
+
+
+class TestCellBoundary:
+    """Each cell's simulation is freed as the cell returns its payload."""
+
+    def test_a_serial_campaign_leaves_no_engine_behind(self):
+        gc.collect()
+        alive = {id(o) for o in gc.get_objects() if isinstance(o, Engine)}
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            _run(jobs=1, faults=FAULTS[:1], use_cache=False)
+            left = [
+                o
+                for o in gc.get_objects()
+                if isinstance(o, Engine) and id(o) not in alive
+            ]
+        finally:
+            if enabled:
+                gc.enable()
+        assert left == []
+
+    def _spy(self, monkeypatch, cell):
+        """Plant ``cell`` as the worker; returns the freeze counts it saw."""
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(gc.get_freeze_count())
+            return cell(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "_run_cell", spy)
+        return seen
+
+    def test_the_freeze_is_undone_when_the_campaign_returns(self, monkeypatch):
+        seen = self._spy(monkeypatch, runner_mod._run_cell)
+        before = gc.get_freeze_count()
+        _run(jobs=1, faults=FAULTS[:1], use_cache=False)
+        assert seen and min(seen) > 0
+        assert gc.get_freeze_count() == before
+
+    def test_the_freeze_is_undone_when_a_cell_raises(self, monkeypatch):
+        def planted(*args, **kwargs):
+            raise RuntimeError("planted cell failure")
+
+        seen = self._spy(monkeypatch, planted)
+        before = gc.get_freeze_count()
+        with pytest.raises(RuntimeError, match="planted"):
+            _run(jobs=1, faults=FAULTS[:1], use_cache=False)
+        assert seen and min(seen) > 0
+        assert gc.get_freeze_count() == before
 
 
 class TestCampaignFacade:

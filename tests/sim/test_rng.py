@@ -1,6 +1,10 @@
 """Tests for deterministic named RNG streams."""
 
-from repro.sim.rng import RngRegistry, derive_seed
+import hashlib
+
+import pytest
+
+from repro.sim.rng import RngRegistry, derive_seed, sha256
 
 
 def test_same_name_same_stream_object():
@@ -31,6 +35,14 @@ def test_derive_seed_stable():
     assert derive_seed(7, "foo") == derive_seed(7, "foo")
     assert derive_seed(7, "foo") != derive_seed(7, "bar")
     assert derive_seed(7, "foo") != derive_seed(8, "foo")
+
+
+@pytest.mark.parametrize(
+    "data", [b"", b"abc", b"7:clients", bytes(range(256)) * 9]
+)
+def test_builtin_sha256_matches_hashlib(data):
+    assert sha256(data).digest() == hashlib.sha256(data).digest()
+    assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 def test_fork_is_reproducible_and_independent():

@@ -5,9 +5,10 @@ importing it would cost every CLI call, test process and ``--jobs``
 worker its start-up time and resident memory, and start a BLAS thread
 before each fork.  The same holds, on a smaller scale, for the exhibits,
 the analysis package, ``statistics`` (which pulls in ``decimal`` and
-``fractions``) and the snapshot pickler: a fault-free cell uses none of
-them, and the package ``__init__`` modules export their names lazily
-(``repro._lazy``) so it loads none of them.  These guards run real
+``fractions``), ``hashlib`` (which loads OpenSSL) and the snapshot
+pickler: a fault-free cell uses none of them, and the package
+``__init__`` modules export their names lazily (``repro._lazy``) so it
+loads none of them.  These guards run real
 clusters in a fresh interpreter, so a later eager import anywhere on the
 simulation path shows up.
 """
@@ -86,8 +87,11 @@ assert tn > 0.0, tn
 print(sorted(m for m in sys.modules if m in set(sys.argv[1:])))
 """
 
-#: Modules a fault-free cell never runs.
+#: Modules a fault-free cell never runs.  ``hashlib`` loads OpenSSL;
+#: the simulator hashes with the builtin SHA-256 (``repro.sim.rng``).
 _UNUSED_BY_A_STEADY_CELL = (
+    "hashlib",
+    "_hashlib",
     "pickle",
     "statistics",
     "decimal",
