@@ -168,43 +168,33 @@ def cmd_store_diff(args) -> None:
     covers version/fault/seed/schema and the settings, so a store mixing
     campaigns at two scales keeps both) and compared by
     :func:`~repro.experiments.store.payload_fingerprint`, which ignores
-    the volatile keys (wall-clock, warm-start provenance).  A store
-    whose cells predate the current schema is called out as
-    *invalidated* — the next campaign re-runs them, it does not re-read
-    them.  Exits non-zero on any missing or differing cell — this is
-    what CI's warm-vs-cold double run drives.
+    the volatile keys (wall-clock, warm-start provenance).  Only current
+    cells are compared: cells of another schema, or malformed ones, are
+    counted in one line per store and not read.  Exits non-zero on any
+    missing or differing cell — this is what CI's warm-vs-cold double
+    run drives.
     """
     from pathlib import Path
 
-    from .experiments.store import (
-        SCHEMA_VERSION,
-        DiskStore,
-        payload_fingerprint,
-    )
+    from .experiments.store import DiskStore, payload_fingerprint
 
     def fingerprints(root: str) -> dict:
         if not Path(root).is_dir():
             sys.exit(f"store-diff: {root} is not a directory")
-        out = {}
-        for digest, key, payload in DiskStore(root).iter_cell_files():
-            out[digest] = (key, payload_fingerprint(payload))
-        schemas = [key.get("schema") or 0 for key, _ in out.values()]
-        stale = sorted({s for s in schemas if s < SCHEMA_VERSION})
-        if stale:
-            n = sum(1 for s in schemas if s < SCHEMA_VERSION)
-            olds = ", ".join(f"v{s}" for s in stale)
-            print(
-                f"store-diff: {root}: {n} cell(s) under stale schema "
-                f"{olds} — invalidated by current schema "
-                f"v{SCHEMA_VERSION}; campaigns re-run these cells "
-                "rather than re-reading them"
-            )
+        store = DiskStore(root)
+        out = {
+            digest: (key, payload_fingerprint(payload))
+            for digest, key, payload in store.iter_cell_files()
+        }
+        unread = store.unread_line()
+        if unread:
+            print(f"store-diff: {root}: {unread}")
         return out
 
     def label(key: dict) -> str:
         return (
-            f"{key.get('version')} {key.get('fault') or 'baseline'} "
-            f"seed={key.get('seed')} schema={key.get('schema')}"
+            f"{key['version']} {key['fault'] or 'baseline'} "
+            f"seed={key['seed']} schema={key['schema']}"
         )
 
     a = fingerprints(args.store_a)
@@ -248,9 +238,11 @@ def cmd_dashboard(args) -> None:
     from .analysis.dashboard import dashboard_from_store
 
     try:
-        out = dashboard_from_store(args.store, args.out)
+        out, unread = dashboard_from_store(args.store, args.out)
     except (OSError, ValueError) as exc:
         sys.exit(f"dashboard: {exc}")
+    if unread:
+        print(f"dashboard: {args.store}: {unread}")
     print(f"dashboard: {out}")
 
 

@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.metric import performability_of
+from ..experiments.store import SCHEMA_VERSION
 from .charts import STAGE_COLORS, svg_timeline
 from .report import phase2_evaluation, pool_attribution, pool_latency
 
@@ -58,37 +59,23 @@ figcaption { font-size: 90%; color: #444; margin-bottom: 0.2em; }
 
 
 class _Cell:
-    """One deduplicated store cell (newest schema generation wins)."""
+    """One store cell, as :meth:`DiskStore.iter_cells` yields it."""
 
     def __init__(self, key: dict, payload: dict):
-        self.version = str(key.get("version"))
-        self.fault: Optional[str] = key.get("fault")
-        self.seed = key.get("seed")
-        self.schema = int(key.get("schema", 0))
-        #: replication index (schema v5 key records; None on older rows)
-        self.rep: Optional[int] = key.get("rep")
+        self.version: str = key["version"]
+        self.fault: Optional[str] = key["fault"]
+        self.seed: int = key["seed"]
+        self.rep: int = key["rep"]
         self.payload = payload
-
-    @property
-    def observatory(self) -> dict:
-        return self.payload.get("observatory") or {}
-
-    @property
-    def timeline(self) -> dict:
-        return self.payload.get("timeline") or {}
-
-    @property
-    def divergence(self) -> dict:
-        return self.payload.get("divergence") or {}
+        self.observatory: dict = payload["observatory"]
+        self.timeline: dict = payload["timeline"]
 
 
-def _collect(cells: Iterable[Tuple[dict, dict]]) -> Tuple[List[_Cell], int]:
-    """Deduplicate raw store rows; returns (cells, stale_skipped).
+def _collect(cells: Iterable[Tuple[dict, dict]]) -> List[_Cell]:
+    """The store's current cells, in (version, fault, seed) order.
 
-    Each (version, fault, seed) identity keeps its newest-schema cell,
-    and identities absent from the newest generation count as stale.
-    Two newest-generation cells with one identity can only come from
-    campaigns under different settings (the seed ignores scale and
+    Two cells with one (version, fault, seed) identity can only come
+    from campaigns under different settings (the seed ignores scale and
     utilization), so that raises :class:`ValueError` instead of mixing
     two experiments.
     """
@@ -98,24 +85,17 @@ def _collect(cells: Iterable[Tuple[dict, dict]]) -> Tuple[List[_Cell], int]:
         by_ident.setdefault((cell.version, cell.fault, cell.seed), []).append(
             cell
         )
-    newest = max(
-        (c.schema for group in by_ident.values() for c in group), default=0
-    )
-    kept: List[_Cell] = []
-    colliding = 0
-    for group in by_ident.values():
-        current = [c for c in group if c.schema == newest]
-        if len(current) > 1:
-            colliding += len(current)
-        kept += current[:1]
+    colliding = sum(len(g) for g in by_ident.values() if len(g) > 1)
     if colliding:
         raise ValueError(
-            f"{colliding} cell(s) of schema v{newest} share a (version, "
-            "fault, seed) identity: the store mixes campaigns run under "
-            "different settings (e.g. --scale); give each its own cache dir"
+            f"{colliding} cell(s) of schema v{SCHEMA_VERSION} share a "
+            "(version, fault, seed) identity: the store mixes campaigns run "
+            "under different settings (e.g. --scale); give each its own "
+            "cache dir"
         )
+    kept = [group[0] for group in by_ident.values()]
     kept.sort(key=lambda c: (c.version, c.fault or "", str(c.seed)))
-    return kept, len(by_ident) - len(kept)
+    return kept
 
 
 def _fmt(x, digits: int = 3) -> str:
@@ -180,35 +160,25 @@ def _replication_section(summaries: Iterable[Tuple[dict, dict]]) -> List[str]:
     rows: List[str] = []
     totals: Dict[tuple, List[int]] = {}
     ordered = sorted(
-        summaries,
-        key=lambda kp: (
-            str(kp[0].get("version")),
-            str(kp[0].get("fault") or ""),
-        ),
+        summaries, key=lambda kp: (kp[0]["version"], kp[0]["fault"] or "")
     )
     for key, payload in ordered:
-        policy = tuple(key.get("policy") or ())
-        rule = str(policy[0]) if policy else "?"
-        max_reps = int(policy[2]) if len(policy) > 2 else 0
-        reps = int(payload.get("reps", 0))
+        policy = tuple(key["policy"])
+        reps = payload["reps"]
         t = totals.setdefault(policy, [0, 0])
         t[0] += reps
-        t[1] += max_reps
+        t[1] += policy[2]
         rows.append(
-            f"<tr><td class='label'>{escape(str(key.get('version')))}</td>"
-            f"<td class='label'>{escape(key.get('fault') or 'baseline')}</td>"
-            f"<td class='label'>{escape(rule)}</td>"
+            f"<tr><td class='label'>{escape(key['version'])}</td>"
+            f"<td class='label'>{escape(key['fault'] or 'baseline')}</td>"
+            f"<td class='label'>{escape(policy[0])}</td>"
             f"<td>{reps}</td>"
-            f"<td class='label'>{escape(str(payload.get('reason', '')))}</td>"
-            f"<td>{_fmt(payload.get('mean'), 4)}</td>"
-            f"<td>{_fmt(payload.get('ci_half_width'), 4)}</td></tr>"
+            f"<td class='label'>{escape(payload['reason'])}</td>"
+            f"<td>{_fmt(payload['mean'], 4)}</td>"
+            f"<td>{_fmt(payload['ci_half_width'], 4)}</td></tr>"
         )
     if not rows:
-        return [
-            "<p class='cellnote'>no repetition summaries stored (pre-v5 "
-            "store, or the campaign has not been re-run since the "
-            "adaptive-replication bump)</p>"
-        ]
+        return ["<p class='cellnote'>no repetition summaries stored</p>"]
     out = [
         "<p>how many replications each (version, fault) stream spent, "
         "and why it stopped.</p>",
@@ -223,10 +193,9 @@ def _replication_section(summaries: Iterable[Tuple[dict, dict]]) -> List[str]:
         if not ceiling:
             continue
         saved = 100.0 * (1.0 - spent / ceiling)
-        max_reps = int(policy[2]) if len(policy) > 2 else 0
         out.append(
-            f"<p>policy <b>{escape(str(policy[0]) if policy else '?')}</b>: "
-            f"{spent} reps spent vs {ceiling} at fixed-{max_reps} "
+            f"<p>policy <b>{escape(policy[0])}</b>: "
+            f"{spent} reps spent vs {ceiling} at fixed-{policy[2]} "
             f"({saved:.0f}% saved)</p>"
         )
     return out
@@ -255,21 +224,11 @@ def _fault_matrix_section(cells: List[_Cell]) -> List[str]:
             if not group:
                 row.append("<td>—</td>")
                 continue
-            avails = [
-                c.timeline.get("availability")
-                for c in group
-                if c.timeline.get("availability") is not None
-            ]
-            finals = {
-                (c.observatory.get("stages") or {}).get("final_stage", "?")
-                for c in group
-            }
-            avail = (
-                f"{sum(avails) / len(avails):.4f}" if avails else "n/a"
+            avail = sum(c.timeline["availability"] for c in group)
+            finals = "/".join(
+                sorted({c.observatory["stages"]["final_stage"] for c in group})
             )
-            row.append(
-                f"<td>{avail} ({escape('/'.join(sorted(finals)))})</td>"
-            )
+            row.append(f"<td>{avail / len(group):.4f} ({escape(finals)})</td>")
         row.append("</tr>")
         out.append("".join(row))
     out.append("</table>")
@@ -290,53 +249,48 @@ def _timeline_section(cells: List[_Cell]) -> List[str]:
     seen: set = set()
     for c in cells:
         ident = (c.version, c.fault)
-        if ident in seen or not c.timeline.get("series"):
+        if ident in seen or not c.timeline["series"]:
             continue
         seen.add(ident)
-        stages = (c.observatory.get("stages") or {}).get("intervals") or []
-        boundaries = (c.divergence.get("boundaries") or {})
-        markers = {
-            label[:3]: entry.get("online")
-            for label, entry in boundaries.items()
-            if entry.get("online") is not None
+        markers = {} if c.fault is None else {
+            label[:3]: entry["online"]
+            for label, entry in c.payload["divergence"]["boundaries"].items()
+            if entry["online"] is not None
         }
         label = f"{c.version} / {c.fault or 'baseline'}"
         svg = svg_timeline(
             c.timeline["series"],
-            tn=float(c.timeline.get("tn") or 0.0),
-            stages=stages,
+            tn=c.timeline["tn"],
+            stages=c.observatory["stages"]["intervals"],
             markers=markers,
-            bucket_width=float(c.timeline.get("bucket_width") or 1.0),
+            bucket_width=c.timeline["bucket_width"],
         )
         out.append(
             f"<figure><figcaption>{escape(label)} — availability "
-            f"{_fmt(c.timeline.get('availability'), 4)}</figcaption>"
+            f"{_fmt(c.timeline['availability'], 4)}</figcaption>"
             f"{svg}</figure>"
         )
     if len(out) == 1:
-        out.append(
-            "<p class='cellnote'>no timelines stored (cells predate "
-            "schema v3; re-run the campaign to collect them)</p>"
-        )
+        out.append("<p class='cellnote'>no timelines stored</p>")
     return out
 
 
 def _divergence_section(cells: List[_Cell]) -> List[str]:
     rows = []
     for c in cells:
-        div = c.divergence
-        if not div:
+        if c.fault is None:
             continue
-        missing = div.get("online_missing") or []
-        extra = div.get("online_extra") or []
+        div = c.payload["divergence"]
         rows.append(
             f"<tr><td class='label'>{escape(c.version)}</td>"
-            f"<td class='label'>{escape(c.fault or '')}</td>"
-            f"<td>{_fmt(div.get('max_boundary_error'), 2)}</td>"
-            f"<td>{_fmt(div.get('misclassified_s'), 1)}</td>"
-            f"<td>{_fmt(100 * (div.get('misclassified_frac') or 0.0), 1)}</td>"
-            f"<td class='label'>{escape(', '.join(missing)) or '—'}</td>"
-            f"<td class='label'>{escape(', '.join(extra)) or '—'}</td></tr>"
+            f"<td class='label'>{escape(c.fault)}</td>"
+            f"<td>{_fmt(div['max_boundary_error'], 2)}</td>"
+            f"<td>{_fmt(div['misclassified_s'], 1)}</td>"
+            f"<td>{_fmt(100 * div['misclassified_frac'], 1)}</td>"
+            "<td class='label'>"
+            f"{escape(', '.join(div['online_missing'])) or '—'}</td>"
+            "<td class='label'>"
+            f"{escape(', '.join(div['online_extra'])) or '—'}</td></tr>"
         )
     if not rows:
         return ["<p class='cellnote'>no divergence reports stored</p>"]
@@ -356,35 +310,30 @@ def _divergence_section(cells: List[_Cell]) -> List[str]:
 
 
 def _health_section(cells: List[_Cell]) -> List[str]:
-    slo = None
     rows = []
     for c in cells:
-        health = c.observatory.get("health")
-        if not health:
-            continue
-        slo = slo or health.get("slo")
-        open_flag = any(e.get("open") for e in health.get("episodes", []))
+        health = c.observatory["health"]
+        open_flag = any(e["open"] for e in health["episodes"])
         rows.append(
             f"<tr><td class='label'>{escape(c.version)}</td>"
             f"<td class='label'>{escape(c.fault or 'baseline')}</td>"
-            f"<td>{health.get('violations', 0)}</td>"
-            f"<td>{_fmt(health.get('time_in_violation'), 1)}</td>"
-            f"<td>{_fmt(health.get('min_throughput'), 1)}</td>"
-            f"<td>{_fmt(health.get('min_availability'), 3)}</td>"
+            f"<td>{health['violations']}</td>"
+            f"<td>{_fmt(health['time_in_violation'], 1)}</td>"
+            f"<td>{_fmt(health['min_throughput'], 1)}</td>"
+            f"<td>{_fmt(health['min_availability'], 3)}</td>"
             f"<td class='label'>{'yes' if open_flag else ''}</td></tr>"
         )
     if not rows:
         return ["<p class='cellnote'>no health telemetry stored</p>"]
-    out = []
-    if slo:
-        out.append(
-            "<p>SLO: throughput ≥ "
-            f"{_fmt(100 * slo.get('throughput_floor', 0), 0)}% of "
-            "calibrated Tn, availability ≥ "
-            f"{_fmt(100 * slo.get('availability_floor', 0), 0)}%, over a "
-            f"{_fmt(slo.get('window'), 0)}s rolling window "
-            f"({_fmt(slo.get('calibration'), 0)}s calibration).</p>"
-        )
+    slo = cells[0].observatory["health"]["slo"]
+    out = [
+        "<p>SLO: throughput ≥ "
+        f"{_fmt(100 * slo['throughput_floor'], 0)}% of "
+        "calibrated Tn, availability ≥ "
+        f"{_fmt(100 * slo['availability_floor'], 0)}%, over a "
+        f"{_fmt(slo['window'], 0)}s rolling window "
+        f"({_fmt(slo['calibration'], 0)}s calibration).</p>",
+    ]
     out += [
         "<table><tr><th class='label'>version</th>"
         "<th class='label'>fault</th><th>violations</th>"
@@ -399,10 +348,7 @@ def _health_section(cells: List[_Cell]) -> List[str]:
 def _latency_section(cells: List[_Cell]) -> List[str]:
     pooled = pool_latency(cells)
     if not pooled:
-        return [
-            "<p class='cellnote'>no latency sketches stored (cells "
-            "predate schema v6; re-run the campaign to collect them)</p>"
-        ]
+        return ["<p class='cellnote'>no served requests stored</p>"]
     out = [
         "<p>streaming P² quantile estimates of served-request latency "
         "(sim-seconds), averaged over replications.  Lost requests "
@@ -430,10 +376,7 @@ def _latency_section(cells: List[_Cell]) -> List[str]:
 def _attribution_section(cells: List[_Cell]) -> List[str]:
     per_version = pool_attribution(cells)
     if not per_version:
-        return [
-            "<p class='cellnote'>no attribution summaries stored (cells "
-            "predate schema v6; re-run the campaign to collect them)</p>"
-        ]
+        return ["<p class='cellnote'>no attributed requests stored</p>"]
     out = [
         "<p>every lost request (reject or timeout) and every served "
         "request slower than the SLO, charged to the mechanism that "
@@ -548,19 +491,21 @@ def render_dashboard(
     summaries: Iterable[Tuple[dict, dict]] = (),
     ledger: Optional[dict] = None,
     ledger_problem: str = "",
+    unread: str = "",
 ) -> str:
-    """Render the raw ``(key, payload)`` rows into one HTML document.
+    """Render the ``(key, payload)`` rows of ``DiskStore.iter_cells``
+    into one HTML document.
 
     ``ledger`` is a campaign perf ledger as :func:`~.perf.load_ledger`
-    returns it; without one, ``ledger_problem`` says why.
+    returns it; without one, ``ledger_problem`` says why.  ``unread`` is
+    the store's one line on the records it did not read.
     """
-    kept, stale = _collect(cells)
+    kept = _collect(cells)
     versions = sorted({c.version for c in kept})
     faults = sorted({c.fault for c in kept if c.fault is not None})
     baselines = sum(1 for c in kept if c.fault is None)
     sub_errors = sum(
-        (c.payload.get("telemetry") or {}).get("subscriber_errors", 0)
-        for c in kept
+        c.payload["telemetry"]["subscriber_errors"] for c in kept
     )
     body: List[str] = [
         f"<h1>{escape(title)}</h1>",
@@ -575,11 +520,8 @@ def render_dashboard(
         f"<td class='label'>{escape(', '.join(faults)) or '—'}</td></tr>"
         "</table>",
     ]
-    if stale:
-        body.append(
-            f"<p class='warn'>{stale} cell(s) from older store schema "
-            "generations were ignored.</p>"
-        )
+    if unread:
+        body.append(f"<p class='warn'>{escape(unread)}</p>")
     if sub_errors:
         body.append(
             f"<p class='warn'>warning: {sub_errors} bus subscriber "
@@ -608,12 +550,13 @@ def render_dashboard(
     )
 
 
-def dashboard_from_store(cache_dir, out_path=None) -> Path:
+def dashboard_from_store(cache_dir, out_path=None) -> Tuple[Path, str]:
     """Render ``cache_dir`` (a campaign DiskStore) to one HTML file.
 
     Returns the path written (default: ``dashboard.html`` inside the
-    store directory).  Raises :class:`ValueError` when the directory
-    holds no readable cells.
+    store directory) and the store's one line on the records it did not
+    read ("" when it read them all).  Raises :class:`ValueError` when
+    the directory holds no current cells.
     """
     from ..experiments.store import DiskStore
     from .perf import LedgerError, load_ledger
@@ -623,8 +566,13 @@ def dashboard_from_store(cache_dir, out_path=None) -> Path:
         raise ValueError(f"{cache_dir}: not a directory")
     store = DiskStore(cache_dir)
     rows = list(store.iter_cells())
+    summaries = list(store.iter_summaries())
+    unread = store.unread_line()
     if not rows:
-        raise ValueError(f"{cache_dir}: no campaign cells found")
+        raise ValueError(
+            f"{cache_dir}: no campaign cells found"
+            + (f" ({unread})" if unread else "")
+        )
     try:
         ledger, problem = load_ledger(cache_dir), ""
     except LedgerError as exc:
@@ -632,11 +580,12 @@ def dashboard_from_store(cache_dir, out_path=None) -> Path:
     html_text = render_dashboard(
         rows,
         source=str(cache_dir),
-        summaries=list(store.iter_summaries()),
+        summaries=summaries,
         ledger=ledger,
         ledger_problem=problem,
+        unread=unread,
     )
     out = Path(out_path) if out_path else cache_dir / "dashboard.html"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(html_text, encoding="utf-8")
-    return out
+    return out, unread

@@ -29,6 +29,8 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..experiments.store import NUM, shape_problem
+
 #: File name of the consolidated ledger inside a campaign cache dir.
 LEDGER_NAME = "BENCH_campaign.json"
 
@@ -57,34 +59,31 @@ _ENGINE_KEYS = (
 _TIMES = ("execute_s", "restore_s", "serialize_s", "snapshot_s")
 
 #: The ledger as :func:`campaign_ledger` writes it, down to every key a
-#: view reads.  A dict is a JSON object with those keys (``{str: X}``:
-#: any keys, every value shaped X), ``[X]`` a list of X, and a leaf is
-#: ``str``, ``int`` (a count, never negative) or ``_NUM``.
-_NUM = (int, float)
+#: view reads, in the notation of the one shape walker, which the result
+#: store shares (:func:`repro.experiments.store.shape_problem`).
 _LEDGER_SHAPE = {
     "jobs": int,
-    "wall_clock_s": _NUM,
+    "wall_clock_s": NUM,
     "cells": dict.fromkeys(("total", "executed", "cached", "profiled"), int),
     "timing": dict.fromkeys(
-        ("execute_s", "restore_s", "speedup", "parallelism"), _NUM
+        ("execute_s", "restore_s", "speedup", "parallelism"), NUM
     ),
     "warm_start": {str: int},
     "replication": {
         "policy": str, "reps_spent": int, "reps_ceiling": int,
-        "saved_fraction": _NUM,
+        "saved_fraction": NUM,
     },
     "profile": {
-        "events": int, "calls": int, "self_s": _NUM, "window_s": _NUM,
-        "layers": {str: {"calls": int, "self_s": _NUM}},
-        "sites": [{"site": str, "layer": str, "calls": int, "self_s": _NUM}],
+        "events": int, "calls": int, "self_s": NUM, "window_s": NUM,
+        "layers": {str: {"calls": int, "self_s": NUM}},
+        "sites": [{"site": str, "layer": str, "calls": int, "self_s": NUM}],
         "fabric": dict.fromkeys(("fast_frames", "reference_frames"), int),
         "engine": dict.fromkeys(_ENGINE_KEYS, int),
     },
     "cell_rows": [
-        {"cell": str, **dict.fromkeys(_TIMES, _NUM), "events": int}
+        {"cell": str, **dict.fromkeys(_TIMES, NUM), "events": int}
     ],
 }
-_LEAF_NAMES = {str: "string", int: "count", _NUM: "number"}
 
 
 class LedgerError(ValueError):
@@ -234,39 +233,6 @@ def campaign_ledger(report, settings=None) -> dict:
     return ledger
 
 
-def _shape_problem(value, shape, path: str) -> Optional[str]:
-    """Where ``value`` departs from ``shape`` (see :data:`_LEDGER_SHAPE`),
-    or None when it has that shape."""
-    if isinstance(shape, dict):
-        if not isinstance(value, dict):
-            return f"{path!r} is missing or not a dict"
-        if str in shape:
-            fields = [(key, sub, shape[str]) for key, sub in value.items()]
-        else:
-            fields = [(key, value.get(key), sub) for key, sub in shape.items()]
-        fields = [
-            (f"{path}.{key}" if path else key, sub, sub_shape)
-            for key, sub, sub_shape in fields
-        ]
-    elif isinstance(shape, list):
-        if not isinstance(value, list):
-            return f"{path!r} is missing or not a list"
-        fields = [
-            (f"{path}[{i}]", sub, shape[0]) for i, sub in enumerate(value)
-        ]
-    else:
-        if isinstance(value, shape) and not isinstance(value, bool) and (
-            shape is not int or value >= 0
-        ):
-            return None
-        return f"{path!r} is missing or not a {_LEAF_NAMES[shape]}"
-    for sub_path, sub, sub_shape in fields:
-        problem = _shape_problem(sub, sub_shape, sub_path)
-        if problem:
-            return problem
-    return None
-
-
 def _ledger_problem(data) -> Optional[str]:
     """Why ``data`` is not a ledger :func:`campaign_ledger` writes, or
     None when it is one."""
@@ -278,7 +244,7 @@ def _ledger_problem(data) -> Optional[str]:
             f"ledger_version {version!r}, and this version reads only "
             f"{LEDGER_VERSION}"
         )
-    return _shape_problem(data, _LEDGER_SHAPE, "")
+    return shape_problem(data, _LEDGER_SHAPE)
 
 
 def load_ledger(cache_dir) -> Optional[dict]:

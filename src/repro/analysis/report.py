@@ -266,17 +266,11 @@ def trace_summary_report(report) -> str:
     for notice in report.notices:
         lines.append(f"note: {notice}")
     totals = report.event_totals()
-    instrumented = sum(1 for c in report.cells if c.telemetry)
     if not totals:
-        if instrumented == 0 and report.cells:
-            lines.append(
-                "no run telemetry recorded (cells served from a"
-                " pre-telemetry cache; re-run with --clear-cache to collect)"
-            )
         return "\n".join(lines)
     lines.append(
         f"run telemetry: {sum(totals.values())} events across"
-        f" {instrumented} cell(s)"
+        f" {len(report.cells)} cell(s)"
     )
     shown = dict(
         sorted(totals.items(), key=lambda kv: -kv[1])
@@ -300,28 +294,26 @@ def pool_latency(cells) -> Dict[tuple, dict]:
     stage), every list in replication order.
     """
     groups: Dict[tuple, list] = {}
-    for c in sorted(cells, key=lambda c: (c.rep is None, c.rep or 0)):
-        if c.observatory:
-            groups.setdefault((c.version, c.fault or "baseline"), []).append(
-                c.observatory.get("latency") or {}
-            )
+    for c in sorted(cells, key=lambda c: c.rep):
+        groups.setdefault((c.version, c.fault or "baseline"), []).append(
+            c.observatory["latency"]
+        )
     out: Dict[tuple, dict] = {}
     for stream, latencies in sorted(groups.items()):
         overall = [
-            o for o in (lat.get("overall") for lat in latencies)
-            if o and o.get("count")
+            lat["overall"] for lat in latencies if lat["overall"]["count"]
         ]
         if not overall:
             continue
         stage_p95: Dict[str, list] = {}
         for lat in latencies:
-            for stage, sketch in lat.get("by_stage", {}).items():
-                if sketch.get("p95") is not None:
+            for stage, sketch in lat["by_stage"].items():
+                if sketch["p95"] is not None:
                     stage_p95.setdefault(stage, []).append(sketch["p95"])
         out[stream] = {
             "n": sum(o["count"] for o in overall),
             "quantiles": {
-                q: [o[q] for o in overall if o.get(q) is not None]
+                q: [o[q] for o in overall if o[q] is not None]
                 for q in _QUANTILE_COLUMNS
             },
             "stage_p95": stage_p95,
@@ -341,8 +333,8 @@ def pool_attribution(cells) -> Dict[str, dict]:
 
     out: Dict[str, dict] = {}
     for c in cells:
-        att = (c.observatory or {}).get("attribution")
-        if not att or not att.get("requests"):
+        att = c.observatory["attribution"]
+        if not att["requests"]:
             continue
         agg = out.setdefault(
             c.version,
@@ -369,9 +361,8 @@ def latency_band_report(report, confidence: float = 0.95) -> str:
     One row per campaign stream: the P² quantile estimates of served
     (``ok``) request latency, averaged across replications, with
     Student-t CI half widths once at least two replications back a
-    stream.  Latencies are sim-seconds.  Cells served from a
-    pre-observatory cache contribute nothing; the section disappears
-    entirely when no cell carries latency sketches.
+    stream.  Latencies are sim-seconds.  The section disappears when no
+    stream served a request.
     """
     from ..experiments.repeaters import ci_half_width
 
@@ -424,7 +415,7 @@ def attribution_report(report) -> str:
     summary over the campaign: how many requests each mechanism lost
     (rejects + timeouts) or slowed past the SLO, and the per-mechanism
     slice of unavailability (``cost`` = lost / all requests).  Empty when
-    no cell carries an attribution summary (pre-observatory cache).
+    no cell attributed a request.
     """
     per_version = pool_attribution(report.cells)
     if not per_version:

@@ -162,18 +162,18 @@ def _profiled_cell(worker: Callable[..., dict], *args) -> dict:
     ser0 = time.perf_counter()
     json.dumps(payload)
     serialize_s = time.perf_counter() - ser0
-    warm = payload.get("warm_start") or {}
-    elapsed = float(payload.get("elapsed", 0.0))
-    restore_s = float(payload.get("restore_elapsed", 0.0))
+    warm = payload["warm_start"]
+    elapsed = payload["elapsed"]
+    restore_s = payload["restore_elapsed"]
     payload["perf"] = {
         "restore_s": restore_s,
         "execute_s": elapsed - restore_s,
         "serialize_s": serialize_s,
         # Warm-segment simulate+capture cost, paid by the group's first
         # cell on a checkpoint miss (0.0 on hits and cold cells).
-        "snapshot_s": float(warm.get("capture_s") or 0.0),
+        "snapshot_s": warm.get("capture_s", 0.0),
         "elapsed_s": elapsed,
-        "warm_status": warm.get("status"),
+        "warm_status": warm["status"],
         "profile": profiler.digest(),
     }
     return payload
@@ -310,15 +310,13 @@ class CellRecord:
     seed: int
     elapsed: float  # simulation wall-clock (0.0 for cache hits)
     cached: bool
+    #: per-cell run telemetry (event counts + metrics snapshot)
+    telemetry: dict
+    #: per-cell observatory summary (stages/health/latency/attribution)
+    observatory: dict
     #: wall-clock spent restoring the warm checkpoint (contained in
-    #: ``elapsed``; 0.0 for cache hits and payloads that predate it)
+    #: ``elapsed``; 0.0 for cache hits)
     restore_s: float = 0.0
-    #: per-cell run telemetry (event counts + metrics snapshot); None
-    #: for cells loaded from a pre-telemetry (schema v1) payload
-    telemetry: Optional[dict] = None
-    #: per-cell observatory summary (stages/health/latency/attribution);
-    #: None for cells loaded from a pre-observatory payload
-    observatory: Optional[dict] = None
     #: warm-start provenance ("hit"/"miss"/"invalidated"/"cold"); None
     #: for result-store hits (those cells never touched a checkpoint)
     warm: Optional[str] = None
@@ -473,15 +471,13 @@ class CampaignReport:
         """Campaign-wide event counts summed over cell telemetry."""
         out: Dict[str, int] = {}
         for c in self.cells:
-            if not c.telemetry:
-                continue
-            for name, n in c.telemetry.get("events", {}).items():
+            for name, n in c.telemetry["events"].items():
                 out[name] = out.get(name, 0) + n
         return out
 
 
 def merge_profiles(
-    rows: Iterable[Tuple[str, Optional[str], Optional[int], dict]],
+    rows: Iterable[Tuple[str, Optional[str], int, dict]],
 ) -> Tuple[Dict[str, ProfileSet], Dict[str, List[ProfileSet]]]:
     """Merge campaign cells into per-version phase-1 ProfileSets.
 
@@ -489,20 +485,17 @@ def merge_profiles(
     for the baseline.  Tn is averaged over the baseline cells and each
     fault's profiles with :func:`average_profiles`, both in replication
     order; versions and faults keep their first-seen row order.  A
-    baseline without ``tn`` or a fault cell without ``profile`` is
-    skipped, and a version needs a baseline and one fault profile.
+    version needs a baseline and one fault profile.
 
     The second result maps each merged version to one single-replication
     ProfileSet per replication that has the baseline and every fault of
-    the version — the samples behind the AA/AT/P CI bands.  Rows without
-    ``rep`` count toward the merge but not toward the replicates.
+    the version — the samples behind the AA/AT/P CI bands.
     """
     streams: Dict[str, Dict[Optional[str], list]] = {}
     for version, fault, rep, payload in rows:
-        if ("tn" if fault is None else "profile") in payload:
-            streams.setdefault(version, {}).setdefault(fault, []).append(
-                (rep, payload)
-            )
+        streams.setdefault(version, {}).setdefault(fault, []).append(
+            (rep, payload)
+        )
     merged: Dict[str, ProfileSet] = {}
     replicates: Dict[str, List[ProfileSet]] = {}
     for version, by_fault in streams.items():
@@ -511,10 +504,9 @@ def merge_profiles(
             continue
         by_rep: Dict[int, Dict[Optional[str], dict]] = {}
         for fault, cells in by_fault.items():
-            cells.sort(key=lambda rp: (rp[0] is None, rp[0] or 0))
+            cells.sort(key=lambda rp: rp[0])
             for rep, payload in cells:
-                if rep is not None:
-                    by_rep.setdefault(rep, {})[fault] = payload
+                by_rep.setdefault(rep, {})[fault] = payload
         tns = [float(payload["tn"]) for _, payload in by_fault[None]]
         merged[version] = ProfileSet(version, sum(tns) / len(tns))
         for fault in faults:
@@ -650,16 +642,12 @@ class CampaignRunner:
             fault=cell.fault,
             rep=cell.rep,
             seed=cell.seed,
-            elapsed=0.0 if cached else float(payload.get("elapsed", 0.0)),
+            elapsed=0.0 if cached else payload["elapsed"],
             cached=cached,
-            restore_s=0.0
-            if cached
-            else float(payload.get("restore_elapsed", 0.0)),
-            telemetry=payload.get("telemetry"),
-            observatory=payload.get("observatory"),
-            warm=None
-            if cached
-            else (payload.get("warm_start") or {}).get("status"),
+            telemetry=payload["telemetry"],
+            observatory=payload["observatory"],
+            restore_s=0.0 if cached else payload["restore_elapsed"],
+            warm=None if cached else payload["warm_start"]["status"],
         )
         report.cells.append(rec)
         if not cached:
@@ -819,13 +807,11 @@ class CampaignRunner:
 
         Baseline streams are judged on Tn, fault streams on the run's
         availability — the quantities whose spread bounds the AT/AA/P
-        estimates downstream.  (Pre-v3 payloads without a timeline can
-        only appear under the fixed policy, where samples never change
-        the schedule.)
+        estimates downstream.
         """
         if cell.fault is None:
             return float(payload["tn"])
-        return float((payload.get("timeline") or {}).get("availability", 0.0))
+        return float(payload["timeline"]["availability"])
 
     def _run_wave(
         self,
@@ -982,7 +968,7 @@ class CampaignRunner:
         errors = 0
         error_cells = 0
         for rec in report.cells:
-            n = (rec.telemetry or {}).get("subscriber_errors", 0)
+            n = rec.telemetry["subscriber_errors"]
             if n:
                 errors += n
                 error_cells += 1

@@ -14,9 +14,11 @@ cell at once.  Two store flavors share one interface:
   lifetime semantics of the old module-global campaign cache.
 * :class:`DiskStore` — one JSON file per cell under a cache directory,
   so campaigns survive interpreter restarts and are shared between the
-  worker processes of a parallel run.  Corrupted or truncated files are
-  treated as misses (the cell is simply re-run), and writes are atomic
-  (tmp file + rename) so a crashed run never poisons the cache.
+  worker processes of a parallel run.  Corrupted or truncated files, and
+  payloads that are not of :data:`_PAYLOAD_SHAPE`, are treated as misses
+  (the cell is simply re-run), and writes are atomic (tmp file + rename)
+  so a crashed run never poisons the cache.  Every reader after that
+  check reads current payloads directly.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from ..sim.rng import sha256
 
@@ -76,6 +78,119 @@ from ..sim.rng import sha256
 #:        settings key loses the shard count and the LP backend.
 #:        Payloads are unchanged; only the key shape differs.
 SCHEMA_VERSION = 9
+
+#: Shapes for :func:`shape_problem`.  A dict is a JSON object with those
+#: keys (``{str: X}``: any keys, every value shaped X), ``[X]`` a list of
+#: X and ``[X, Y, ...]`` a list of exactly those items; a leaf is
+#: ``str``, ``bool``, ``int`` (a count, never negative), ``NUM`` or
+#: ``OPT_NUM`` (a number or null).
+NUM = (int, float)
+OPT_NUM = (int, float, type(None))
+_LEAF_NAMES = {str: "string", bool: "bool", int: "count", NUM: "number",
+               OPT_NUM: "number or null"}
+_NUMS = dict.fromkeys
+_COMMON_SHAPE = {
+    "telemetry": {"events": {str: int}, "subscriber_errors": int},
+    "observatory": {
+        "stages": {"final_stage": str, "intervals": [[str, NUM, NUM]]},
+        # min_* are None until the watchdog has calibrated its Tn.
+        "health": {
+            "slo": _NUMS(("throughput_floor", "availability_floor",
+                          "window", "calibration"), NUM),
+            "episodes": [{"open": bool}], "violations": int,
+            "time_in_violation": NUM,
+            **_NUMS(("min_throughput", "min_availability"), OPT_NUM),
+        },
+        # An empty sketch's quantiles are None.
+        "latency": {
+            "overall": {"count": int,
+                        **_NUMS(("p50", "p95", "p99", "p999"), OPT_NUM)},
+            "by_stage": {str: {"p95": OPT_NUM}},
+        },
+        "attribution": {
+            **_NUMS(("requests", "total_lost", "total_slow"), int),
+            "mechanisms": {str: {"lost": int, "slow": int}},
+        },
+    },
+    "timeline": {"series": [[NUM, NUM]],
+                 **_NUMS(("bucket_width", "availability", "tn"), NUM)},
+}
+
+#: A cell payload as the runner writes it, down to every key a reader
+#: reads, in its baseline and its fault form.  The volatile keys
+#: (:data:`VOLATILE_PAYLOAD_KEYS`) are read only off a payload the
+#: process has just computed, never off a stored one.
+_PAYLOAD_SHAPE = {
+    "baseline": {"tn": NUM, **_COMMON_SHAPE},
+    "fault": {
+        "profile": {"fault": str, "version": str, "normal_throughput": NUM,
+                    "stages": {str: [NUM, NUM]}},
+        # A boundary one side never observed is None.
+        "divergence": {
+            "boundaries": {str: {"online": OPT_NUM}},
+            **_NUMS(("max_boundary_error", "misclassified_s",
+                     "misclassified_frac"), NUM),
+            "online_missing": [str], "online_extra": [str],
+        },
+        **_COMMON_SHAPE,
+    },
+}
+
+#: Key records as :class:`DiskStore` writes them, less ``fault`` and
+#: ``schema``, and a summary as ``StreamRecord.to_payload`` writes it.
+_KEY_SHAPE = {"version": str, "seed": int, "rep": int}
+_SUMMARY_KEY_SHAPE = {"version": str, "policy": [str, int, int, NUM]}
+_SUMMARY_SHAPE = {"reps": int, "reason": str, "mean": NUM,
+                  "ci_half_width": NUM}
+
+
+def shape_problem(value, shape, path: str = "") -> Optional[str]:
+    """Where ``value`` departs from ``shape`` (see :data:`NUM`), or None
+    when it has that shape."""
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            return f"{path!r} is missing or not a dict"
+        if str in shape:
+            fields = [(key, sub, shape[str]) for key, sub in value.items()]
+        else:
+            fields = [(key, value.get(key), sub) for key, sub in shape.items()]
+        fields = [
+            (f"{path}.{key}" if path else key, sub, sub_shape)
+            for key, sub, sub_shape in fields
+        ]
+    elif isinstance(shape, list):
+        row = len(shape) > 1
+        if not isinstance(value, list) or row and len(value) != len(shape):
+            what = f"list of {len(shape)}" if row else "list"
+            return f"{path!r} is missing or not a {what}"
+        fields = [
+            (f"{path}[{i}]", sub, sub_shape)
+            for i, (sub, sub_shape) in enumerate(
+                zip(value, shape if row else shape * len(value))
+            )
+        ]
+    else:
+        if isinstance(value, shape) and (
+            shape is bool or not isinstance(value, bool)
+        ) and (shape is not int or value >= 0):
+            return None
+        return f"{path!r} is missing or not a {_LEAF_NAMES[shape]}"
+    for sub_path, sub, sub_shape in fields:
+        problem = shape_problem(sub, sub_shape, sub_path)
+        if problem:
+            return problem
+    return None
+
+
+def payload_problem(fault: Optional[str], payload) -> Optional[str]:
+    """Why ``payload`` is not a cell payload this version writes for
+    ``fault`` (None for the baseline), or None when it is one."""
+    form = "baseline" if fault is None else "fault"
+    return shape_problem(payload, _PAYLOAD_SHAPE[form])
+
+
+#: What reading a truncated or corrupted record raises.
+_UNREADABLE = (OSError, ValueError, RecursionError)
 
 #: Environment variable consulted by the CLI for a default cache dir.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -196,12 +311,8 @@ class ResultStore:
         """
         return []
 
-    # -- repetition summaries (schema v5) -----------------------------
-    def get_summary(self, key: SummaryKey) -> Optional[dict]:
-        return None
-
     def put_summary(self, key: SummaryKey, payload: dict) -> None:
-        pass
+        """Keep one stream's repetition summary (a DiskStore only)."""
 
 
 class MemoryStore(ResultStore):
@@ -209,7 +320,6 @@ class MemoryStore(ResultStore):
 
     def __init__(self) -> None:
         self._cells: Dict[CellKey, dict] = {}
-        self._summaries: Dict[SummaryKey, dict] = {}
 
     def get(self, key: CellKey) -> Optional[dict]:
         return self._cells.get(key)
@@ -217,15 +327,8 @@ class MemoryStore(ResultStore):
     def put(self, key: CellKey, payload: dict) -> None:
         self._cells[key] = payload
 
-    def get_summary(self, key: SummaryKey) -> Optional[dict]:
-        return self._summaries.get(key)
-
-    def put_summary(self, key: SummaryKey, payload: dict) -> None:
-        self._summaries[key] = payload
-
     def clear(self) -> None:
         self._cells.clear()
-        self._summaries.clear()
 
     def __len__(self) -> int:
         return len(self._cells)
@@ -248,8 +351,13 @@ class DiskStore(ResultStore):
                 f"cache dir {self.cache_dir} exists and is not a directory"
             ) from None
         # Misses whose key exists under an older schema version, counted
-        # per old version for drain_notices().
+        # per old version, and unreadable records, for drain_notices().
         self._stale_schema_hits: Dict[int, int] = {}
+        self._unreadable_hits = 0
+        # What the last walk of each namespace did not read, by reason.
+        self._unread: Dict[str, Dict[str, int]] = {
+            "cell(s)": {}, "summary(ies)": {}
+        }
 
     def _path(self, key: CellKey) -> Path:
         digest = key.digest()
@@ -263,11 +371,14 @@ class DiskStore(ResultStore):
         except FileNotFoundError:
             self._note_stale_generation(key)
             return None
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            # Truncated or corrupted: treat as a miss so the cell is
-            # re-run rather than crashing the campaign.
-            return None
-        if not isinstance(data, dict) or "payload" not in data:
+        except _UNREADABLE:
+            data = None
+        if not isinstance(data, dict) or payload_problem(
+            key.fault, data.get("payload")
+        ):
+            # Truncated, corrupted or malformed: a miss, so the cell is
+            # re-run and rewritten instead of crashing or going unmerged.
+            self._unreadable_hits += 1
             return None
         return data["payload"]
 
@@ -288,16 +399,6 @@ class DiskStore(ResultStore):
     def _summary_path(self, key: SummaryKey) -> Path:
         return self.cache_dir / SUMMARY_DIR / f"{key.digest()}.json"
 
-    def get_summary(self, key: SummaryKey) -> Optional[dict]:
-        try:
-            with open(self._summary_path(key), "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(data, dict) or "payload" not in data:
-            return None
-        return data["payload"]
-
     def put_summary(self, key: SummaryKey, payload: dict) -> None:
         record = {
             "summary_key": {
@@ -311,23 +412,14 @@ class DiskStore(ResultStore):
         self._write_record(self._summary_path(key), record)
 
     def iter_summaries(self):
-        """Yield ``(key_info, payload)`` per readable repetition summary."""
-        root = self.cache_dir / SUMMARY_DIR
-        if not root.is_dir():
-            return
-        for path in sorted(root.glob("*.json")):
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    data = json.load(fh)
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                continue
-            if (
-                not isinstance(data, dict)
-                or "payload" not in data
-                or "summary_key" not in data
-            ):
-                continue
-            yield data["summary_key"], data["payload"]
+        """Yield ``(key_info, payload)`` per current repetition summary,
+        as :meth:`iter_cells` does for cells."""
+        paths = sorted((self.cache_dir / SUMMARY_DIR).glob("*.json"))
+        for _path, key, payload in self._current(
+            "summary(ies)", paths, "summary_key", _SUMMARY_KEY_SHAPE,
+            lambda _fault, payload: shape_problem(payload, _SUMMARY_SHAPE),
+        ):
+            yield key, payload
 
     @staticmethod
     def _write_record(path: Path, record: dict) -> None:
@@ -367,16 +459,23 @@ class DiskStore(ResultStore):
             f"{n} cell(s) re-run"
             for old, n in sorted(self._stale_schema_hits.items())
         ]
+        if self._unreadable_hits:
+            notices.append(
+                f"{self._unreadable_hits} unreadable or malformed cached "
+                "cell(s) re-run"
+            )
         self._stale_schema_hits = {}
+        self._unreadable_hits = 0
         return notices
 
     def iter_cells(self):
-        """Yield ``(key_info, payload)`` for every readable cached cell.
+        """Yield ``(key_info, payload)`` for every current cached cell.
 
-        ``key_info`` is the JSON key dict written by :meth:`put`
-        (version / fault / seed / schema).  Unreadable or foreign files
-        are skipped — this is a reporting walk (the campaign dashboard),
-        not a cache lookup, so it must tolerate a dirty directory.
+        ``key_info`` is the JSON key dict written by :meth:`put`.  This
+        is a reporting walk (the campaign dashboard), not a cache lookup,
+        so it tolerates a dirty directory: unreadable files are skipped,
+        and records of another schema or shape are counted for
+        :meth:`unread_line`.
         """
         for _digest, key, payload in self.iter_cell_files():
             yield key, payload
@@ -384,22 +483,51 @@ class DiskStore(ResultStore):
     def iter_cell_files(self):
         """:meth:`iter_cells` with each cell's :meth:`CellKey.digest` (its
         file name) first: the one identity that covers the settings."""
-        for shard in sorted(self.cache_dir.iterdir()):
-            if not self._is_shard(shard):
+        paths = [
+            cell
+            for shard in sorted(self.cache_dir.iterdir())
+            if self._is_shard(shard)
+            for cell in sorted(shard.glob("*.json"))
+        ]
+        for path, key, payload in self._current(
+            "cell(s)", paths, "key", _KEY_SHAPE, payload_problem
+        ):
+            yield path.stem, key, payload
+
+    def _current(self, what, paths, key_name, key_shape, problem):
+        """Yield ``(path, key, payload)`` per record in ``paths`` whose key
+        has the current schema and ``key_shape`` and whose payload has no
+        ``problem(fault, payload)``; count the rest under ``what``."""
+        unread = self._unread[what] = {}
+        for path in paths:
+            data = _read_json(path)
+            if not isinstance(data, dict):
                 continue
-            for cell in sorted(shard.glob("*.json")):
-                try:
-                    with open(cell, "r", encoding="utf-8") as fh:
-                        data = json.load(fh)
-                except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                    continue
-                if (
-                    not isinstance(data, dict)
-                    or "payload" not in data
-                    or "key" not in data
-                ):
-                    continue
-                yield cell.stem, data["key"], data["payload"]
+            key = data.get(key_name)
+            schema = key.get("schema") if isinstance(key, dict) else None
+            fault = key.get("fault", 0) if schema == SCHEMA_VERSION else 0
+            if type(schema) is int and schema != SCHEMA_VERSION:
+                reason = f"under schema v{schema}"
+            elif shape_problem(key, key_shape) or not (
+                fault is None or isinstance(fault, str)
+            ) or problem(fault, data.get("payload")):
+                reason = "malformed"
+            else:
+                yield path, key, data["payload"]
+                continue
+            unread[reason] = unread.get(reason, 0) + 1
+
+    def unread_line(self) -> str:
+        """One line naming what the last walk of each namespace did not
+        read (other schemas first, then malformed records), or ""."""
+        counts = [
+            f"{n} {what} {why}"
+            for what, reasons in self._unread.items()
+            for why, n in sorted(
+                reasons.items(), key=lambda kv: (kv[0] == "malformed", kv[0])
+            )
+        ]
+        return f"{', '.join(counts)}: not read" if counts else ""
 
     @staticmethod
     def _is_shard(path: Path) -> bool:
@@ -427,6 +555,16 @@ class DiskStore(ResultStore):
             if self._is_shard(shard)
             for _ in shard.glob("*.json")
         )
+
+
+def _read_json(path: Path):
+    """The JSON in ``path``, or None when it is unreadable or not JSON
+    (a truncated or corrupted record)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except _UNREADABLE:
+        return None
 
 
 def open_store(cache_dir: Optional[Union[str, Path]]) -> ResultStore:

@@ -144,11 +144,6 @@ class Node:
         if self.up and self.process.running:
             done(*args)
 
-    @property
-    def operational(self) -> bool:
-        """Machine up and the hosted process running (not hung/dead)."""
-        return self.up and self.process.running
-
     def snapshot_state(self) -> dict:
         """Deterministic-state digest input (see repro.sim.snapshot)."""
         return {

@@ -308,9 +308,6 @@ class PressCluster:
     def run_until(self, t: float) -> None:
         self.engine.run(until=t)
 
-    def run_for(self, dt: float) -> None:
-        self.engine.run(until=self.engine.now + dt)
-
     # ------------------------------------------------------------------
     # Operator actions
     # ------------------------------------------------------------------

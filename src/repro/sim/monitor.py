@@ -220,13 +220,6 @@ class Timeline:
     normal_throughput: float = 0.0
     availability: float = 1.0
 
-    def rate_at(self, time: float) -> float:
-        """Throughput of the bucket containing ``time`` (0 outside range)."""
-        for start, rate in self.series:
-            if start <= time < start + self.bucket_width:
-                return rate
-        return 0.0
-
     def mean_rate(self, start: float, end: float) -> float:
         picked = [
             rate

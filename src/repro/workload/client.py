@@ -81,9 +81,6 @@ class ClientMachine:
     def stop(self) -> None:
         self._running = False
 
-    def set_rate(self, rate: float) -> None:
-        self.rate = rate
-
     def _schedule_next(self) -> None:
         if not self._running or self.rate <= 0:
             return
@@ -225,9 +222,3 @@ class Workload:
     def stop(self) -> None:
         for c in self.clients:
             c.stop()
-
-    def set_total_rate(self, rate: float) -> None:
-        self.total_rate = rate
-        per = rate / len(self.clients)
-        for c in self.clients:
-            c.set_rate(per)

@@ -6,6 +6,7 @@ self-containment contract (no scripts, stylesheets, or network fetches),
 and the warning paths for stale-schema cells and subscriber errors.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -18,9 +19,10 @@ from repro.analysis.dashboard import (
 )
 from repro.experiments.runner import run_campaign
 from repro.experiments.settings import Phase1Settings
-from repro.experiments.store import SCHEMA_VERSION, CellKey, DiskStore
+from repro.experiments.store import CellKey, DiskStore
 from repro.faults.spec import FaultKind
 from repro.press.cluster import SMOKE_SCALE, ExperimentScale
+from tests.payloads import cell_payload
 
 FAST = Phase1Settings(
     scale=SMOKE_SCALE,
@@ -48,13 +50,15 @@ def store_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def html(store_dir):
-    return dashboard_from_store(store_dir).read_text(encoding="utf-8")
+    out, _unread = dashboard_from_store(store_dir)
+    return out.read_text(encoding="utf-8")
 
 
 def test_dashboard_lands_inside_the_store_by_default(store_dir):
-    out = dashboard_from_store(store_dir)
+    out, unread = dashboard_from_store(store_dir)
     assert out == store_dir / "dashboard.html"
     assert out.exists()
+    assert unread == ""
 
 
 def test_dashboard_covers_every_cell(html):
@@ -99,25 +103,25 @@ def test_divergence_and_health_tables_have_fault_rows(html):
     assert "calibrated Tn" in html
 
 
-def test_stale_schema_cells_are_ignored_with_a_warning():
-    rows = [
-        _row(seed=1, schema=3, kind="baseline", tn=10.0),
-        # Orphaned old-generation cell: no current-schema counterpart.
-        _row(seed=999, schema=1, kind="baseline", tn=999.0),
-    ]
-    html = render_dashboard(rows)
-    assert "1 cell(s) from older store schema" in html
-    assert "999" not in html  # the stale payload contributes nothing
+def _put(store, seed=1, schema=None, fault=None, **payload):
+    key = CellKey("V", ("s",), fault, seed, rep=0)
+    if schema is not None:
+        key = dataclasses.replace(key, schema=schema)
+    store.put(key, cell_payload(fault, version="V", **payload))
 
 
-def test_same_cell_across_schemas_keeps_the_newest_silently():
-    rows = [
-        _row(seed=1, schema=1, kind="baseline", tn=999.0),
-        _row(seed=1, schema=3, kind="baseline", tn=10.0),
-    ]
-    html = render_dashboard(rows)
-    assert "older store schema" not in html
-    assert "999" not in html
+def test_stale_schema_cells_are_ignored_with_a_warning(tmp_path):
+    store = DiskStore(tmp_path)
+    _put(store, seed=1, tn=10.0)
+    # The same cell under an older schema, and an orphaned one.
+    _put(store, seed=1, schema=1, tn=999.0)
+    _put(store, seed=999, schema=1, tn=999.0)
+    out, unread = dashboard_from_store(tmp_path)
+    assert unread == "2 cell(s) under schema v1: not read"
+    html = out.read_text(encoding="utf-8")
+    assert f"<p class='warn'>{unread}</p>" in html
+    assert "1 baselines" in html
+    assert "999" not in html  # the stale payloads contribute nothing
 
 
 def test_empty_or_missing_store_raises(tmp_path):
@@ -127,9 +131,12 @@ def test_empty_or_missing_store_raises(tmp_path):
         dashboard_from_store(tmp_path / "nope")
 
 
-def _row(version="V", fault=None, seed=1, schema=3, **payload):
-    key = {"version": version, "fault": fault, "seed": seed, "schema": schema}
-    return key, payload
+def _row(version="V", fault=None, seed=1, **payload):
+    key = {
+        "version": version, "fault": fault, "seed": seed, "schema": 9,
+        "rep": 0,
+    }
+    return key, cell_payload(fault, version=version, **payload)
 
 
 def test_render_escapes_untrusted_store_content():
@@ -141,25 +148,27 @@ def test_render_escapes_untrusted_store_content():
 
 def test_render_warns_on_subscriber_errors():
     rows = [
-        _row(seed=1, telemetry={"subscriber_errors": 2}),
-        _row(seed=2, fault="link-down", telemetry={"subscriber_errors": 1}),
+        _row(seed=1, subscriber_errors=2),
+        _row(seed=2, fault="link-down", subscriber_errors=1),
     ]
     html = render_dashboard(rows)
     assert "3 bus subscriber error(s)" in html
     assert "partial event stream" in html
 
 
-def test_render_degrades_gracefully_without_observatory_payloads():
-    """Pre-v3-shaped payloads (no timeline/observatory/divergence) still
-    render — with placeholder notes instead of charts."""
-    rows = [
-        _row(seed=1, kind="baseline", tn=10.0),
-        _row(seed=2, fault="link-down", kind="profile"),
-    ]
-    html = render_dashboard(rows)
-    assert "no timelines stored" in html
+def test_render_degrades_gracefully_without_observatory_payloads(tmp_path):
+    """Cells without an observatory are not read: the dashboard renders
+    the rest and names them in one warning line."""
+    store = DiskStore(tmp_path)
+    _put(store, seed=1, tn=10.0)
+    _put(store, seed=2, fault="link-down", observatory=None)
+    _put(store, seed=3, fault="link-down", observatory="x")
+    out, unread = dashboard_from_store(tmp_path)
+    assert unread == "2 cell(s) malformed: not read"
+    html = out.read_text(encoding="utf-8")
+    assert f"<p class='warn'>{unread}</p>" in html
+    assert "1 baselines, 0 fault runs" in html
     assert "no divergence reports stored" in html
-    assert "no health telemetry stored" in html
     assert "<script" not in html
 
 
@@ -193,7 +202,7 @@ def test_dashboard_merge_matches_the_runner_field_for_field(tmp_path):
         faults=[FaultKind.APP_CRASH],
         store=DiskStore(tmp_path),
     )
-    kept, _ = _collect(DiskStore(tmp_path).iter_cells())
+    kept = _collect(DiskStore(tmp_path).iter_cells())
     merged, replicates = _merge(kept)
     assert merged["TCP-PRESS"].to_dict() == campaign["TCP-PRESS"].to_dict()
     assert len(report.replicates["TCP-PRESS"]) == 3
@@ -220,7 +229,7 @@ def _put_mixed_settings_store(path, scales=(200, 100)):
                     seed=7,
                     rep=0,
                 ),
-                {"tn": float(factor)},
+                cell_payload(fault, tn=float(factor)),
             )
     return path
 
@@ -232,7 +241,8 @@ def test_dashboard_refuses_a_store_that_mixes_settings(tmp_path):
     assert not (store / "dashboard.html").exists()
     # One settings universe renders.
     single = _put_mixed_settings_store(tmp_path / "single", scales=(200,))
-    assert dashboard_from_store(single).exists()
+    out, _unread = dashboard_from_store(single)
+    assert out.exists()
 
 
 def test_dashboard_cli_exits_with_a_message_on_a_mixed_store(tmp_path):
@@ -244,13 +254,15 @@ def test_dashboard_cli_exits_with_a_message_on_a_mixed_store(tmp_path):
     assert str(exc.value.code).startswith("dashboard: 4 cell(s)")
 
 
-def test_collision_is_judged_on_the_newest_generation_only():
-    old = SCHEMA_VERSION - 1
-    rows = [
-        _row(seed=1, schema=old, tn=1.0),
-        _row(seed=1, schema=old, tn=2.0),
-        _row(seed=1, schema=SCHEMA_VERSION, tn=3.0),
-    ]
-    kept, stale = _collect(rows)
+def test_collision_is_judged_on_the_newest_generation_only(tmp_path):
+    """Old-schema cells are not read, so two of them sharing an identity
+    under different settings are no collision."""
+    store = DiskStore(tmp_path)
+    for settings in (("a",), ("b",)):
+        store.put(
+            CellKey("V", settings, None, 1, schema=8, rep=0), cell_payload()
+        )
+    _put(store, seed=1, tn=3.0)
+    kept = _collect(store.iter_cells())
     assert [c.payload["tn"] for c in kept] == [3.0]
-    assert stale == 0
+    assert store.unread_line() == "2 cell(s) under schema v8: not read"

@@ -3,7 +3,8 @@
 Operators point ``dashboard`` / ``perf-report`` / ``perf-compare`` at
 whatever cache dir they have — half-filled by an interrupted campaign,
 written by an older schema, or never profiled at all.  Every renderer
-must degrade to a visible notice, never a KeyError/TypeError.
+must degrade to a visible notice, never a KeyError/TypeError: records
+this version does not write are counted in one line and not read.
 """
 
 import json
@@ -22,6 +23,7 @@ from repro.analysis.perf import (
     perf_report_from_store,
 )
 from repro.experiments.store import CellKey, DiskStore
+from tests.payloads import cell_payload, observatory
 
 #: A ledger as the current writer lays it out, with one profiled cell.
 V3_LEDGER = {
@@ -137,31 +139,46 @@ def test_render_dashboard_with_no_cells_shows_notices():
         assert note in html, note
 
 
-def test_render_dashboard_with_bare_minimum_payloads():
-    """Keys and payloads missing every optional field still render."""
-    rows = [
-        ({"version": "TCP-PRESS", "fault": None, "seed": 1}, {}),
-        ({"version": "TCP-PRESS", "fault": "link-down", "seed": 1}, {}),
-        ({}, {}),  # a row with no identity at all
-    ]
-    html = render_dashboard(rows)
+def test_render_dashboard_with_bare_minimum_payloads(tmp_path):
+    """Current payloads with every optional value null or empty (no
+    timeline series, an empty latency sketch, an uncalibrated watchdog,
+    no attributed request) still render."""
+    store = DiskStore(tmp_path)
+    bare = {
+        "observatory": observatory(),
+        "timeline": {
+            "series": [], "bucket_width": 5.0, "availability": 0.0, "tn": 0.0,
+        },
+    }
+    for fault in (None, "link-down"):
+        store.put(
+            CellKey("TCP-PRESS", (), fault, 1, rep=0),
+            cell_payload(fault, **bare),
+        )
+    html = render_dashboard(store.iter_cells())
     assert "TCP-PRESS" in html
     assert "link-down" in html
+    for note in (
+        "no timelines stored",
+        "no served requests stored",
+        "no attributed requests stored",
+    ):
+        assert note in html, note
 
 
-def test_render_dashboard_flags_stale_schema_generations():
-    rows = [
-        (
-            {"version": "V", "fault": "f", "seed": 1, "schema": 1},
-            {"timeline": {"availability": 0.5}},
-        ),
-        (
-            {"version": "V", "fault": "g", "seed": 1, "schema": 2},
-            {"timeline": {"availability": 0.9}},
-        ),
-    ]
-    html = render_dashboard(rows)
-    assert "older store schema" in html
+def test_render_dashboard_flags_stale_schema_generations(tmp_path):
+    store = DiskStore(tmp_path)
+    store.put(CellKey("V", (), None, 1, rep=0), cell_payload())
+    for schema, fault in ((1, "f"), (2, "g"), (2, "h")):
+        store.put(
+            CellKey("V", (), fault, 1, schema=schema, rep=0),
+            cell_payload(fault, availability=0.5),
+        )
+    out, unread = dashboard_from_store(tmp_path)
+    assert unread == (
+        "1 cell(s) under schema v1, 2 cell(s) under schema v2: not read"
+    )
+    assert escape(unread) in out.read_text(encoding="utf-8")
 
 
 def test_render_dashboard_with_malformed_perf_rows(tmp_path):
@@ -264,7 +281,9 @@ def test_ledger_rejected_in_one_line(view, ledger, tmp_path, capsys):
         main(["perf-report", str(tmp_path)])
         text = capsys.readouterr().out
     elif view == "dashboard":
-        DiskStore(tmp_path).put(CellKey("TCP-PRESS", (), None, 1), {})
+        DiskStore(tmp_path).put(
+            CellKey("TCP-PRESS", (), None, 1, rep=0), cell_payload()
+        )
         main(["dashboard", str(tmp_path)])
         text = (tmp_path / "dashboard.html").read_text(encoding="utf-8")
         reason = escape(reason)

@@ -28,7 +28,7 @@ def test_pool_latency_groups_streams_in_replication_order():
         _cell("V", None, 0, _latency(7, p50=0.05)),
         _cell("V", "f", 0, _latency(3, p50=0.1, p95=1.1)),
         _cell("V", "f", 1, _latency(4, p50=0.2)),
-        _cell("A", None, 0, None),  # pre-observatory cell
+        _cell("A", None, 0, _latency(0)),  # served nothing
     ]
     pooled = pool_latency(cells)
     assert list(pooled) == [("V", "baseline"), ("V", "f")]
@@ -43,7 +43,7 @@ def test_pool_latency_groups_streams_in_replication_order():
 def test_pool_latency_drops_streams_that_served_nothing():
     cells = [
         _cell("V", None, 0, _latency(0, p50=0.1)),
-        _cell("V", "f", 0, {"attribution": {}}),
+        _cell("V", "f", 0, _latency(0)),
     ]
     assert pool_latency(cells) == {}
 
@@ -80,7 +80,7 @@ def test_pool_attribution_sums_every_cell_of_a_version():
         _cell("Z", "f", 0, _att(20, 4, 2, {mech: (3, 2), "other": (1, 0)})),
         _cell("A", "f", 0, _att(5, 1, 0, {mech: (1, 0)})),
         _cell("A", "g", 0, _att(0, 0, 0, {})),  # no requests: skipped
-        _cell("B", None, 0, None),
+        _cell("B", None, 0, _att(0, 0, 0, {})),
     ]
     pooled = pool_attribution(cells)
     assert list(pooled) == ["A", "Z"]

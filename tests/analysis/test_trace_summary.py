@@ -2,8 +2,7 @@
 
 ``trace_summary_report`` takes a ``CampaignReport``; these tests build
 reports by hand to pin the aggregation and every rendering branch —
-notices first, the event table, and the degraded messages for cells
-served from pre-telemetry caches.
+notices first, then the event table.
 """
 
 from repro.analysis.report import trace_summary_report
@@ -13,7 +12,8 @@ from repro.experiments.runner import CampaignReport, CellRecord
 def _cell(version="TCP-PRESS", fault=None, telemetry=None, cached=True):
     return CellRecord(
         version=version, fault=fault, rep=0, seed=1,
-        elapsed=0.0, cached=cached, telemetry=telemetry,
+        elapsed=0.0, cached=cached, telemetry=telemetry or _telemetry({}),
+        observatory={},
     )
 
 
@@ -46,23 +46,6 @@ def test_notices_render_first_as_note_lines():
     assert lines[0] == "note: cache invalidated (schema v2→v3): 4 cell(s) re-run"
     assert lines[1] == "note: 2 bus subscriber error(s) across 1 cell(s)"
     assert lines[2].startswith("run telemetry:")
-
-
-def test_all_pre_telemetry_cells_explain_themselves():
-    report = CampaignReport(cells=[_cell(), _cell(fault="link-down")])
-    text = trace_summary_report(report)
-    assert "no run telemetry recorded" in text
-    assert "--clear-cache" in text
-
-
-def test_mixed_cells_count_only_instrumented_ones():
-    report = CampaignReport(cells=[
-        _cell(),  # schema-v1 payload: no telemetry
-        _cell(fault="link-down", telemetry=_telemetry({"press.cache.hit": 5})),
-    ])
-    text = trace_summary_report(report)
-    assert "run telemetry: 5 events across 1 cell(s)" in text
-    assert "no run telemetry recorded" not in text
 
 
 def test_empty_report_renders_empty():

@@ -118,6 +118,33 @@ class TestStoreResumption:
         assert report.cached == len(cold.cells) - 1
         assert resumed["TCP-PRESS"].to_dict() == sets["TCP-PRESS"].to_dict()
 
+    def test_cell_without_its_profile_is_rerun_not_dropped(self, tmp_path):
+        """A cached fault cell that lost ``profile`` is a miss: the rerun
+        executes it, rewrites it and keeps the fault in the merge."""
+        settings = dataclasses.replace(SETTINGS, replications=1)
+        faults = (FaultKind.LINK_DOWN, FaultKind.NODE_CRASH)
+        sets, _ = run_campaign(
+            settings, VERSIONS, faults, store=DiskStore(tmp_path)
+        )
+        (victim,) = [
+            tmp_path / digest[:2] / f"{digest}.json"
+            for digest, key, _ in DiskStore(tmp_path).iter_cell_files()
+            if key["fault"] == FaultKind.NODE_CRASH.value
+        ]
+        record = json.loads(victim.read_text())
+        del record["payload"]["profile"]
+        victim.write_text(json.dumps(record))
+        resumed, report = run_campaign(
+            settings, VERSIONS, faults, store=DiskStore(tmp_path)
+        )
+        assert (report.executed, report.cached) == (1, 2)
+        assert "1 unreadable or malformed cached cell(s) re-run" in (
+            report.notices
+        )
+        assert FaultKind.NODE_CRASH.value in resumed["TCP-PRESS"].keys()
+        assert resumed["TCP-PRESS"].to_dict() == sets["TCP-PRESS"].to_dict()
+        assert "profile" in json.loads(victim.read_text())["payload"]
+
     def test_settings_change_misses_the_store(self, tmp_path):
         store = DiskStore(tmp_path)
         _run(store=store)
@@ -305,16 +332,17 @@ class TestMergeProfiles:
         assert list(merged["Z"].keys()) == ["g", "a"]
 
     def test_tolerates_partial_rows(self):
+        """Rows of an interrupted grid: every row counts toward the
+        merge, only complete replications become replicates."""
         from repro.experiments.runner import merge_profiles
 
         rows = [
             ("V", None, 0, {"tn": 2.0}),
-            ("V", None, 1, {}),  # no tn: skipped
-            ("V", None, None, {"tn": 4.0}),  # no rep: merge only
+            ("V", None, 2, {"tn": 4.0}),
             ("V", "f", 0, {"profile": self._profile("f", 2.0, 5.0)}),
             ("V", "f", 1, {"profile": self._profile("f", 2.0, 5.0)}),
             ("V", "g", 0, {"profile": self._profile("g", 2.0, 5.0)}),
-            ("V", "g", 1, {}),  # no profile: skipped
+            ("V", "g", 2, {"profile": self._profile("g", 2.0, 5.0)}),
             ("B", None, 0, {"tn": 1.0}),  # no fault profile: dropped
             ("F", "f", 0, {"profile": self._profile("f", 2.0, 5.0)}),
         ]
@@ -322,7 +350,7 @@ class TestMergeProfiles:
         assert list(merged) == ["V"]
         assert merged["V"].normal_throughput == 3.0
         assert sorted(merged["V"].keys()) == ["f", "g"]
-        # Rep 1 lacks its baseline tn and g's profile: only rep 0 is a
+        # Rep 1 lacks its baseline and g, rep 2 lacks f: only rep 0 is a
         # complete replicate.
         assert [ps.normal_throughput for ps in replicates["V"]] == [2.0]
         assert sorted(replicates["V"][0].keys()) == ["f", "g"]

@@ -15,6 +15,7 @@ from repro.experiments.store import (
     SummaryKey,
     open_store,
 )
+from tests.payloads import cell_payload
 
 KEY = CellKey(
     version="TCP-PRESS",
@@ -22,7 +23,7 @@ KEY = CellKey(
     fault="link-down",
     seed=12345,
 )
-PAYLOAD = {"kind": "profile", "profile": {"fault": "link-down"}, "elapsed": 0.5}
+PAYLOAD = cell_payload("link-down")
 
 
 class TestCellKey:
@@ -202,7 +203,8 @@ class TestSchemaV5Golden:
 
     def test_cell_record_layout_round_trips(self, tmp_path):
         store = DiskStore(tmp_path)
-        store.put(self.GOLDEN_CELL, {"kind": "baseline", "tn": 2.0})
+        payload = cell_payload("node-crash", tn=2.0)
+        store.put(self.GOLDEN_CELL, payload)
         raw = json.loads(store._path(self.GOLDEN_CELL).read_text())
         assert raw == {
             "key": {
@@ -212,21 +214,28 @@ class TestSchemaV5Golden:
                 "schema": 5,
                 "rep": 1,
             },
-            "payload": {"kind": "baseline", "tn": 2.0},
+            "payload": payload,
         }
-        # A fresh handle reads it back, and the reporting walk surfaces
-        # the replication index.
+        # A fresh handle reads it back.  The reporting walk reads only
+        # the current schema: it counts this record and surfaces the
+        # replication index of a current one.
         reopened = DiskStore(tmp_path)
-        assert reopened.get(self.GOLDEN_CELL) == {
-            "kind": "baseline",
-            "tn": 2.0,
-        }
-        ((key_info, _),) = list(reopened.iter_cells())
-        assert key_info["rep"] == 1
+        assert reopened.get(self.GOLDEN_CELL) == payload
+        assert list(reopened.iter_cells()) == []
+        assert reopened.unread_line() == "1 cell(s) under schema v5: not read"
+        reopened.put(
+            dataclasses.replace(self.GOLDEN_CELL, schema=SCHEMA_VERSION),
+            payload,
+        )
+        ((key_info, got),) = list(reopened.iter_cells())
+        assert (key_info["rep"], got) == (1, payload)
 
     def test_summary_record_layout_round_trips(self, tmp_path):
         store = DiskStore(tmp_path)
-        payload = {"reps": 4, "reason": "converged", "ci_half_width": 0.01}
+        payload = {
+            "reps": 4, "reason": "converged", "mean": 0.9,
+            "ci_half_width": 0.01,
+        }
         store.put_summary(self.GOLDEN_SUMMARY, payload)
         path = store._summary_path(self.GOLDEN_SUMMARY)
         assert path.parent.name == SUMMARY_DIR
@@ -241,10 +250,22 @@ class TestSchemaV5Golden:
             "payload": payload,
         }
         reopened = DiskStore(tmp_path)
-        assert reopened.get_summary(self.GOLDEN_SUMMARY) == payload
+        # The reporting walk reads only the current schema and policy
+        # layout (rule, min reps, max reps, target).
+        assert list(reopened.iter_summaries()) == []
+        current = SummaryKey(
+            version="TCP-PRESS",
+            settings_key=("golden", 1),
+            fault="node-crash",
+            policy_key=("ci", 3, 10, 0.05),
+        )
+        reopened.put_summary(current, payload)
         ((summary_key, got),) = list(reopened.iter_summaries())
-        assert summary_key["policy"] == ["ci", 3, 10, 0.05, 0.95, None]
+        assert summary_key["policy"] == ["ci", 3, 10, 0.05]
         assert got == payload
+        assert reopened.unread_line() == (
+            "1 summary(ies) under schema v5: not read"
+        )
 
     def test_hand_written_record_is_readable(self, tmp_path):
         """The documented layout, written by hand, is a valid record —
@@ -262,19 +283,13 @@ class TestSchemaV5Golden:
                         "schema": 5,
                         "rep": 1,
                     },
-                    "payload": {"kind": "baseline", "tn": 3.5},
+                    "payload": cell_payload("node-crash", tn=3.5),
                 }
             )
         )
-        assert store.get(self.GOLDEN_CELL) == {"kind": "baseline", "tn": 3.5}
-
-    def test_memory_store_summaries_round_trip(self):
-        store = MemoryStore()
-        assert store.get_summary(self.GOLDEN_SUMMARY) is None
-        store.put_summary(self.GOLDEN_SUMMARY, {"reps": 3})
-        assert store.get_summary(self.GOLDEN_SUMMARY) == {"reps": 3}
-        store.clear()
-        assert store.get_summary(self.GOLDEN_SUMMARY) is None
+        assert store.get(self.GOLDEN_CELL) == cell_payload(
+            "node-crash", tn=3.5
+        )
 
     def test_summaries_are_policy_dependent(self, tmp_path):
         store = DiskStore(tmp_path)
@@ -282,14 +297,17 @@ class TestSchemaV5Golden:
         other_policy = dataclasses.replace(
             self.GOLDEN_SUMMARY, policy_key=("fixed", 3, 3)
         )
-        assert store.get_summary(other_policy) is None
+        assert store._summary_path(other_policy) != store._summary_path(
+            self.GOLDEN_SUMMARY
+        )
+        assert not store._summary_path(other_policy).exists()
 
     def test_corrupt_summary_is_a_miss_and_skipped(self, tmp_path):
         store = DiskStore(tmp_path)
         store.put_summary(self.GOLDEN_SUMMARY, {"reps": 4})
         store._summary_path(self.GOLDEN_SUMMARY).write_text("{ nope")
-        assert store.get_summary(self.GOLDEN_SUMMARY) is None
         assert list(store.iter_summaries()) == []
+        assert store.unread_line() == ""
 
     def test_clear_removes_summaries_too(self, tmp_path):
         store = DiskStore(tmp_path)
@@ -297,7 +315,7 @@ class TestSchemaV5Golden:
         store.put_summary(self.GOLDEN_SUMMARY, {"reps": 4})
         store.clear()
         assert store.get(self.GOLDEN_CELL) is None
-        assert store.get_summary(self.GOLDEN_SUMMARY) is None
+        assert not store._summary_path(self.GOLDEN_SUMMARY).exists()
 
     def test_v4_store_is_invalidated_not_reread(self, tmp_path):
         """A store written under schema v4 misses at v5 and reports the
@@ -351,3 +369,69 @@ class TestSchemaNotices:
 
     def test_memory_store_has_no_notices(self):
         assert MemoryStore().drain_notices() == []
+
+
+class TestReadBoundary:
+    """A record leaves a DiskStore only if it has the current shape."""
+
+    def test_malformed_payload_is_a_miss_and_noticed(self, tmp_path):
+        store = DiskStore(tmp_path)
+        store.put(KEY, {k: v for k, v in PAYLOAD.items() if k != "profile"})
+        assert store.get(KEY) is None
+        store._path(KEY).write_text("{ truncated")
+        assert store.get(KEY) is None
+        assert store.drain_notices() == [
+            "2 unreadable or malformed cached cell(s) re-run"
+        ]
+        store.put(KEY, PAYLOAD)
+        assert store.get(KEY) == PAYLOAD
+        assert store.drain_notices() == []
+
+    def test_a_baseline_payload_under_a_fault_key_is_malformed(self, tmp_path):
+        store = DiskStore(tmp_path)
+        store.put(KEY, cell_payload())
+        assert store.get(KEY) is None
+
+    def test_walks_read_current_records_and_count_the_rest(self, tmp_path):
+        store = DiskStore(tmp_path)
+        current = dataclasses.replace(KEY, rep=0)
+        store.put(current, PAYLOAD)
+        store.put(dataclasses.replace(current, seed=1, schema=3), PAYLOAD)
+        store.put(
+            dataclasses.replace(current, seed=2),
+            cell_payload("link-down", observatory="x"),
+        )
+        store.put(dataclasses.replace(current, seed=3, rep=None), PAYLOAD)
+        summary = SummaryKey(
+            version="TCP-PRESS",
+            settings_key=("s",),
+            fault=None,
+            policy_key=("fixed", 1, 1, 0.02),
+        )
+        store.put_summary(summary, {"reps": 1})
+        store.put_summary(dataclasses.replace(summary, schema=8), {"reps": 1})
+        assert [p for _k, p in store.iter_cells()] == [PAYLOAD]
+        assert list(store.iter_summaries()) == []
+        assert store.unread_line() == (
+            "1 cell(s) under schema v3, 2 cell(s) malformed, "
+            "1 summary(ies) under schema v8, 1 summary(ies) malformed: "
+            "not read"
+        )
+
+    def test_optional_numbers_may_be_null_and_counts_not_negative(
+        self, tmp_path
+    ):
+        from repro.experiments.store import payload_problem
+
+        assert payload_problem("link-down", PAYLOAD) is None
+        negative = cell_payload("link-down", subscriber_errors=-1)
+        assert payload_problem("link-down", negative) == (
+            "'telemetry.subscriber_errors' is missing or not a count"
+        )
+        short_row = cell_payload(
+            "link-down",
+            timeline={**PAYLOAD["timeline"], "series": [[0.0]]},
+        )
+        assert payload_problem("link-down", short_row) == (
+            "'timeline.series[0]' is missing or not a list of 2"
+        )

@@ -17,6 +17,7 @@ from repro.faults.spec import FaultKind
 from repro.obs.exporters import telemetry_summary
 from repro.press.cluster import SMOKE_SCALE
 from repro.press.config import ALL_VERSIONS_EXTENDED
+from tests.payloads import cell_payload
 
 SHORT = Phase1Settings(
     scale=SMOKE_SCALE, seed=7, warm=5.0, fault_at=10.0, replications=1
@@ -66,14 +67,10 @@ def _fake_cell(subscriber_errors):
     def cell(version, fault, settings, seed, trace=None, spans=None,
              warm=None):
         if fault is None:
-            return {
-                "kind": "baseline", "tn": 100.0, "elapsed": 0.0,
-                "telemetry": dict(telemetry),
-            }
-        return {
-            "kind": "profile", "profile": profile.to_dict(), "elapsed": 0.0,
-            "telemetry": dict(telemetry),
-        }
+            return cell_payload(tn=100.0, telemetry=dict(telemetry))
+        return cell_payload(
+            fault, profile=profile.to_dict(), telemetry=dict(telemetry)
+        )
 
     return cell
 

@@ -120,16 +120,3 @@ def test_disk_read_dropped_when_process_dead():
     node.process.exit("crash")
     e.run()
     assert done == []
-
-
-def test_operational_flag():
-    e = Engine()
-    node = make_node(e)
-    assert not node.operational  # process not started yet
-    node.process.start()
-    assert node.operational
-    node.freeze()
-    assert not node.operational
-    node.unfreeze()
-    node.crash()
-    assert not node.operational

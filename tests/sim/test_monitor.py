@@ -122,11 +122,6 @@ class TestTimeline:
             series=[(0.0, 10.0), (1.0, 20.0), (2.0, 0.0), (3.0, 30.0)],
         )
 
-    def test_rate_at(self):
-        tl = self._tl()
-        assert tl.rate_at(1.5) == 20.0
-        assert tl.rate_at(99.0) == 0.0
-
     def test_mean_rate_over_window(self):
         tl = self._tl()
         assert tl.mean_rate(0, 2) == pytest.approx(15.0)

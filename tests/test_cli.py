@@ -12,6 +12,7 @@ import pytest
 import repro
 
 from repro.__main__ import _settings, build_parser, main
+from tests.payloads import cell_payload
 
 
 def run_cli(capsys, *argv):
@@ -184,7 +185,9 @@ def test_dashboard_command_into_a_directory_is_one_error_line(tmp_path):
     from repro.experiments.store import CellKey, DiskStore
 
     store = tmp_path / "cache"
-    DiskStore(store).put(CellKey("TCP-PRESS", (), None, 1), {})
+    DiskStore(store).put(
+        CellKey("TCP-PRESS", (), None, 1, rep=0), cell_payload()
+    )
     with pytest.raises(SystemExit) as exc:
         main(["dashboard", str(store), "--out", str(tmp_path)])
     assert str(exc.value.code).startswith("dashboard: ")
@@ -342,8 +345,9 @@ def _put_cell(cache_dir, schema, tn=1.0):
             fault=None,
             seed=7,
             schema=schema,
+            rep=0,
         ),
-        {"kind": "baseline", "tn": tn, "elapsed": 0.1},
+        cell_payload(tn=tn),
     )
 
 
@@ -391,7 +395,7 @@ def test_store_diff_keeps_every_settings_universe_of_a_mixed_store(
                     seed=7,
                     rep=0,
                 ),
-                {"kind": "cell", "tn": float(factor)},
+                cell_payload(fault, tn=float(factor)),
             )
 
     mixed, single = tmp_path / "mixed", tmp_path / "single"
@@ -409,19 +413,60 @@ def test_store_diff_keeps_every_settings_universe_of_a_mixed_store(
 
 
 def test_store_diff_reports_a_v4_store_as_invalidated(capsys, tmp_path):
-    """Pre-v5 cells are called out as invalidated by the current
-    schema — the campaign re-runs them, it never re-reads them."""
-    from repro.experiments.store import SCHEMA_VERSION
-
+    """Pre-v5 cells are counted in one line per store and not read —
+    the campaign re-runs them, it never re-reads them."""
     a, b = tmp_path / "a", tmp_path / "b"
     _put_cell(a, schema=4)
-    _put_cell(b, schema=4)
+    _put_cell(b, schema=4, tn=2.0)
     out = run_cli(capsys, "store-diff", str(a), str(b))
-    assert (
-        f"1 cell(s) under stale schema v4 — invalidated by current "
-        f"schema v{SCHEMA_VERSION}" in out
+    assert out.splitlines() == [
+        f"store-diff: {a}: 1 cell(s) under schema v4: not read",
+        f"store-diff: {b}: 1 cell(s) under schema v4: not read",
+        "store-diff: 0 cell(s) compared, payloads identical",
+    ]
+
+
+def _put_unread_store(cache_dir):
+    """A real one-fault campaign, plus one schema-v3 cell and a current
+    cell of another seed whose observatory is a string."""
+    from repro.experiments.store import DiskStore
+
+    _seed_store(cache_dir)
+    _put_cell(cache_dir, schema=3)
+    ((_digest, key, payload), *_rest) = DiskStore(cache_dir).iter_cell_files()
+    shard = cache_dir / "ff"
+    shard.mkdir(exist_ok=True)
+    (shard / f"{'f' * 64}.json").write_text(
+        json.dumps(
+            {
+                "key": {**key, "seed": key["seed"] + 1},
+                "payload": {**payload, "observatory": "x"},
+            }
+        )
     )
-    assert "re-run these cells rather than re-reading them" in out
+
+
+def test_dashboard_and_store_diff_name_unread_cells_in_one_line(
+    capsys, tmp_path
+):
+    """Cells of another schema and malformed cells are counted in one
+    line per command, with no traceback; the current cells render."""
+    store = tmp_path / "cache"
+    _put_unread_store(store)
+    unread = "1 cell(s) under schema v3, 1 cell(s) malformed: not read"
+    out = run_cli(capsys, "dashboard", str(store))
+    assert out.splitlines() == [
+        f"dashboard: {store}: {unread}",
+        f"dashboard: {store / 'dashboard.html'}",
+    ]
+    html = (store / "dashboard.html").read_text(encoding="utf-8")
+    assert "1 baselines, 1 fault runs" in html and "<svg" in html
+    out = run_cli(capsys, "store-diff", str(store), str(store))
+    assert out.splitlines() == [
+        f"store-diff: {store}: {unread}",
+        f"store-diff: {store}: {unread}",
+        "store-diff: 2 cell(s) compared, payloads identical",
+    ]
 
 
 # ----------------------------------------------------------------------
