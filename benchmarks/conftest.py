@@ -3,9 +3,11 @@
 The table/figure benchmarks are regeneration harnesses: each runs the
 experiment that reproduces one exhibit of the paper, times it with
 pytest-benchmark (single round — these are simulations, not
-microbenchmarks), asserts the exhibit's *shape*, and prints the
-reproduced rows so ``pytest benchmarks/ --benchmark-only -s`` doubles as
-the paper's results section.
+microbenchmarks), prints the reproduced rows so
+``pytest benchmarks/ --benchmark-only -s`` doubles as the paper's results
+section, and asserts the exhibit's rows of the claims table
+(``claims.py``).  A session that measured and passed every row rewrites
+the claims blocks of EXPERIMENTS.md and README.md.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import pytest
 
 from repro.experiments.settings import Phase1Settings
 from repro.press.cluster import SMOKE_SCALE
+
+from . import claims
 
 #: Compressed but fully-featured experiment layout for the benches.
 BENCH_SETTINGS = Phase1Settings(
@@ -70,3 +74,9 @@ def campaign(request, bench_settings):
 def run_once(benchmark, fn):
     """Run a simulation-scale benchmark exactly once."""
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    measured_all = set(claims.MEASURED) == {c.id for c in claims.CLAIMS}
+    if exitstatus == 0 and measured_all:
+        claims.write_docs()

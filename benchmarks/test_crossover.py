@@ -1,14 +1,12 @@
-"""Regenerates the §9 headline: faults in a VIA-based server (switch,
-link, and application errors) must occur at approximately **4×** the rate
-of a TCP-based system before their performabilities equalize.
-"""
-
-import pytest
+"""Regenerates the §9 headline: how much more often faults in a VIA-based
+server (switch, link, and application errors) may occur than in a
+TCP-based one before their performabilities equalize."""
 
 from repro.analysis.report import crossover_summary
 from repro.experiments.campaign import full_campaign_with_report
 from repro.experiments.performability import crossover_bands, run_crossover
 
+from .claims import check
 from .conftest import run_once
 
 
@@ -21,15 +19,7 @@ def test_crossover(benchmark, bench_settings, campaign):
     # The same campaign again, from the session store: its replicates
     # give the band without re-simulating.
     sets, report = full_campaign_with_report(bench_settings)
+    bands = crossover_bands(sets, report.replicates)
     print("replicate bands:")
-    print(crossover_summary(crossover_bands(sets, report.replicates),
-                            report.replicates))
-
-    # The multiplier is noise-sensitive (log-scale metric over measured
-    # stall profiles); across seeds it lands in roughly 4-8x.  The
-    # paper's qualitative claim — a *several-fold* rate disadvantage is
-    # needed before TCP wins — reproduces.
-    for version, m in multipliers.items():
-        assert 2.0 <= m <= 10.0, (version, m)
-    mean = sum(multipliers.values()) / len(multipliers)
-    assert mean == pytest.approx(4.0, rel=1.0)
+    print(crossover_summary(bands, report.replicates))
+    check("§9 crossover", bands)

@@ -1,15 +1,13 @@
 """Regenerates Figure 2: throughput under a transient link failure.
 
-Paper's shape: TCP-PRESS stalls to ~zero for the whole fault and resumes
-(without reconfiguring) only after the link repairs; TCP-PRESS-HB and the
-VIA versions splinter into 3+1 — HB after the 15 s heartbeat threshold,
-VIA almost instantaneously — and never re-merge on their own.
+TCP-PRESS stalls through the fault without reconfiguring; TCP-PRESS-HB
+and the VIA versions splinter into 3+1 (HB at the heartbeat threshold,
+VIA almost at once) and never re-merge on their own.
 """
-
-import pytest
 
 from repro.experiments.timelines import format_timeline_figure, run_figure2
 
+from .claims import check
 from .conftest import run_once
 
 
@@ -17,26 +15,4 @@ def test_figure2(benchmark, bench_settings):
     fig = run_once(benchmark, lambda: run_figure2(bench_settings))
     print()
     print(format_timeline_figure(fig, bucket=10.0, title="Figure 2 — link failure"))
-
-    tcp = fig.records["TCP-PRESS"]
-    hb = fig.records["TCP-PRESS-HB"]
-    via = fig.records["VIA-PRESS-5"]
-
-    # TCP-PRESS: no detection, stall during the fault, full self-recovery.
-    assert tcp.detection_at is None
-    stall = tcp.timeline.mean_rate(tcp.injected_at + 15, tcp.cleared_at)
-    assert stall < tcp.normal_throughput * 0.15
-    assert tcp.recovered_fully
-
-    # TCP-PRESS-HB: detection at the heartbeat threshold (~15 s).
-    assert hb.detection_at is not None
-    assert 10.0 <= hb.detection_at - hb.injected_at <= 25.0
-    # ... and the splinter persists (operator reset was needed).
-    assert not hb.recovered_fully and hb.reset_at is not None
-
-    # VIA: near-instant detection, minor dip, persistent splinter.
-    assert via.detection_at is not None
-    assert via.detection_at - via.injected_at < 2.0
-    during = via.timeline.mean_rate(via.injected_at, via.cleared_at)
-    assert during > via.normal_throughput * 0.6
-    assert not via.recovered_fully
+    check("Figure 2", fig)

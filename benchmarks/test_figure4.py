@@ -1,17 +1,14 @@
 """Regenerates Figure 4: memory-exhaustion faults.
 
-Paper's shape: kernel-memory exhaustion zeroes TCP-PRESS (stall) and
-splinters TCP-PRESS-HB, while the VIA versions — having pre-allocated all
-communication memory — show no degradation at all.  Pinnable-memory
-exhaustion, conversely, bites only VIA-PRESS-5, whose zero-copy cache
-must shed pinned files (cache misses degrade throughput during the
-fault).
+Kernel-memory exhaustion stalls TCP-PRESS and splinters TCP-PRESS-HB,
+while the VIA versions, having pre-allocated all communication memory,
+do not degrade.  Pinnable-memory exhaustion bites only VIA-PRESS-5,
+whose zero-copy cache must shed pinned files.
 """
-
-import pytest
 
 from repro.experiments.timelines import format_timeline_figure, run_figure4
 
+from .claims import check
 from .conftest import run_once
 
 
@@ -30,31 +27,4 @@ def test_figure4(benchmark, bench_settings):
             title="Figure 4b — pinnable memory exhaustion",
         )
     )
-
-    km = figs["kernel-memory"].records
-    stall = km["TCP-PRESS"].timeline.mean_rate(
-        km["TCP-PRESS"].injected_at + 15, km["TCP-PRESS"].cleared_at
-    )
-    assert stall < km["TCP-PRESS"].normal_throughput * 0.15
-
-    # TCP-PRESS-HB splinters and keeps the 3-node group serving.
-    hb = km["TCP-PRESS-HB"]
-    assert hb.detection_at is not None
-    during = hb.timeline.mean_rate(hb.detection_at + 5, hb.cleared_at)
-    assert during > hb.normal_throughput * 0.5
-
-    # VIA versions: pre-allocation immunity (no detectable impact).
-    for version in ("VIA-PRESS-0", "VIA-PRESS-3", "VIA-PRESS-5"):
-        record = km[version]
-        during = record.timeline.mean_rate(record.injected_at, record.cleared_at)
-        assert during > record.normal_throughput * 0.9, version
-
-    pin = figs["memory-pinning"].records
-    # Only the zero-copy version degrades under the pin fault.
-    v5 = pin["VIA-PRESS-5"]
-    during_v5 = v5.timeline.mean_rate(v5.injected_at, v5.cleared_at)
-    for version in ("TCP-PRESS", "VIA-PRESS-0"):
-        record = pin[version]
-        during = record.timeline.mean_rate(record.injected_at, record.cleared_at)
-        assert during > record.normal_throughput * 0.9, version
-    assert during_v5 < v5.normal_throughput * 0.97
+    check("Figure 4", figs)

@@ -1,21 +1,10 @@
 """Regenerates Figure 6: modeled unavailability and performability of the
 five versions under the Table-3 fault load, at application fault rates of
-1/day and 1/month.
+1/day and 1/month."""
 
-Paper's shape: availability is uniformly poor (~99% at 1/day, under 99.9%
-at 1/month) with application faults dominating; the VIA versions' accurate
-fail-stop reporting and pre-allocation buy them availability at least as
-good as the TCP versions'; since availabilities are close, the fastest
-version (VIA-PRESS-5) wins performability and plain TCP-PRESS loses.
-"""
-
-import pytest
-
-from repro.core.faultload import DAY, MONTH, FaultLoad
-from repro.core.metric import performability_of
-from repro.core.model import evaluate
 from repro.experiments.performability import format_figure6, run_figure6
 
+from .claims import check
 from .conftest import run_once
 
 
@@ -23,35 +12,4 @@ def test_figure6(benchmark, bench_settings, campaign):
     rows = run_once(benchmark, lambda: run_figure6(bench_settings))
     print()
     print(format_figure6(rows))
-
-    by = {(r.version, r.app_mttf): r for r in rows}
-
-    for mttf in (DAY, MONTH):
-        # Availability is "uniformly terrible".
-        for version in (
-            "TCP-PRESS", "TCP-PRESS-HB",
-            "VIA-PRESS-0", "VIA-PRESS-3", "VIA-PRESS-5",
-        ):
-            aa = by[(version, mttf)].availability
-            assert 0.98 < aa < 0.9995, (version, mttf)
-        # The headline surprise: every VIA version's availability beats
-        # *both* TCP versions' under the same fault load.
-        for via in ("VIA-PRESS-0", "VIA-PRESS-3", "VIA-PRESS-5"):
-            for tcp in ("TCP-PRESS", "TCP-PRESS-HB"):
-                assert (
-                    by[(via, mttf)].availability
-                    > by[(tcp, mttf)].availability
-                ), (via, tcp, mttf)
-        # Performability follows performance: VIA-5 beats both TCPs.
-        p = {
-            v: by[(v, mttf)].performability
-            for v in ("TCP-PRESS", "TCP-PRESS-HB", "VIA-PRESS-5")
-        }
-        assert p["VIA-PRESS-5"] > p["TCP-PRESS-HB"]
-        assert p["VIA-PRESS-5"] > p["TCP-PRESS"]
-
-    # More faults -> lower availability, lower P (sanity of the sweep).
-    for version in ("TCP-PRESS", "VIA-PRESS-5"):
-        assert (
-            by[(version, DAY)].availability < by[(version, MONTH)].availability
-        )
+    check("Figure 6", rows)

@@ -1,15 +1,10 @@
 """Regenerates Figure 7: performability when transient packet drops are
 charged to the VIA versions only (each drop is reported as a fatal error
-and the process terminates itself); TCP tolerates drops by design.
-
-Paper's shape: the crossover sits at roughly one drop per week — TCP wins
-when drops are more frequent, VIA wins when they are rarer.
-"""
-
-import pytest
+and the process terminates itself); TCP tolerates drops by design."""
 
 from repro.experiments.performability import format_sensitivity, run_figure7
 
+from .claims import check
 from .conftest import run_once
 
 
@@ -17,14 +12,4 @@ def test_figure7(benchmark, bench_settings, campaign):
     fig = run_once(benchmark, lambda: run_figure7(bench_settings))
     print()
     print(format_sensitivity(fig))
-
-    p_tcp = fig.tcp["TCP-PRESS-HB"]  # the stronger TCP baseline
-    for version in ("VIA-PRESS-0", "VIA-PRESS-3", "VIA-PRESS-5"):
-        assert fig.via["1/day"][version] < p_tcp, version  # TCP wins
-        assert fig.via["1/month"][version] > p_tcp * 0.95, version  # VIA wins
-        # Monotone in the drop rate.
-        assert (
-            fig.via["1/day"][version]
-            < fig.via["1/week"][version]
-            < fig.via["1/month"][version]
-        )
+    check("Figure 7", fig)

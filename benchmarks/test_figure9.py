@@ -1,16 +1,11 @@
 """Regenerates Figure 9: performability when the immaturity of the VIA
 networking subsystem causes occasional system crashes, modeled as switch
 crashes (1/week, 1/month, 1/3-months); TCP on mature Ethernet is charged
-none.
-
-Paper's shape: same trade as the other sensitivity studies — frequent
-system faults hand the win to TCP; rare ones leave VIA ahead.
-"""
-
-import pytest
+none."""
 
 from repro.experiments.performability import format_sensitivity, run_figure9
 
+from .claims import check
 from .conftest import run_once
 
 
@@ -18,12 +13,4 @@ def test_figure9(benchmark, bench_settings, campaign):
     fig = run_once(benchmark, lambda: run_figure9(bench_settings))
     print()
     print(format_sensitivity(fig))
-
-    p_tcp = fig.tcp["TCP-PRESS-HB"]
-    for version in ("VIA-PRESS-0", "VIA-PRESS-3", "VIA-PRESS-5"):
-        assert fig.via["1/week"][version] < p_tcp, version
-        assert (
-            fig.via["1/week"][version]
-            < fig.via["1/month"][version]
-            < fig.via["1/3months"][version]
-        ), version
+    check("Figure 9", fig)

@@ -12,12 +12,11 @@ existing design loses, the ideal layer should lose nowhere:
 * throughput      — ideal keeps VIA-5's peak.
 """
 
-import pytest
-
 from repro.experiments.table1 import measure_peak
 from repro.experiments.timelines import run_timeline_figure
 from repro.faults.spec import FaultKind
 
+from .claims import check, fail_fasts
 from .conftest import run_once
 
 CONTENDERS = ["TCP-PRESS", "VIA-PRESS-5", "IDEAL-PRESS"]
@@ -42,12 +41,6 @@ def test_ideal_layer(benchmark, bench_settings):
         return out
 
     out = run_once(benchmark, run_all)
-
-    def fail_fasts(record):
-        return len(
-            [a for a in record.timeline.annotations if a.label == "fail-fast"]
-        )
-
     print()
     print("§7 ideal layer vs. the studied designs")
     print(f"{'metric':26s} " + " ".join(f"{v:>12s}" for v in CONTENDERS))
@@ -68,22 +61,4 @@ def test_ideal_layer(benchmark, bench_settings):
                 for v in CONTENDERS
             )
         )
-
-    # Performance: the ideal layer keeps VIA-5's peak (within noise).
-    assert out["peak"]["IDEAL-PRESS"] == pytest.approx(
-        out["peak"]["VIA-PRESS-5"], rel=0.05
-    )
-    assert out["peak"]["IDEAL-PRESS"] > out["peak"]["TCP-PRESS"] * 1.3
-
-    # Containment: bad parameters kill no processes (VIA-5 loses 2; the
-    # byte-stream TCP loses 1 on off-by-N).
-    for fault in ("null-pointer", "off-by-size"):
-        records = out[fault].records
-        assert fail_fasts(records["IDEAL-PRESS"]) == 0, fault
-        assert fail_fasts(records["VIA-PRESS-5"]) == 2, fault
-        assert records["IDEAL-PRESS"].recovered_fully
-
-    # Pre-allocation: immune to the kernel-memory fault, like VIA.
-    km = out["kernel-memory"].records["IDEAL-PRESS"]
-    during = km.timeline.mean_rate(km.injected_at, km.cleared_at)
-    assert during > km.normal_throughput * 0.9
+    check("§7 ideal layer", out)

@@ -1,14 +1,8 @@
-"""Regenerates Table 1: near-peak throughput of the five PRESS versions.
-
-Paper: TCP-PRESS 4965, TCP-PRESS-HB 4965, VIA-PRESS-0 6031,
-VIA-PRESS-3 6221, VIA-PRESS-5 7058 req/s on the 4-node testbed.
-"""
-
-import pytest
+"""Regenerates Table 1: near-peak throughput of the five PRESS versions."""
 
 from repro.experiments.table1 import format_table1, run_table1
-from repro.press.config import PAPER_TABLE1_THROUGHPUT
 
+from .claims import check
 from .conftest import run_once
 
 
@@ -16,17 +10,4 @@ def test_table1(benchmark, bench_settings):
     rows = run_once(benchmark, lambda: run_table1(bench_settings))
     print()
     print(format_table1(rows))
-
-    measured = {r.version: r.measured for r in rows}
-    # Shape: ordering and ratios of the paper hold.
-    assert (
-        measured["TCP-PRESS"]
-        < measured["VIA-PRESS-0"]
-        < measured["VIA-PRESS-3"]
-        < measured["VIA-PRESS-5"]
-    )
-    for version, paper in PAPER_TABLE1_THROUGHPUT.items():
-        ratio = (measured[version] / measured["TCP-PRESS"]) / (
-            paper / PAPER_TABLE1_THROUGHPUT["TCP-PRESS"]
-        )
-        assert ratio == pytest.approx(1.0, abs=0.08), version
+    check("Table 1", rows)

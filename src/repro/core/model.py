@@ -59,9 +59,6 @@ class PerformabilityResult:
     def unavailability(self) -> float:
         return 1.0 - self.availability
 
-    def contribution_by(self, name: str) -> float:
-        return sum(c.unavailability for c in self.contributions if c.name == name)
-
     def grouped_unavailability(
         self, grouping: Mapping[str, str]
     ) -> Dict[str, float]:

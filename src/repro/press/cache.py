@@ -162,25 +162,6 @@ class FileCache:
         self._fire("evict", file_id)
         return True
 
-    def shed_to_pin_limit(self) -> int:
-        """Drop LRU files until pinned usage fits the *effective* limit.
-
-        Called when a pin fault lowers the ceiling below what the cache
-        already holds; VIA-PRESS-5 "releases some of the memory that it
-        had previously pinned to free up the needed resources".  Returns
-        the number of files shed.
-        """
-        if not self.pinned:
-            return 0
-        shed = 0
-        while (
-            self._entries
-            and self.pin_memory.pinned > self.pin_memory.effective_limit
-        ):
-            self._evict_lru()
-            shed += 1
-        return shed
-
     def preload(self, file_ids, size: int) -> int:
         """Warm-start: insert files without firing change broadcasts.
 

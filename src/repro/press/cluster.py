@@ -408,12 +408,6 @@ class PressCluster:
         """Client-observed good throughput, rescaled to paper units."""
         return self.monitor.mean_rate(start, end) * self.scale.report_factor
 
-    def snapshot_serves(self) -> int:
-        """Total requests served (responses shipped) across the cluster."""
-        return sum(
-            s.local_serves + s.remote_serves for s in self.servers.values()
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<PressCluster {self.config.name} n={len(self.node_ids)}"

@@ -215,9 +215,6 @@ class Transport:
         """Install a Mendosus-style interposer on the send path."""
         self.send_interposers.append(fn)
 
-    def clear_interposers(self) -> None:
-        self.send_interposers.clear()
-
     def _apply_interposers(self, msg: Message) -> Message:
         for fn in self.send_interposers:
             msg = fn(msg)

@@ -72,10 +72,6 @@ class FileSet:
     def total_bytes(self) -> int:
         return self.n_files * self.file_bytes
 
-    def expected_hit_files(self, cache_bytes: int) -> int:
-        """How many distinct files fit in ``cache_bytes``."""
-        return min(self.n_files, cache_bytes // self.file_bytes)
-
     def coverage_hit_ratio(self, n_cached_files: int) -> float:
         """Request-weighted hit ratio if the ``n`` most popular files are
         cached — the analytic counterpart of a warmed LRU cache under

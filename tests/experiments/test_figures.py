@@ -91,10 +91,16 @@ class TestFigure6:
 
     def test_via_immune_to_resource_exhaustion(self, mini_campaign, loads):
         result = evaluate(mini_campaign["VIA-PRESS-5"], loads["1/month"])
-        kernel = result.contribution_by("kernel-memory-allocation")
-        assert kernel == 0.0
         tcp = evaluate(mini_campaign["TCP-PRESS"], loads["1/month"])
-        assert tcp.contribution_by("kernel-memory-allocation") > 0.0
+
+        def kernel(r):
+            return sum(
+                c.unavailability for c in r.contributions
+                if c.name == "kernel-memory-allocation"
+            )
+
+        assert kernel(result) == 0.0
+        assert kernel(tcp) > 0.0
 
 
 class TestSensitivity:

@@ -93,18 +93,6 @@ def test_unpinnable_file_not_cached():
     assert len(c) == 0
 
 
-def test_shed_to_pin_limit():
-    """The injected pin fault forces VIA-PRESS-5 to drop cached files."""
-    pm = PinnableMemory(physical_bytes=400)
-    c = FileCache(Engine(), capacity_bytes=1000, pinned=True, pin_memory=pm)
-    for i in range(4):
-        c.insert(f"f{i}", 50)  # pinned = 200
-    pm.inject_pin_fault(effective_limit=100)
-    shed = c.shed_to_pin_limit()
-    assert shed == 2
-    assert pm.pinned == 100
-
-
 def test_preload_respects_budget_and_skips_callbacks():
     c = FileCache(Engine(), capacity_bytes=100)
     events = []

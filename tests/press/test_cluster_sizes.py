@@ -86,7 +86,9 @@ def test_large_cluster_smoke(n_nodes):
     assert not cluster.is_partitioned()
     # Requests flow, and the cooperative forwarding actually spans the
     # cluster (remote serves prove inter-node request traffic).
-    assert cluster.snapshot_serves() > 0
+    assert sum(
+        s.local_serves + s.remote_serves for s in cluster.servers.values()
+    ) > 0
     assert sum(s.remote_serves for s in cluster.servers.values()) > 0
     assert cluster.monitor.availability() > 0.9
 

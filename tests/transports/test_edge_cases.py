@@ -103,7 +103,7 @@ class TestTcpEdges:
 
         transport.interpose_send(interposer)
         ch.send(Message("m", 64))
-        transport.clear_interposers()
+        transport.send_interposers.remove(interposer)
         ch.send(Message("m", 64))
         assert calls == ["m"]
 

@@ -57,12 +57,6 @@ def test_coverage_clamps_out_of_range():
     assert fs.coverage_hit_ratio(99) == pytest.approx(1.0)
 
 
-def test_expected_hit_files():
-    fs = FileSet(n_files=100, file_bytes=100)
-    assert fs.expected_hit_files(550) == 5
-    assert fs.expected_hit_files(10**9) == 100
-
-
 def test_validation():
     with pytest.raises(ValueError):
         FileSet(n_files=0)
